@@ -7,6 +7,13 @@ stored shape); analyses are cached lazily on the immutable object, and
 cannot leak.
 
 Coordinates are 1-indexed at the API surface and 0-indexed internally.
+
+The two codeword-search kernels live here: ``min_weight``, the Gray-code
+walk over all 2^k - 1 nonzero codewords behind the full engine, the
+exhaustive tables and the search, and ``_zero_sum_supports``, the
+meet-in-the-middle over parity-check column sums behind the low-weight
+engine.  ``_gray_walk`` is the plain enumerator behind ``codewords()``.
+GF(2) elimination lives in ``gf2.eliminate``.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ class ParseError(ValueError):
 
 def check_coords(T: Iterable[int], n: int) -> Tuple[int, ...]:
     """Validate a 1-indexed coordinate set; returns it sorted."""
+    T = list(T)
     idx = sorted(set(T))
     if idx != sorted(T):
         raise ValueError("coordinates must be distinct")
@@ -164,16 +172,16 @@ class LinearCode:
         yield from _gray_walk(self.gen.rows)
 
     def min_distance(self, engine: str = "auto") -> int:
-        if "dmin_value" in self._cache:
-            return self._cache["dmin_value"]
+        """Exact minimum distance; only ``auto`` may answer from cache."""
         if engine == "auto":
-            d = (_min_distance_full(self.gen) if self.k <= K_FULL
-                 else _min_distance_low_weight(self))
-        elif engine == "full":
+            if "dmin_value" in self._cache:
+                return self._cache["dmin_value"]
+            engine = "full" if self.k <= K_FULL else "lowweight"
+        if engine == "full":
             if self.k > K_FULL:
                 raise EngineBudgetError(
                     f"full enumeration capped at k <= {K_FULL}")
-            d = _min_distance_full(self.gen)
+            d = min_weight(self.gen.rows)
         elif engine == "lowweight":
             d = _min_distance_low_weight(self)
         else:
@@ -205,19 +213,10 @@ class LinearCode:
         if len(idx) >= self.n:
             raise ValueError("cannot puncture every coordinate")
         rows = [_drop_bits(r, idx) for r in self.gen.rows]
-        n2 = self.n - len(idx)
         # keep a maximal independent subset, earliest rows first
-        keep = []
-        basis = []
-        for r in rows:
-            rr = r
-            for col, w in basis:
-                if (rr >> col) & 1:
-                    rr ^= w
-            if rr:
-                basis.append(((rr & -rr).bit_length() - 1, rr))
-                keep.append(r)
-        return LinearCode(BitMatrix.from_rows(keep, n2))
+        _, kept = gf2.eliminate(rows)
+        return LinearCode(BitMatrix.from_rows([rows[i] for i in kept],
+                                              self.n - len(idx)))
 
     def shorten(self, T: Iterable[int]) -> "LinearCode":
         idx = check_coords(T, self.n)
@@ -272,18 +271,23 @@ def _gray_walk(rows: Sequence[int]) -> Iterator[int]:
         yield acc
 
 
-def _min_distance_full(gen: BitMatrix) -> int:
-    if gen.nrows == 0:
+def min_weight(rows: Sequence[int], stop: int = 1) -> int:
+    """Minimum weight of the nonzero XORs of rows, by Gray-code walk.
+
+    Exact when that minimum exceeds stop; otherwise the walk ends at the
+    first weight <= stop it meets and returns it.  For independent rows
+    the default stop=1 is always exact.
+    """
+    if not rows:
         raise ValueError("minimum distance undefined for the zero code")
-    best = gen.cols + 1
+    best = max(rows).bit_length() + 1  # above every possible weight
     acc = 0
-    rows = gen.rows
-    for x in range(1, 1 << gen.nrows):
+    for x in range(1, 1 << len(rows)):
         acc ^= rows[(x & -x).bit_length() - 1]
         w = acc.bit_count()
         if w < best:
             best = w
-            if best == 1:
+            if w <= stop:
                 break
     return best
 
@@ -294,69 +298,49 @@ def _parity_columns(C: LinearCode) -> List[int]:
     return list(H.transpose().rows)
 
 
-def _min_distance_low_weight(C: LinearCode) -> int:
-    """Find the smallest w <= W_MAX with w dependent parity-check columns.
+def _zero_sum_supports(cols: Sequence[int], w: int) -> Iterator[int]:
+    """Supports of the weight-w codewords, by meet-in-the-middle.
 
-    Meet-in-the-middle: hash all sums of floor(w/2)-subsets, then scan
-    ceil(w/2)-subsets for a disjoint partner with equal sum.
+    A weight-w codeword is a set of w parity-check columns (cols, one
+    per coordinate) summing to zero: hash the sums of all
+    floor(w/2)-subsets, then pair each ceil(w/2)-subset with every
+    disjoint partner of equal sum.  A support is yielded once per split
+    into such a pair.
     """
+    half = w // 2
+    table: dict = {}
+    for probe in (False, True):
+        for sub in itertools.combinations(range(len(cols)),
+                                          w - half if probe else half):
+            s = m = 0
+            for i in sub:
+                s ^= cols[i]
+                m |= 1 << i
+            if not probe:
+                table.setdefault(s, []).append(m)
+                continue
+            for m1 in table.get(s, ()):
+                if m1 & m == 0:
+                    yield m1 | m
+
+
+def _min_distance_low_weight(C: LinearCode) -> int:
+    """The smallest w <= W_MAX with a weight-w codeword."""
     if C.k == 0:
         raise ValueError("minimum distance undefined for the zero code")
     if C.k == C.n:
         return 1
     cols = _parity_columns(C)
-    n = C.n
     for w in range(1, W_MAX + 1):
-        w1 = w // 2
-        w2 = w - w1
-        table = {}
-        for sub in itertools.combinations(range(n), w1):
-            s = 0
-            m = 0
-            for i in sub:
-                s ^= cols[i]
-                m |= 1 << i
-            table.setdefault(s, []).append(m)
-        for sub in itertools.combinations(range(n), w2):
-            s = 0
-            m = 0
-            for i in sub:
-                s ^= cols[i]
-                m |= 1 << i
-            for m1 in table.get(s, ()):
-                if m1 & m == 0 and (m1 | m):
-                    return w
+        if next(_zero_sum_supports(cols, w), None) is not None:
+            return w
     raise EngineBudgetError(
         f"minimum distance >= {W_MAX + 1}: beyond low-weight engine budget")
 
 
 def _low_weight_words(C: LinearCode, w: int) -> List[int]:
-    """All weight-w codewords via the same column-sum pairing."""
-    cols = _parity_columns(C)
-    n = C.n
-    w1 = w // 2
-    w2 = w - w1
-    table = {}
-    for sub in itertools.combinations(range(n), w1):
-        s = 0
-        m = 0
-        for i in sub:
-            s ^= cols[i]
-            m |= 1 << i
-        table.setdefault(s, []).append(m)
-    found = set()
-    for sub in itertools.combinations(range(n), w2):
-        s = 0
-        m = 0
-        for i in sub:
-            s ^= cols[i]
-            m |= 1 << i
-        for m1 in table.get(s, ()):
-            if m1 & m == 0:
-                word = m1 | m
-                if word.bit_count() == w:
-                    found.add(word)
-    return sorted(found)
+    """All weight-w codewords, sorted."""
+    return sorted(set(_zero_sum_supports(_parity_columns(C), w)))
 
 
 # ----------------------------------------------------------------------

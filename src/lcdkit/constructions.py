@@ -157,12 +157,8 @@ def _hull_guided_subsets(C: LinearCode, l: int):
             if (r >> j) & 1:
                 freq[j] += 1
     order = sorted(range(1, C.n + 1), key=lambda c: (-freq[c - 1], c))
-    seen = set()
     for combo in itertools.combinations(order, l):
-        T = tuple(sorted(combo))
-        if T not in seen:
-            seen.add(T)
-            yield T
+        yield tuple(sorted(combo))
 
 
 def hull_shorten(C: LinearCode) -> ConstructionOutcome:

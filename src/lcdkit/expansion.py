@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .codes import EngineBudgetError, ParseError
-from .gf2 import BitVector
+from .gf2 import BitVector, rank_of_rows
 
 # Exhaustive self-dual basis search is limited to this extension degree.
 M_MAX = 4
@@ -107,18 +107,8 @@ class SelfDualBasis:
                 want = 1 if i == j else 0
                 if F.trace(F.mul(a, b)) != want:
                     raise AssertionError("trace Gram matrix is not identity")
-        if _bit_rank(self.alphas) != m:
+        if rank_of_rows(self.alphas) != m:
             raise AssertionError("basis elements are dependent")
-
-
-def _bit_rank(vals: Sequence[int]) -> int:
-    basis: List[int] = []
-    for v in vals:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-    return len(basis)
 
 
 def find_self_dual_basis(field: ExtField) -> SelfDualBasis:
@@ -131,7 +121,7 @@ def find_self_dual_basis(field: ExtField) -> SelfDualBasis:
 
     def search() -> bool:
         if len(chosen) == m:
-            return _bit_rank(chosen) == m
+            return rank_of_rows(chosen) == m
         for a in range(1, field.order):
             if field.trace(field.mul(a, a)) != 1:
                 continue
@@ -310,19 +300,6 @@ def expansion_indices(n: int, k: int, m: int) -> Tuple[int, int]:
     if n < 1 or k < 1 or m < 1:
         raise ValueError("inputs must be positive")
     return n // m, math.ceil(k / m)
-
-
-def expansion_bound(n: int, k: int, m: int, d_ext: int) -> int:
-    """Lower bound on d_LCD(n, k) from an LCD code over GF(2^m).
-
-    An LCD [n', k'] code over GF(2^m) with distance d_ext, where
-    (n', k') = expansion_indices(n, k, m), expands and then shortens or
-    extends to a binary LCD code witnessing d_LCD(n, k) >= d_ext.
-    """
-    if d_ext < 1:
-        raise ValueError("inputs must be positive")
-    expansion_indices(n, k, m)
-    return d_ext
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,10 @@
 Vectors and matrix rows are stored as Python ints (bit i = coordinate i),
 so every row operation is a single XOR and inner products are one AND plus
 a popcount.  All values are immutable once constructed.
+
+``eliminate`` is the library's only GF(2) forward elimination: rank,
+RREF, ``solve``, row selection for puncturing, the exhaustive tables'
+LCD test and basis extension in the normal forms all go through it.
 """
 
 from __future__ import annotations
@@ -165,16 +169,30 @@ def rank(M: BitMatrix) -> int:
     return rank_of_rows(M.rows)
 
 
-def rank_of_rows(rows: Iterable[int]) -> int:
-    """GF(2) rank of bit-packed rows via forward elimination."""
-    basis = []  # (pivot column, reduced row)
-    for r in rows:
+def eliminate(rows: Iterable[int]) -> tuple:
+    """Forward elimination over GF(2), the one elimination kernel.
+
+    Returns (basis, kept): basis holds one (pivot column, reduced row)
+    pair per independent row, the pivot being the reduced row's lowest
+    set bit, and kept lists the input indices of those rows.  Each row
+    is reduced against the basis built from the rows before it, so kept
+    is the greedy earliest-first choice of a maximal independent subset.
+    """
+    basis = []
+    kept = []
+    for i, r in enumerate(rows):
         for col, w in basis:
             if (r >> col) & 1:
                 r ^= w
         if r:
             basis.append(((r & -r).bit_length() - 1, r))
-    return len(basis)
+            kept.append(i)
+    return basis, kept
+
+
+def rank_of_rows(rows: Iterable[int]) -> int:
+    """GF(2) rank of bit-packed rows."""
+    return len(eliminate(rows)[0])
 
 
 def rref(M: BitMatrix) -> tuple:
@@ -183,23 +201,14 @@ def rref(M: BitMatrix) -> tuple:
     Returns (R, pivot_cols) with zero rows dropped and pivot columns in
     increasing order.
     """
-    work = []
-    for r in M.rows:
-        for w in work:
-            low = (w & -w).bit_length() - 1
-            if (r >> low) & 1:
-                r ^= w
-        if r:
-            work.append(r)
-            work.sort(key=lambda x: (x & -x).bit_length())
-    # back-substitute
-    for i, w in enumerate(work):
-        low = (w & -w).bit_length() - 1
+    basis = sorted(eliminate(M.rows)[0])
+    work = [w for _, w in basis]
+    # back-substitute; a row's pivot stays its lowest set bit
+    for i, (low, w) in enumerate(basis):
         for j in range(i):
             if (work[j] >> low) & 1:
                 work[j] ^= w
-    pivot_cols = [(w & -w).bit_length() - 1 for w in work]
-    return BitMatrix(tuple(work), M.cols), pivot_cols
+    return BitMatrix(tuple(work), M.cols), [col for col, _ in basis]
 
 
 def gram(G: BitMatrix) -> BitMatrix:
@@ -224,21 +233,17 @@ def solve(M: BitMatrix, b: BitVector) -> Optional[BitVector]:
     """Express b as a combination of the rows of M.
 
     Returns x (length M.nrows) with x * M = b, or None when b is outside
-    the row space.  Absence is a value, not an error.
+    the row space.  Absence is a value, not an error.  When the rows of
+    M are dependent, x is one of several solutions.
     """
     if b.length != M.cols:
         raise ValueError("dimension mismatch")
     k = M.nrows
-    # augment each row with its combination tag in the high bits
-    aug = [M.rows[i] | (1 << (M.cols + i)) for i in range(k)]
+    # Tag each row with its combination in the bits above the columns.
+    # A dependent row reduces to a bare tag, pivots above the columns and
+    # is never used below.
+    basis, _ = eliminate(M.rows[i] | (1 << (M.cols + i)) for i in range(k))
     mask = (1 << M.cols) - 1
-    basis = []  # (pivot column, augmented row)
-    for a in aug:
-        for col, w in basis:
-            if (a >> col) & 1:
-                a ^= w
-        if a & mask:
-            basis.append((((a & mask) & -(a & mask)).bit_length() - 1, a))
     acc = b.bits
     combo = 0
     for col, w in basis:
@@ -267,12 +272,6 @@ def nullspace(M: BitMatrix) -> BitMatrix:
 
 def row_space_contains(M: BitMatrix, v: BitVector) -> bool:
     return solve(M, v) is not None
-
-
-def same_row_space(A: BitMatrix, B: BitMatrix) -> bool:
-    if A.cols != B.cols:
-        return False
-    return rref(A) == rref(B)
 
 
 def congruent_normal_form(S: BitMatrix) -> tuple:

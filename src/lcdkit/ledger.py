@@ -19,7 +19,8 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from . import constructions as cons
 from . import expansion as xp
@@ -30,29 +31,6 @@ from .search import DEFAULT_SEED, lcd_search
 PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED-MISSING-SEED"
-
-# Operations a ledger record may name.  Coordinate-taking and
-# vector-taking ops read their auxiliary data from the record's aux
-# field; the hull-guided ops search internally, so any coordinates in
-# aux are provenance metadata only.
-REGISTERED_OPS = frozenset({
-    "extend_even",
-    "extend_odd_two",
-    "puncture_even_lcd",
-    "shorten_odd_lcd",
-    "hull_shorten",
-    "hull_puncture",
-    "extend_row_dual",
-    "extend_systematic",
-    "extend_hull_drop",
-    "extend_column_hull_drop",
-    "extend_two_multi",
-    "expand",
-})
-
-_VECTOR_OPS = {"extend_row_dual", "extend_systematic",
-               "extend_hull_drop", "extend_column_hull_drop"}
-
 
 class _ReplayFailure(Exception):
     """Internal: the replayed construction contradicts the record."""
@@ -81,15 +59,16 @@ class ConstructionRecord:
         n, k, d = self.expect
         if n < 1 or not 0 <= k <= n:
             raise ValueError(f"bad expected parameters {self.expect}")
-        if self.op in _VECTOR_OPS and "x" not in self.aux:
-            raise ValueError(f"{self.op} requires aux vector 'x'")
-        if self.op == "puncture_even_lcd" and \
-                not self.aux.get("coordinates"):
-            raise ValueError("puncture_even_lcd requires aux coordinates")
+        for key in REGISTERED_OPS[self.op].aux:
+            if self.aux.get(key) in (None, []):
+                raise ValueError(f"{self.op} requires aux {key!r}")
 
     @classmethod
     def from_json_obj(cls, obj: Dict) -> "ConstructionRecord":
         expect = obj["expect"]
+        if not isinstance(expect, list) or len(expect) not in (2, 3):
+            raise ValueError(
+                f"expect must be [n, k] or [n, k, d], got {expect!r}")
         return cls(op=obj["op"], inputs=dict(obj["inputs"]),
                    aux=dict(obj.get("aux", {})),
                    expect=(expect[0], expect[1],
@@ -182,65 +161,88 @@ def _resolve_input(rec: ConstructionRecord, seed_dir: Optional[Path],
 # operation application
 
 
+def _expand(seed_code: xp.ExtFieldCode, aux: Dict) -> List[LinearCode]:
+    transform = aux.get("transformation", "id")
+    if transform != "id":
+        if not isinstance(transform, list):
+            raise _ReplayFailure(
+                "only identity or explicit diagonal transformations "
+                "replay")
+        if len(transform) != seed_code.n:
+            raise _ReplayFailure("diagonal length must equal n")
+        F = seed_code.field
+        rows = [[F.mul(t, v) for t, v in zip(transform, row)]
+                for row in seed_code.gen]
+        seed_code = xp.ExtFieldCode.from_rows(F, rows, seed_code.n)
+    basis = xp.find_self_dual_basis(seed_code.field)
+    return [xp.expand_code(seed_code, basis)]
+
+
+def _puncture_even_lcd(code: LinearCode, aux: Dict) -> List[LinearCode]:
+    # puncture highest coordinates first so the recorded positions keep
+    # referring to the original code
+    for i in sorted(aux["coordinates"], reverse=True):
+        code = cons.puncture_even_lcd(code, i).code
+    return [code]
+
+
+def _extend_two_multi(code: LinearCode, aux: Dict) -> List[LinearCode]:
+    outcomes = cons.extend_two_multi(code)
+    want = 1 << (code.k - 1)
+    if len(outcomes) != want:
+        raise _ReplayFailure(f"expected {want} outputs, got {len(outcomes)}")
+    if len(set(o.code for o in outcomes)) != len(outcomes):
+        raise _ReplayFailure("outputs are not pairwise distinct")
+    return [o.code for o in outcomes]
+
+
+def _one(construct: Callable) -> Callable:
+    """Handler for a construction with a single outcome."""
+    return lambda code, aux: [construct(code).code]
+
+
+def _with_vector(construct: Callable) -> Callable:
+    """Handler for a construction taking the aux vector x."""
+    return lambda code, aux: [
+        construct(code, BitVector.from_string(aux["x"])).code]
+
+
+class _Op(NamedTuple):
+    replay: Callable  # (input code, aux) -> list of output codes
+    aux: Tuple[str, ...] = ()  # aux keys the op reads; must be present
+    input: type = LinearCode  # the type of code the op replays on
+
+
+# Operations a ledger record may name.  The hull-guided ops search
+# internally, so any coordinates in their aux are provenance only.
+REGISTERED_OPS: Dict[str, _Op] = {
+    "extend_even": _Op(_one(cons.extend_even)),
+    "extend_odd_two": _Op(_one(cons.extend_odd_two)),
+    "puncture_even_lcd": _Op(_puncture_even_lcd, ("coordinates",)),
+    "shorten_odd_lcd": _Op(lambda code, aux: [
+        cons.shorten_odd_lcd(code, aux.get("coordinate")).code]),
+    "hull_shorten": _Op(_one(cons.hull_shorten)),
+    "hull_puncture": _Op(_one(cons.hull_puncture)),
+    "extend_row_dual": _Op(_with_vector(cons.extend_row_dual), ("x",)),
+    "extend_systematic": _Op(_with_vector(cons.extend_systematic), ("x",)),
+    "extend_hull_drop": _Op(_with_vector(cons.extend_hull_drop), ("x",)),
+    "extend_column_hull_drop": _Op(
+        _with_vector(cons.extend_column_hull_drop), ("x",)),
+    "extend_two_multi": _Op(_extend_two_multi),
+    "expand": _Op(_expand, input=xp.ExtFieldCode),
+}
+
+
 def _apply_op(rec: ConstructionRecord, seed_code) -> List[LinearCode]:
     """Replays rec.op on the resolved input; returns output code(s)."""
-    op, aux = rec.op, rec.aux
-    if op == "expand":
-        if not isinstance(seed_code, xp.ExtFieldCode):
-            raise _ReplayFailure("expand needs an extension-field input")
-        transform = aux.get("transformation", "id")
-        if transform != "id":
-            if not isinstance(transform, list):
-                raise _ReplayFailure(
-                    "only identity or explicit diagonal transformations "
-                    "replay")
-            if len(transform) != seed_code.n:
-                raise _ReplayFailure("diagonal length must equal n")
-            F = seed_code.field
-            rows = [[F.mul(t, v) for t, v in zip(transform, row)]
-                    for row in seed_code.gen]
-            seed_code = xp.ExtFieldCode.from_rows(F, rows, seed_code.n)
-        basis = xp.find_self_dual_basis(seed_code.field)
-        return [xp.expand_code(seed_code, basis)]
-    if not isinstance(seed_code, LinearCode):
-        raise _ReplayFailure(f"{op} needs a binary input code")
-    if op == "extend_even":
-        return [cons.extend_even(seed_code).code]
-    if op == "extend_odd_two":
-        return [cons.extend_odd_two(seed_code).code]
-    if op == "puncture_even_lcd":
-        code = seed_code
-        # puncture highest coordinates first so the recorded positions
-        # keep referring to the original code
-        for i in sorted(aux["coordinates"], reverse=True):
-            code = cons.puncture_even_lcd(code, i).code
-        return [code]
-    if op == "shorten_odd_lcd":
-        coord = aux.get("coordinate")
-        out = (cons.shorten_odd_lcd(seed_code) if coord is None
-               else cons.shorten_odd_lcd(seed_code, coord))
-        return [out.code]
-    if op == "hull_shorten":
-        return [cons.hull_shorten(seed_code).code]
-    if op == "hull_puncture":
-        return [cons.hull_puncture(seed_code).code]
-    if op in _VECTOR_OPS:
-        x = BitVector.from_string(aux["x"])
-        outcome = getattr(cons, op)(seed_code, x)
-        if outcome.code is None:
-            raise _ReplayFailure(
-                f"{op} verdict: the extension is not LCD")
-        return [outcome.code]
-    if op == "extend_two_multi":
-        outcomes = cons.extend_two_multi(seed_code)
-        want = 1 << (seed_code.k - 1)
-        if len(outcomes) != want:
-            raise _ReplayFailure(
-                f"expected {want} outputs, got {len(outcomes)}")
-        if len(set(o.code for o in outcomes)) != len(outcomes):
-            raise _ReplayFailure("outputs are not pairwise distinct")
-        return [o.code for o in outcomes]
-    raise _ReplayFailure(f"unknown operation {op!r}")
+    spec = REGISTERED_OPS[rec.op]
+    if not isinstance(seed_code, spec.input):
+        raise _ReplayFailure(
+            f"{rec.op} needs an input of type {spec.input.__name__}")
+    outputs = spec.replay(seed_code, rec.aux)
+    if any(code is None for code in outputs):
+        raise _ReplayFailure(f"{rec.op} verdict: the extension is not LCD")
+    return outputs
 
 
 def _verify(code: LinearCode,
@@ -284,7 +286,10 @@ def replay_record(rec: ConstructionRecord,
                             outputs[0], dmin)
     except _ReplayFailure as e:
         return ReplayResult(rec, FAIL, str(e))
-    except (ValueError, cons.ConstructionSearchError) as e:
+    # a malformed record field (say, "rows": 5) surfaces as a TypeError
+    # or LookupError from the code that reads it
+    except (ValueError, TypeError, LookupError,
+            cons.ConstructionSearchError) as e:
         return ReplayResult(rec, FAIL, f"{type(e).__name__}: {e}")
 
 

@@ -164,10 +164,8 @@ def complete_orthogonal_basis(C: LinearCode, g1: BitVector) -> BitMatrix:
         raise ValueError("g1 must have odd weight")
     if not C.contains(g1):
         raise ValueError("g1 is not a codeword")
-    rows = [g1.bits]
-    for r in C.gen.rows:
-        if gf2.rank_of_rows(rows + [r]) == len(rows) + 1:
-            rows.append(r)
+    cand = [g1.bits, *C.gen.rows]
+    rows = [cand[i] for i in gf2.eliminate(cand)[1]]
     assert len(rows) == C.k
     out = [rows[0]]
     for r in rows[1:]:
@@ -199,12 +197,8 @@ def subcode_normal_form(C: LinearCode,
     a1_rows = list(dcert.basis.rows[s:])
 
     # extend the subcode basis to a basis of C
-    ext: List[int] = []
-    base = hull_rows + a1_rows
-    for r in C.gen.rows:
-        if gf2.rank_of_rows(base + [r]) == len(base) + 1:
-            base.append(r)
-            ext.append(r)
+    cand = hull_rows + a1_rows + list(C.gen.rows)
+    ext = [cand[i] for i in gf2.eliminate(cand)[1] if i >= k1]
     assert len(ext) == k - k1
 
     # Step 1: kill couplings between extension rows and the A_1 block
@@ -262,14 +256,7 @@ def subcode_normal_form(C: LinearCode,
         Tm = gf2.gram(BitMatrix.from_rows(t_rows, n))
         Pt, Nt, st = gf2.congruent_normal_form(Tm)
         assert st == 0, "trailing block must be nonsingular for LCD input"
-        new_t = []
-        for r in Pt.rows:
-            acc = 0
-            for j in range(t):
-                if (r >> j) & 1:
-                    acc ^= t_rows[j]
-            new_t.append(acc)
-        t_rows = new_t
+        t_rows = list(Pt.mul(BitMatrix.from_rows(t_rows, n)).rows)
         a3_kind = _kind_of_normal_block(Nt, 0)
     else:
         a3_kind = ABSENT

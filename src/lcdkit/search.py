@@ -8,7 +8,7 @@ from typing import Optional
 
 from . import gf2
 from .gf2 import BitMatrix
-from .codes import LinearCode
+from .codes import LinearCode, min_weight
 
 DEFAULT_SEED = 20240801
 
@@ -91,21 +91,10 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
         return None
     rng = random.Random(seed)
     deadline = time.monotonic() + budget_ms / 1000.0
-
-    def dmin(rows) -> int:
-        best = n + 1
-        acc = 0
-        for x in range(1, 1 << k):
-            acc ^= rows[(x & -x).bit_length() - 1]
-            w = acc.bit_count()
-            if w < best:
-                best = w
-        return best
-
     while time.monotonic() < deadline:
         C = random_lcd_code(rng, n, k)
         rows = list(C.gen.rows)
-        current = dmin(rows)
+        current = min_weight(rows)
         stale = 0
         while current < d_target and stale < 40 * n and \
                 time.monotonic() < deadline:
@@ -120,7 +109,8 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
             if not gf2.is_nonsingular(gf2.gram(M)):
                 stale += 1
                 continue
-            d2 = dmin(trial)
+            # a trial below current is rejected whatever its exact value
+            d2 = min_weight(trial, current - 1)
             if d2 >= current:
                 if d2 > current:
                     stale = 0

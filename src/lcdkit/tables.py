@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .codes import EngineBudgetError, LinearCode
+from . import gf2
+from .codes import EngineBudgetError, LinearCode, min_weight
 
 # Exhaustive table search budget.
 N_MAX = 12
@@ -97,15 +98,7 @@ def _gram_nonsingular(b_rows: Tuple[int, ...]) -> bool:
             if (b_rows[i] & b_rows[j]).bit_count() & 1:
                 row ^= 1 << j
         g.append(row)
-    # rank by elimination
-    rank = 0
-    for row in g:
-        for p in g[:rank]:
-            row = min(row, row ^ p)
-        if row:
-            g[rank] = row
-            rank += 1
-    return rank == r
+    return gf2.rank_of_rows(g) == r
 
 
 def _weights_above(rows: List[int], limit: int) -> bool:
@@ -120,25 +113,12 @@ def _weights_above(rows: List[int], limit: int) -> bool:
     return True
 
 
-def _walk_dmin(rows: List[int], limit: int) -> Optional[int]:
-    """Exact minimum distance if it exceeds limit, else None."""
-    best = None
-    acc = 0
-    for x in range(1, 1 << len(rows)):
-        acc ^= rows[(x & -x).bit_length() - 1]
-        w = acc.bit_count()
-        if w <= limit:
-            return None
-        if best is None or w < best:
-            best = w
-    return best
-
-
 def _dmin_above(rows: List[int], limit: int) -> Optional[int]:
     """Exact minimum distance if it exceeds limit, else None."""
     if not _weights_above(rows, limit):
         return None
-    return _walk_dmin(rows, limit)
+    d = min_weight(rows, limit)
+    return d if d > limit else None
 
 
 def dlcd_value(n: int, k: int) -> int:
@@ -155,9 +135,7 @@ def dlcd_value(n: int, k: int) -> int:
             continue
         if not _gram_nonsingular(b):
             continue
-        d = _walk_dmin(rows, best)
-        if d is not None:
-            best = d
+        best = max(best, min_weight(rows, best))
     assert best >= 1, "an LCD code exists for every (n, k)"
     return best
 

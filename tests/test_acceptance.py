@@ -11,7 +11,7 @@ import time
 from lcdkit import conjecture, constructions as cons, expansion as xp
 from lcdkit import gf2, ledger, normal_form as nf, tables
 from lcdkit.codes import EngineBudgetError
-from lcdkit.codes import _min_distance_full, _min_distance_low_weight
+from lcdkit.codes import _min_distance_low_weight, min_weight
 from lcdkit.gf2 import BitVector
 from lcdkit.search import (random_code, random_lcd_code,
                            random_lcd_oe_code)
@@ -226,7 +226,7 @@ def test_criterion_7_distance_engine_agreement():
             d_low = _min_distance_low_weight(C)
         except EngineBudgetError:
             continue
-        d_full = _min_distance_full(C.gen)
+        d_full = min_weight(C.gen.rows)
         assert d_full == d_low, (n, k, d_full, d_low)
         compared += 1
 

@@ -178,12 +178,46 @@ class TestConstruct:
         assert out.startswith("SKIPPED-MISSING-SEED")
 
 
+    def test_short_expect_is_one_line_error(self, tmp_path, capsys):
+        bad = self.LEDGER.replace("[7, 2, 4]", "[4]")
+        path = write(tmp_path, "ledger.jsonl", bad)
+        code, out, err = run(capsys, "construct", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ledger line 1: expect must be")
+        assert len(err.splitlines()) == 1
+
+    def test_non_list_rows_fail(self, tmp_path, capsys):
+        bad = self.LEDGER.replace('["111000", "000111"]', "5")
+        path = write(tmp_path, "ledger.jsonl", bad)
+        code, out, err = run(capsys, "construct", path)
+        assert code == 1
+        assert out.startswith("FAIL extend_even -> [7,2,4] (TypeError")
+        assert err == ""
+
+
 class TestVerifyLedger:
     def test_builtin(self, capsys):
         code, out, _ = run(capsys, "verify-ledger")
         assert code == 0
         assert "pass=14 fail=0 skipped=132" in out
         assert "bounds_violations=0" in out
+
+    def test_malformed_path(self, tmp_path, capsys):
+        bad = TestConstruct.LEDGER.replace("[7, 2, 4]", "[4]")
+        path = write(tmp_path, "ledger.jsonl", bad)
+        code, _, err = run(capsys, "verify-ledger", "--path", path)
+        assert code == 1
+        assert err.startswith("error: ledger line 1:")
+        assert len(err.splitlines()) == 1
+
+    def test_non_list_rows_fail(self, tmp_path, capsys):
+        bad = TestConstruct.LEDGER.replace('["111000", "000111"]', "5")
+        path = write(tmp_path, "ledger.jsonl", bad)
+        code, out, err = run(capsys, "verify-ledger", "--path", path)
+        assert code == 1
+        assert "FAIL extend_even -> [7,2,4]: TypeError" in out
+        assert err == ""
 
 
 class TestUsage:

@@ -6,7 +6,8 @@ import pytest
 
 from lcdkit import gf2
 from lcdkit.codes import (EngineBudgetError, LinearCode, ParseError,
-                          format_gen1, parse_gen1)
+                          _gray_walk, _low_weight_words, format_gen1,
+                          min_weight, parse_gen1)
 from lcdkit.gf2 import BitMatrix
 from lcdkit.search import random_code
 
@@ -170,6 +171,46 @@ class TestMinDistance:
         with pytest.raises(EngineBudgetError):
             big.min_distance(engine="lowweight")
 
+    def test_explicit_engine_ignores_cache(self):
+        rep = LinearCode.from_strings(["1" * 12])
+        assert rep.min_distance("full") == 12
+        with pytest.raises(EngineBudgetError):
+            rep.min_distance("lowweight")
+        assert rep.min_distance() == 12
+
+
+class TestKernels:
+    """The shared kernels against the plain Gray-walk enumeration."""
+
+    def test_min_weight_stop(self):
+        rng = random.Random(21)
+        for _ in range(80):
+            n = rng.randrange(1, 13)
+            k = rng.randrange(1, n + 1)
+            rows = random_code(rng, n, k).gen.rows
+            true_min = min(c.bit_count() for c in _gray_walk(rows) if c)
+            for stop in range(n + 1):
+                got = min_weight(rows, stop)
+                if true_min > stop:
+                    assert got == true_min
+                else:
+                    assert got <= stop
+
+    def test_min_weight_rejects_no_rows(self):
+        with pytest.raises(ValueError):
+            min_weight(())
+
+    def test_low_weight_words_match_enumeration(self):
+        rng = random.Random(22)
+        for _ in range(60):
+            n = rng.randrange(2, 12)
+            k = rng.randrange(1, n + 1)
+            code = random_code(rng, n, k)
+            for w in range(1, min(n, 6) + 1):
+                expect = sorted(c for c in code.codewords()
+                                if c.bit_count() == w)
+                assert _low_weight_words(code, w) == expect
+
 
 class TestPuncture:
     def test_repetition(self):
@@ -185,6 +226,10 @@ class TestPuncture:
     def test_rejects_bad_coords(self):
         with pytest.raises(ValueError):
             C("111").puncture([4])
+
+    def test_accepts_one_shot_iterable(self):
+        assert C("111").puncture(iter([1])) == C("11")
+        assert C("110", "011").shorten(iter([1])) == C("11")
 
     def test_distance_monotonicity(self):
         rng = random.Random(18)

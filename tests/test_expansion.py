@@ -171,19 +171,20 @@ class TestExpandCode:
 
 
 class TestExpansionBound:
+    """The extension-field parameters an expansion bound is read from."""
+
     def test_bound_instance(self):
-        assert xp.expansion_bound(42, 30, 2, 5) == 5
         assert xp.expansion_indices(42, 30, 2) == (21, 15)
 
     def test_identity_degree(self):
-        assert xp.expansion_bound(10, 4, 1, 3) == 3
+        assert xp.expansion_indices(10, 4, 1) == (10, 4)
 
     def test_floor_ceiling(self):
         assert xp.expansion_indices(43, 31, 2) == (21, 16)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            xp.expansion_bound(0, 1, 2, 1)
+            xp.expansion_indices(0, 1, 2)
 
 
 class TestExtFieldCode:

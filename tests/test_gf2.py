@@ -83,6 +83,31 @@ class TestRank:
             trials += 1
 
 
+class TestEliminate:
+    def test_kept_rows_are_greedy_selection(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            r = rng.randrange(0, 10)
+            c = rng.randrange(1, 8)
+            rows = [rng.getrandbits(c) for _ in range(r)]
+            greedy = []
+            for i, row in enumerate(rows):
+                chosen = [rows[j] for j in greedy]
+                if gf2.rank(BitMatrix.from_rows(chosen + [row], c)) == \
+                        len(chosen) + 1:
+                    greedy.append(i)
+            basis, kept = gf2.eliminate(rows)
+            assert kept == greedy
+            assert len(basis) == gf2.rank_of_rows(rows)
+
+    def test_basis_pivots_are_lowest_bits(self):
+        basis, kept = gf2.eliminate([0b110, 0b011, 0b101, 0b001])
+        assert kept == [0, 1, 3]
+        assert [col for col, _ in basis] == [1, 0, 2]
+        for col, w in basis:
+            assert (w & -w).bit_length() - 1 == col
+
+
 class TestGram:
     def test_identity(self):
         assert gf2.gram(BitMatrix.identity(2)) == BitMatrix.identity(2)
@@ -133,6 +158,7 @@ class TestSolve:
             for i in range(r):
                 if x.get(i):
                     back ^= Mx.row(i)
+            assert back == b
             assert back == b
 
 
