@@ -10,6 +10,15 @@ taken on the smaller side — [I_k | B] and [B^T | I_k] have Gram
 matrices I + BB^T and I + B^T B, which are singular together — so B
 never has more than min(k, n-k) rows.
 
+The enumerator takes its callers' rejection tests into its recursion:
+a distance floor on the generator rows (the current best distance for
+d_lcd, d_min - 1 for the corpus) and, for the corpus, membership of
+the all-one vector.  Together they cut whole subtrees that no
+completion could pass.  Every caller still applies its full checks to
+what is yielded, and a pruned matrix is one those checks would reject,
+so callers see a subsequence of the unpruned sequence in the same order
+and every result is unchanged.
+
 Also exposes the exhaustive corpus of odd-like LCD codes containing
 the all-one vector (one representative set covering every such code up
 to column permutation), used to exercise the step-down engine.
@@ -18,7 +27,7 @@ to column permutation), used to exercise the step-down engine.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import gf2
 from .codes import EngineBudgetError, LinearCode, min_weight
@@ -27,7 +36,18 @@ from .codes import EngineBudgetError, LinearCode, min_weight
 N_MAX = 12
 
 
-def canonical_b_matrices(r: int, m: int) -> Iterator[Tuple[int, ...]]:
+class TableLawError(AssertionError):
+    """A search result or table breaks a law every d_lcd table obeys.
+
+    An AssertionError, the documented type, raised explicitly so the
+    checks also run under ``python -O``.
+    """
+
+
+def canonical_b_matrices(
+        r: int, m: int, *, floor: Optional[Callable[[], int]] = None,
+        all_one: bool = False,
+        transposed: bool = False) -> Iterator[Tuple[int, ...]]:
     """All r x m binary matrices in doubly lexical form.
 
     Rows are emitted as ints with bit j = column j.  Column values
@@ -35,19 +55,66 @@ def canonical_b_matrices(r: int, m: int) -> Iterator[Tuple[int, ...]]:
     values (read leftmost column first) are non-increasing top to
     bottom.  Every matrix can be brought to such a form by row and
     column permutations, so the iterator covers every equivalence
-    class at least once.
-    """
-    if r == 0 or m == 0:
-        yield (0,) * r
-        return
-    rows = [0] * r
+    class at least once.  Matrices come in decreasing order of their
+    column sequence.
 
-    def rec(j: int, prev_col: int,
+    The keyword constraints read B as the redundant part of a
+    systematic generator matrix: [I_r | B], whose generator rows are
+    e_i | row i, or with ``transposed`` [B^T | I_m], whose generator
+    rows are column j | e_j.  They cut whole subtrees of the search,
+    and drop only matrices that the same test would reject once built:
+
+    - ``floor``: every generator row, and the sum of every two, must
+      weigh more than ``floor()``.  It is read afresh at each node, so
+      a caller may raise it while iterating.  Untransposed, a column
+      is cut when some row could not exceed the floor even with every
+      remaining column set; transposed, a column (one generator row)
+      is skipped when it or its sum with an earlier column is too
+      light.
+    - ``all_one``: the all-one vector must lie in the code.  Its
+      coefficients over the identity part are all ones, so every
+      redundant coordinate of the sum of all generator rows must be
+      1: untransposed only odd-weight columns are tried, transposed
+      the last column is forced to make every row's weight odd.
+
+    With no constraint the full sequence is yielded.
+    """
+    odd_cols = all_one and not transposed
+    # allowed column values, in the order they are tried
+    values = [v for v in range((1 << r) - 1, -1, -1)
+              if not odd_cols or v.bit_count() & 1]
+    rows = [0] * r
+    cols: List[int] = []  # placed columns (transposed: generator rows)
+
+    def column_heavy(v: int, f: int) -> bool:
+        # transposed: generator row v and its sums with earlier ones
+        return v.bit_count() + 1 > f and all(
+            (v ^ w).bit_count() + 2 > f for w in cols)
+
+    def rows_can_be_heavy(prefixes: List[int], left: int, f: int) -> bool:
+        # untransposed: each row and pair sum, with every column left set
+        return all(p.bit_count() + left + 1 > f for p in prefixes) and all(
+            (p ^ q).bit_count() + left + 2 > f
+            for i, p in enumerate(prefixes) for q in prefixes[i + 1:])
+
+    def rec(j: int, start: int,
             prefixes: List[int]) -> Iterator[Tuple[int, ...]]:
         if j == m:
             yield tuple(rows)
             return
-        for v in range(prev_col, -1, -1):
+        left = m - j - 1  # columns still to place after this one
+        candidates = range(start, len(values))
+        if all_one and transposed and left == 0:
+            parity = 0
+            for p in prefixes:
+                parity = (parity << 1) | (~p.bit_count() & 1)
+            forced = len(values) - 1 - parity  # values run 2^r - 1 .. 0
+            candidates = range(max(forced, start), forced + 1)
+        f = floor() if floor is not None else None
+        for idx in candidates:
+            v = values[idx]
+            if f is not None and transposed and not column_heavy(v, f):
+                continue
             new_pref = []
             ok = True
             last: Optional[int] = None
@@ -61,15 +128,22 @@ def canonical_b_matrices(r: int, m: int) -> Iterator[Tuple[int, ...]]:
                 new_pref.append(p)
             if not ok:
                 continue
+            if f is not None and not transposed and f > left and \
+                    not rows_can_be_heavy(new_pref, left, f):
+                continue
             for i in range(r):
                 if (v >> (r - 1 - i)) & 1:
                     rows[i] |= 1 << j
-            yield from rec(j + 1, v, new_pref)
+            cols.append(v)
+            yield from rec(j + 1, idx, new_pref)
+            cols.pop()
             for i in range(r):
                 if (v >> (r - 1 - i)) & 1:
                     rows[i] &= ~(1 << j)
+            if f is not None:
+                f = floor()  # the caller may have raised it
 
-    yield from rec(0, (1 << r) - 1, [0] * r)
+    yield from rec(0, 0, [0] * r)
 
 
 def _systematic_rows(n: int, k: int, b_rows: Tuple[int, ...]) -> List[int]:
@@ -129,14 +203,16 @@ def dlcd_value(n: int, k: int) -> int:
         return 1  # the full space is LCD with distance 1
     r, m = min(k, n - k), max(k, n - k)
     best = 0
-    for b in canonical_b_matrices(r, m):
+    for b in canonical_b_matrices(r, m, floor=lambda: best,
+                                  transposed=k > n - k):
         rows = _systematic_rows(n, k, b)
         if not _weights_above(rows, best):
             continue
         if not _gram_nonsingular(b):
             continue
         best = max(best, min_weight(rows, best))
-    assert best >= 1, "an LCD code exists for every (n, k)"
+    if best < 1:
+        raise TableLawError(f"no LCD code found for (n={n}, k={k})")
     return best
 
 
@@ -173,23 +249,23 @@ def check_step_property(table: Dict[Tuple[int, int], int]) -> None:
     """Verify the closed form at k = 1 and the unit-step law at k >= 2.
 
     Also checks monotonicity in n and antitonicity in k.  Raises
-    AssertionError on any violation.
+    TableLawError, an AssertionError, on any violation.
     """
     n_max = max(n for n, _ in table)
     for n in range(1, n_max + 1):
         expect = n if n % 2 else n - 1
-        if n >= 1 and (n, 1) in table:
-            assert table[(n, 1)] == expect, f"k=1 closed form fails at n={n}"
+        if (n, 1) in table and table[(n, 1)] != expect:
+            raise TableLawError(f"k=1 closed form fails at n={n}")
     for (n, k), d in table.items():
         if (n + 1, k) in table:
             diff = table[(n + 1, k)] - d
-            assert diff >= 0, f"not monotone in n at (n={n}, k={k})"
-            if k >= 2:
-                assert diff in (0, 1), \
-                    f"step property fails at (n={n}, k={k}): diff={diff}"
-        if (n, k + 1) in table:
-            assert table[(n, k + 1)] <= d, \
-                f"not antitone in k at (n={n}, k={k})"
+            if diff < 0:
+                raise TableLawError(f"not monotone in n at (n={n}, k={k})")
+            if k >= 2 and diff not in (0, 1):
+                raise TableLawError(
+                    f"step property fails at (n={n}, k={k}): diff={diff}")
+        if (n, k + 1) in table and table[(n, k + 1)] > d:
+            raise TableLawError(f"not antitone in k at (n={n}, k={k})")
 
 
 def all_one_lcd_codes(length: int, d_min: int = 3,
@@ -206,18 +282,8 @@ def all_one_lcd_codes(length: int, d_min: int = 3,
             continue  # full space has d = 1 < 3
         c = n - k
         r, m = min(k, c), max(k, c)
-        for b in canonical_b_matrices(r, m):
-            # all-one membership: the coefficient vector over the
-            # identity part must be all ones, so every redundant
-            # column must have odd weight.
-            if k <= c:
-                cols_odd = all(
-                    sum((b[i] >> j) & 1 for i in range(r)) & 1
-                    for j in range(m))
-            else:
-                cols_odd = all(row.bit_count() & 1 for row in b)
-            if not cols_odd:
-                continue
+        for b in canonical_b_matrices(r, m, floor=lambda: d_min - 1,
+                                      all_one=True, transposed=k > c):
             rows = _systematic_rows(n, k, b)
             d = _dmin_above(rows, d_min - 1)
             if d is None:

@@ -1,11 +1,15 @@
 """Exhaustive d_lcd tables, canonical enumeration, and the code corpus."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from lcdkit import tables
-from lcdkit.codes import EngineBudgetError, LinearCode
+from lcdkit.codes import EngineBudgetError, LinearCode, min_weight
 
 
 class TestCanonicalMatrices:
@@ -49,6 +53,55 @@ class TestCanonicalMatrices:
     def test_degenerate_sizes(self):
         assert list(tables.canonical_b_matrices(0, 0)) == [()]
         assert list(tables.canonical_b_matrices(2, 0)) == [(0, 0)]
+        assert list(tables.canonical_b_matrices(0, 3)) == [()]
+
+
+class TestPrunedEnumeration:
+    """The constrained enumerator against the unconstrained one plus the
+    callers' old post-hoc filters, written out here as the reference."""
+
+    def test_constrained_is_filtered_subsequence(self):
+        for r in range(1, 5):
+            for m in range(r, 6):
+                full = list(tables.canonical_b_matrices(r, m))
+                for transposed, all_one, f in itertools.product(
+                        (False, True), (False, True), range(m + 3)):
+                    got = list(tables.canonical_b_matrices(
+                        r, m, floor=lambda: f, all_one=all_one,
+                        transposed=transposed))
+                    it = iter(full)
+                    assert all(b in it for b in got), (r, m, transposed)
+                    # nothing the filters accept is pruned
+                    kept = set(got)
+                    for b in full:
+                        if _passes(b, r, m, f, all_one, transposed):
+                            assert b in kept, (r, m, f, all_one, b)
+
+    def test_all_one_corpus_matches_reference(self):
+        for length in range(4, 10):
+            got = [(list(code.gen.rows), code.min_distance())
+                   for code in tables.all_one_lcd_codes(length)]
+            assert got == list(_reference_all_one(length)), length
+
+    def test_dlcd_value_matches_reference(self):
+        for n in (8, 9):
+            for k in range(1, n + 1):
+                assert tables.dlcd_value(n, k) == _reference_dlcd(n, k), \
+                    (n, k)
+
+    def test_callers_use_the_module_enumerator(self, monkeypatch):
+        calls = []
+        enumerate_b = tables.canonical_b_matrices
+
+        def counting(r, m, **constraints):
+            calls.append(sorted(constraints))
+            return enumerate_b(r, m, **constraints)
+
+        monkeypatch.setattr(tables, "canonical_b_matrices", counting)
+        tables.dlcd_value(6, 2)
+        assert calls == [["floor", "transposed"]]
+        list(tables.all_one_lcd_codes(6))
+        assert calls[1:] == [["all_one", "floor", "transposed"]] * 4  # k 2-5
 
 
 class TestDlcdValues:
@@ -88,6 +141,22 @@ class TestStepProperty:
         with pytest.raises(AssertionError):
             tables.check_step_property(tab)
 
+    def test_detects_violation_under_optimize(self):
+        script = (
+            "from lcdkit import tables\n"
+            "assert False\n"  # stripped by -O
+            "try:\n"
+            "    tables.check_step_property({(4, 2): 2, (5, 2): 4})\n"
+            "except AssertionError as e:\n"
+            "    print(type(e).__name__)\n")
+        src = str(Path(tables.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             env=env, capture_output=True, text=True,
+                             timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "TableLawError"
+
 
 class TestAllOneCorpus:
     def test_worked_instance_class_present(self):
@@ -97,6 +166,11 @@ class TestAllOneCorpus:
         assert (code.n, code.k, code.min_distance()) == (6, 2, 3)
         assert code.parity_class().label == "LCD_oe"
         assert code.contains_all_one()
+
+    def test_counts_per_length(self):
+        counts = [sum(1 for _ in tables.all_one_lcd_codes(length))
+                  for length in range(4, 12)]
+        assert counts == [0, 0, 1, 0, 2, 15, 69, 702]
 
     def test_corpus_facts(self):
         for length in range(4, 11):
@@ -120,6 +194,59 @@ class TestAllOneCorpus:
             for code in _qualifying_codes_bruteforce(n, k):
                 brute.add(_perm_class_key(code))
         assert found == brute
+
+
+def _passes(b, r, m, floor, all_one, transposed):
+    """The callers' filters on a built matrix: every generator row and
+    pair sum heavier than floor, and the all-one vector in the code."""
+    if transposed:  # [B^T | I_m]: generator row j is column j of B
+        rows = [sum(((b[i] >> j) & 1) << i for i in range(r)) | 1 << (r + j)
+                for j in range(m)]
+    else:  # [I_r | B]
+        rows = [(1 << i) | (b[i] << r) for i in range(r)]
+    if not tables._weights_above(rows, floor):
+        return False
+    total = 0
+    for row in rows:
+        total ^= row
+    return not all_one or total == (1 << (r + m)) - 1
+
+
+def _reference_all_one(n, d_min=3, k_min=2):
+    """(rows, d) of the all-one corpus by unconstrained enumeration."""
+    for k in range(k_min, n):
+        c = n - k
+        r, m = min(k, c), max(k, c)
+        for b in tables.canonical_b_matrices(r, m):
+            if k <= c:
+                cols_odd = all(
+                    sum((b[i] >> j) & 1 for i in range(r)) & 1
+                    for j in range(m))
+            else:
+                cols_odd = all(row.bit_count() & 1 for row in b)
+            if not cols_odd:
+                continue
+            rows = tables._systematic_rows(n, k, b)
+            d = tables._dmin_above(rows, d_min - 1)
+            if d is None or not tables._gram_nonsingular(b):
+                continue
+            yield rows, d
+
+
+def _reference_dlcd(n, k):
+    """d_lcd(n, k) by unconstrained enumeration and post-hoc filters."""
+    if k == n:
+        return 1
+    r, m = min(k, n - k), max(k, n - k)
+    best = 0
+    for b in tables.canonical_b_matrices(r, m):
+        rows = tables._systematic_rows(n, k, b)
+        if not tables._weights_above(rows, best):
+            continue
+        if not tables._gram_nonsingular(b):
+            continue
+        best = max(best, min_weight(rows, best))
+    return best
 
 
 def _perm_class_key(code):
