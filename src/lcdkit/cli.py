@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: analyze, construct, expand, certify, dlcd-table, search,
-verify-ledger.  Exit codes: 0 pass, 1 fail, 2 skipped-only,
-3 usage or parse error.
+verify-ledger.  Exit codes: 0 pass, 1 fail (including a failed internal
+check, reported on one line), 2 skipped-only, 3 usage or parse error.
 """
 
 from __future__ import annotations
@@ -256,6 +256,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     except (ValueError, EngineBudgetError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_FAIL
+    except (RuntimeError, AssertionError) as e:
+        # an internal invariant failed: one line, never a traceback
+        lines = str(e).strip().splitlines()
+        print(f"error: {lines[0] if lines else type(e).__name__}",
+              file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -30,14 +30,11 @@ class BitVector:
 
     @classmethod
     def from_string(cls, s: str) -> "BitVector":
-        s = s.strip()
-        if any(c not in "01" for c in s):
+        # strip("01") leaves exactly the characters int(..., 2) must not
+        # see: it alone accepts "1_0", "+1", "0b1" and surrounding spaces.
+        if s.strip("01"):
             raise ValueError(f"not a 0/1 string: {s!r}")
-        bits = 0
-        for i, c in enumerate(s):
-            if c == "1":
-                bits |= 1 << i
-        return cls(len(s), bits)
+        return cls(len(s), int(s[::-1], 2) if s else 0)
 
     @classmethod
     def zero(cls, length: int) -> "BitVector":

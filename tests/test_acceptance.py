@@ -231,6 +231,36 @@ def test_criterion_7_distance_engine_agreement():
         compared += 1
 
 
+def test_criterion_7_full_engine_past_the_gray_walk():
+    """The full engine (Brouwer-Zimmermann from k = BZ_MIN_K) agrees
+    with low-weight search on seeded codes with k 13-24, n <= 40, where
+    the low-weight engine is within budget."""
+    rng = random.Random(1307)
+    compared = 0
+    for _ in range(40):
+        k = rng.randrange(13, 25)
+        n = rng.randrange(k + 4, 41)
+        C = random_code(rng, n, k)
+        try:
+            d_low = _min_distance_low_weight(C)
+        except EngineBudgetError:
+            continue
+        d_full = C.min_distance("full")
+        assert d_full == d_low, (n, k, d_full, d_low)
+        compared += 1
+    assert compared >= 20
+
+
+def test_criterion_7_exact_distance_of_random_50_25():
+    """An exact d for a random [50,25] code, where a Gray walk would take
+    2^25 steps, well inside a second."""
+    C = random_code(random.Random(5025), 50, 25)
+    start = time.monotonic()
+    d = C.min_distance("full")
+    assert time.monotonic() - start < 1.0
+    assert d == _min_distance_low_weight(C)
+
+
 def test_criterion_8_ledger_and_bounds():
     """Every replayable ledger row passes, every external-seed row is
     skipped (never failed), and the shipped bounds tables are

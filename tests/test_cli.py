@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lcdkit import cli
+from lcdkit import cli, conjecture, tables
 from lcdkit.codes import parse_gen1
 
 
@@ -86,6 +86,16 @@ class TestCertify:
         assert code == 1
         assert name in err
 
+    def test_internal_error_is_one_line(self, tmp_path, capsys,
+                                        monkeypatch):
+        def broken(code):
+            raise RuntimeError("no certified step-down found\nsecond line")
+        monkeypatch.setattr(conjecture, "certify_step_down", broken)
+        path = write(tmp_path, "c.gen1", "6 2\n111000\n000111\n")
+        code, _, err = run(capsys, "certify", path)
+        assert code == 1
+        assert err == "error: no certified step-down found\n"
+
 
 class TestExpand:
     def test_expand_to_stdout(self, tmp_path, capsys):
@@ -115,6 +125,20 @@ class TestDlcdTable:
         code, _, err = run(capsys, "dlcd-table", "13")
         assert code == 1
         assert "capped" in err
+
+    @pytest.mark.parametrize("exc,line", [
+        (tables.TableLawError("d(6,2) = 5 > d(5,2) + 1\nrow 6"),
+         "error: d(6,2) = 5 > d(5,2) + 1\n"),
+        (AssertionError(), "error: AssertionError\n"),
+    ])
+    def test_law_violation_is_one_line(self, capsys, monkeypatch, exc,
+                                       line):
+        def broken(n_max):
+            raise exc
+        monkeypatch.setattr(tables, "dlcd_table", broken)
+        code, out, err = run(capsys, "dlcd-table", "6")
+        assert code == 1
+        assert (out, err) == ("", line)
 
 
 class TestSearch:

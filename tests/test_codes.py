@@ -1,13 +1,14 @@
 """LinearCode core: duals, hulls, parity classes, distance engines, I/O."""
 
+import itertools
 import random
 
 import pytest
 
 from lcdkit import gf2
-from lcdkit.codes import (EngineBudgetError, LinearCode, ParseError,
-                          _gray_walk, _low_weight_words, format_gen1,
-                          min_weight, parse_gen1)
+from lcdkit.codes import (BZ_MIN_K, EngineBudgetError, LinearCode,
+                          ParseError, _gray_walk, _low_weight_words,
+                          format_gen1, min_weight, parse_gen1)
 from lcdkit.gf2 import BitMatrix
 from lcdkit.search import random_code
 
@@ -196,6 +197,30 @@ class TestKernels:
                 else:
                     assert got <= stop
 
+    def test_min_weight_across_threshold(self):
+        # both sides of the Gray / Brouwer-Zimmermann switch, against the
+        # plain walk; the true minimum is 0 when the rows are dependent
+        rng = random.Random(23)
+        for k in range(BZ_MIN_K - 2, BZ_MIN_K + 4):
+            for case in range(8):
+                n = (k, k + 1)[case] if case < 2 else rng.randrange(
+                    k + 2, 3 * k + 4)
+                rows = [rng.getrandbits(n) for _ in range(k)]
+                if case in (1, 3, 5):  # zero columns
+                    mask = rng.getrandbits(n)
+                    rows = [r & mask for r in rows]
+                if case in (4, 5):  # dependent rows
+                    rows[-1] = rows[0] ^ rows[1]
+                true_min = min(c.bit_count()
+                               for c in itertools.islice(
+                                   _gray_walk(rows), 1, None))
+                for stop in range(n + 1):
+                    got = min_weight(rows, stop)
+                    if true_min > stop:
+                        assert got == true_min, (k, n, case, stop)
+                    else:
+                        assert true_min <= got <= stop, (k, n, case, stop)
+
     def test_min_weight_rejects_no_rows(self):
         with pytest.raises(ValueError):
             min_weight(())
@@ -309,6 +334,12 @@ class TestGen1Format:
     def test_width_error_has_line(self):
         with pytest.raises(ParseError) as e:
             parse_gen1("3 1\n11\n")
+        assert e.value.line == 2
+
+    @pytest.mark.parametrize("row", ["1_0", "+1", "0b1", " 10 "])
+    def test_rejects_what_int_accepts(self, row):
+        with pytest.raises(ParseError) as e:
+            parse_gen1(f"{len(row)} 1\n{row}\n")
         assert e.value.line == 2
 
     def test_bad_header(self):

@@ -44,6 +44,11 @@ class TestBitVector:
     def test_string_round_trip(self):
         assert str(V("011010")) == "011010"
 
+    @pytest.mark.parametrize("s", ["1_0", "+1", "0b1", " 10 "])
+    def test_rejects_what_int_accepts(self, s):
+        with pytest.raises(ValueError):
+            V(s)
+
     def test_concat(self):
         assert str(V("10").concat(V("011"))) == "10011"
 

@@ -184,15 +184,16 @@ class TestAllOneCorpus:
         # brute-force: every [8,k] code over all full-rank generators
         # up to column permutation, via canonical rref keys of column
         # permutations; compare counts of qualifying classes
+        orbits = {}
         found = set()
         for code in tables.all_one_lcd_codes(8):
-            key = _perm_class_key(code)
+            key = _perm_class_key(code, orbits)
             found.add(key)
         brute = set()
         n = 8
         for k in (2, 3, 4, 5, 6, 7):
             for code in _qualifying_codes_bruteforce(n, k):
-                brute.add(_perm_class_key(code))
+                brute.add(_perm_class_key(code, orbits))
         assert found == brute
 
 
@@ -249,16 +250,24 @@ def _reference_dlcd(n, k):
     return best
 
 
-def _perm_class_key(code):
-    """Canonical key of a code class under column permutations."""
-    best = None
-    for perm in itertools.permutations(range(code.n)):
-        rows = [sum(((r >> p) & 1) << j for j, p in enumerate(perm))
-                for r in code.gen.rows]
-        key = LinearCode.from_rows(rows, code.n).rref().rows
-        if best is None or key < best:
-            best = key
-    return best
+def _perm_class_key(code, orbits):
+    """Canonical key of a code class under column permutations: the
+    least RREF over all column permutations.
+
+    orbits maps every (n, RREF) met while keying a class to that class's
+    key, so each class is walked once and a later code in it is one
+    lookup.
+    """
+    start = (code.n, code.rref().rows)
+    if start not in orbits:
+        orbit = set()
+        for perm in itertools.permutations(range(code.n)):
+            rows = [sum(((r >> p) & 1) << j for j, p in enumerate(perm))
+                    for r in code.gen.rows]
+            orbit.add(LinearCode.from_rows(rows, code.n).rref().rows)
+        key = min(orbit)
+        orbits.update(((code.n, rref), key) for rref in orbit)
+    return orbits[start]
 
 
 def _qualifying_codes_bruteforce(n, k):
