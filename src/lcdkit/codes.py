@@ -14,8 +14,10 @@ weight behind the full engine, the exhaustive tables and the search, and
 sums behind the low-weight engine.  ``min_weight`` walks all 2^k - 1
 nonzero codewords in Gray-code order below ``BZ_MIN_K`` rows, and runs
 the Brouwer-Zimmermann algorithm over disjoint information sets from
-there on; both paths keep the same ``stop`` contract.  ``_gray_walk`` is
-the plain enumerator behind ``codewords()`` and the tests' oracle.
+there on; both paths keep the same ``stop`` contract.  The Gray loop is
+``_gray_min``, which walks any coset acc + span(rows); ``lcd_search``
+calls it directly on the coset of a flipped row.  ``_gray_walk`` is the
+plain enumerator behind ``codewords()`` and the tests' oracle.
 GF(2) elimination lives in ``gf2.eliminate``.
 """
 
@@ -300,8 +302,24 @@ def min_weight(rows: Sequence[int], stop: int = 1) -> int:
         raise ValueError("minimum distance undefined for the zero code")
     if len(rows) >= BZ_MIN_K:
         return _brouwer_zimmermann(rows, stop)
-    best = max(rows).bit_length() + 1  # above every possible weight
-    acc = 0
+    return _gray_min(rows, stop)
+
+
+def _gray_min(rows: Sequence[int], stop: int, acc: int = 0) -> int:
+    """Minimum weight over the coset acc + span(rows), by a Gray walk.
+
+    The walk starts at acc and flips one row per step through all 2^k
+    words.  The start word counts unless it is 0, so acc = 0 gives the
+    minimum weight of the nonzero XORs of rows.  Same stop contract as
+    ``min_weight``: exact when the minimum exceeds stop, otherwise the
+    first weight <= stop met.
+    """
+    if acc:
+        best = acc.bit_count()
+        if best <= stop:
+            return best
+    else:
+        best = max(rows).bit_length() + 1  # above every possible weight
     for x in range(1, 1 << len(rows)):
         acc ^= rows[(x & -x).bit_length() - 1]
         w = acc.bit_count()

@@ -17,6 +17,15 @@ from typing import List, Optional, Sequence, Tuple
 from .codes import EngineBudgetError, ParseError
 from .gf2 import BitVector, rank_of_rows
 
+
+class ExpansionError(AssertionError):
+    """Field arithmetic or a self-dual basis broke an invariant.
+
+    An AssertionError, the documented type, raised explicitly so the
+    checks also run under ``python -O``.
+    """
+
+
 # Exhaustive self-dual basis search is limited to this extension degree.
 M_MAX = 4
 
@@ -86,7 +95,8 @@ class ExtField:
         for _ in range(self.m - 1):
             acc = self.mul(acc, acc)
             t ^= acc
-        assert t in (0, 1), "trace must land in the prime field"
+        if t not in (0, 1):
+            raise ExpansionError("trace must land in the prime field")
         return t
 
 
@@ -101,14 +111,14 @@ class SelfDualBasis:
         F = self.field
         m = F.m
         if len(self.alphas) != m:
-            raise AssertionError("basis size must equal the degree")
+            raise ExpansionError("basis size must equal the degree")
         for i, a in enumerate(self.alphas):
             for j, b in enumerate(self.alphas):
                 want = 1 if i == j else 0
                 if F.trace(F.mul(a, b)) != want:
-                    raise AssertionError("trace Gram matrix is not identity")
+                    raise ExpansionError("trace Gram matrix is not identity")
         if rank_of_rows(self.alphas) != m:
-            raise AssertionError("basis elements are dependent")
+            raise ExpansionError("basis elements are dependent")
 
 
 def find_self_dual_basis(field: ExtField) -> SelfDualBasis:
@@ -134,7 +144,7 @@ def find_self_dual_basis(field: ExtField) -> SelfDualBasis:
         return False
 
     if not search():
-        raise AssertionError(
+        raise ExpansionError(
             "self-dual basis must exist in characteristic two")
     basis = SelfDualBasis(field, tuple(chosen))
     basis.verify()

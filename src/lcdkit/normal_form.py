@@ -28,6 +28,14 @@ SYMPLECTIC = "symplectic"
 ABSENT = "absent"
 
 
+class NormalFormError(AssertionError):
+    """A normal-form reduction or its certificate broke an invariant.
+
+    An AssertionError, the documented type, raised explicitly so the
+    checks also run under ``python -O``.
+    """
+
+
 def _ip(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
@@ -100,7 +108,7 @@ class NormalFormCertificate:
         actual = gf2.gram(self.basis)
         expected = self.shape.expected_gram(self.k)
         if actual != expected:
-            raise AssertionError(
+            raise NormalFormError(
                 "certificate Gram matrix does not match declared shape:\n"
                 f"expected\n{expected}\ngot\n{actual}")
 
@@ -140,7 +148,7 @@ def orthonormal_basis(C: LinearCode) -> BitMatrix:
         raise ValueError("even-like code has no orthonormal basis")
     cert = hull_normal_basis(C)
     if cert.shape.s != 0 or cert.shape.a1_kind != ORTHONORMAL:
-        raise AssertionError("odd-like LCD reduction failed")
+        raise NormalFormError("odd-like LCD reduction failed")
     return cert.basis
 
 
@@ -152,7 +160,7 @@ def symplectic_basis(C: LinearCode) -> BitMatrix:
         raise ValueError("odd-like code has no symplectic basis")
     cert = hull_normal_basis(C)
     if cert.shape.s != 0 or cert.shape.a1_kind != SYMPLECTIC:
-        raise AssertionError("even-like LCD reduction failed")
+        raise NormalFormError("even-like LCD reduction failed")
     return cert.basis
 
 
@@ -166,7 +174,8 @@ def complete_orthogonal_basis(C: LinearCode, g1: BitVector) -> BitMatrix:
         raise ValueError("g1 is not a codeword")
     cand = [g1.bits, *C.gen.rows]
     rows = [cand[i] for i in gf2.eliminate(cand)[1]]
-    assert len(rows) == C.k
+    if len(rows) != C.k:
+        raise NormalFormError("g1 and the generator rows do not span C")
     out = [rows[0]]
     for r in rows[1:]:
         if _ip(g1.bits, r):
@@ -199,7 +208,8 @@ def subcode_normal_form(C: LinearCode,
     # extend the subcode basis to a basis of C
     cand = hull_rows + a1_rows + list(C.gen.rows)
     ext = [cand[i] for i in gf2.eliminate(cand)[1] if i >= k1]
-    assert len(ext) == k - k1
+    if len(ext) != k - k1:
+        raise NormalFormError("subcode basis does not extend to a basis of C")
 
     # Step 1: kill couplings between extension rows and the A_1 block
     if a1_rows:
@@ -210,7 +220,8 @@ def subcode_normal_form(C: LinearCode,
                 if _ip(e, a):
                     beta |= 1 << j
             lam = gf2.solve(A1m, BitVector(len(a1_rows), beta))
-            assert lam is not None, "A_1 block not invertible"
+            if lam is None:
+                raise NormalFormError("A_1 block not invertible")
             for j in range(len(a1_rows)):
                 if lam.get(j):
                     e ^= a1_rows[j]
@@ -255,7 +266,9 @@ def subcode_normal_form(C: LinearCode,
     if t:
         Tm = gf2.gram(BitMatrix.from_rows(t_rows, n))
         Pt, Nt, st = gf2.congruent_normal_form(Tm)
-        assert st == 0, "trailing block must be nonsingular for LCD input"
+        if st != 0:
+            raise NormalFormError(
+                "trailing block must be nonsingular for LCD input")
         t_rows = list(Pt.mul(BitMatrix.from_rows(t_rows, n)).rows)
         a3_kind = _kind_of_normal_block(Nt, 0)
     else:
@@ -268,9 +281,9 @@ def subcode_normal_form(C: LinearCode,
     # first k1 rows span D, all rows span C
     if gf2.rref(BitMatrix.from_rows(basis.rows[:k1], n))[0] != \
             gf2.rref(D.gen)[0]:
-        raise AssertionError("leading rows do not span the subcode")
+        raise NormalFormError("leading rows do not span the subcode")
     if gf2.rref(basis)[0] != C.rref():
-        raise AssertionError("basis does not span the code")
+        raise NormalFormError("basis does not span the code")
     return cert
 
 
@@ -296,7 +309,7 @@ def recover_all_one(cert: NormalFormCertificate) -> List[int]:
     for i in idx:
         acc ^= cert.basis.rows[i - 1]
     if acc != (1 << cert.basis.cols) - 1:
-        raise AssertionError(
+        raise NormalFormError(
             "all-one recovery failed: input was not from an LCD code "
             "containing the all-one vector, or the certificate is corrupt")
     return idx
@@ -350,7 +363,7 @@ def type_classify_and_orthogonalize(
         singles.extend([e, o])
 
     if even_pairs and not singles:
-        raise AssertionError(
+        raise NormalFormError(
             "no odd anchor available: input cannot be odd-like LCD")
     if even_pairs:
         anchor = min(singles)
@@ -362,5 +375,5 @@ def type_classify_and_orthogonalize(
 
     out = BitMatrix.from_rows(rows, n)
     if gf2.gram(out) != BitMatrix.identity(k):
-        raise AssertionError("orthogonalization failed to reach identity")
+        raise NormalFormError("orthogonalization failed to reach identity")
     return out

@@ -1,14 +1,21 @@
-"""Randomized code generation: test corpora and a seeded LCD hill-climb."""
+"""Randomized code generation: test corpora and a seeded LCD hill-climb.
+
+Each hill-climb trial flips one bit of one generator row and is made
+incremental: the Gram rows are updated in O(k) instead of rebuilt, one
+k-row rank decides LCD-ness (which implies full rank), and below
+``BZ_MIN_K`` rows the distance test walks the 2^(k-1) words of the
+flipped row's coset before, and usually instead of, the rest of the code.
+"""
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Optional
+from typing import List, Optional
 
 from . import gf2
 from .gf2 import BitMatrix
-from .codes import LinearCode, min_weight
+from .codes import BZ_MIN_K, LinearCode, _gray_min, min_weight
 
 DEFAULT_SEED = 20240801
 
@@ -78,14 +85,40 @@ def random_lcd_eo_code(rng: random.Random, n: int, k: int,
     raise RuntimeError(f"no LCD_eo [{n},{k}] code found in {max_tries} tries")
 
 
+def _flipped_gram(g: List[int], c: int, i: int) -> List[int]:
+    """Gram rows after flipping one bit of generator row i, in O(k).
+
+    g holds the rows of G * G^T as k-bit ints and c is the flipped
+    column of G, also as a k-bit int.  Entry (i, l) changes by bit l of
+    c for l != i, and the diagonal entry (i, i), the parity of row i's
+    weight, always changes; the matrix stays symmetric.
+    """
+    bit = 1 << i
+    out = [r ^ bit if c >> l & 1 else r for l, r in enumerate(g)]
+    out[i] = g[i] ^ (c | bit)
+    return out
+
+
 def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
                budget_ms: int = 2000) -> Optional[LinearCode]:
     """Randomized hill-climb over LCD generator matrices.
 
     Moves flip one bit of one generator row and are rejected unless the
-    matrix stays full-rank LCD.  Returns the first code reaching the
-    distance target, or None when the time budget runs out.  Fully
-    deterministic for a fixed seed and budget outcome.
+    matrix stays LCD (a nonsingular Gram matrix also means full rank)
+    and its minimum distance does not drop.  Returns the first code
+    reaching the distance target, or None when the time budget runs out.
+    Fully deterministic for a fixed seed and budget outcome.
+
+    A trial costs O(k) plus one k-row rank for the LCD test: the Gram
+    rows and the generator's columns are kept beside the rows, and
+    ``_flipped_gram`` updates the flipped row's Gram row and bit i of
+    every other row that the flipped column meets.  Below ``BZ_MIN_K`` rows the distance test walks the
+    coset t + span(others) of the flipped row t first.  Every word of
+    span(others) is in the current code and weighs at least the current
+    distance, so a coset word below it rejects the trial, a coset
+    minimum equal to it accepts the trial at that distance, and only a
+    heavier coset needs the minimum of span(others) as well.  From
+    ``BZ_MIN_K`` rows on, the whole trial goes to ``min_weight``.
     """
     if d_target <= 0 or k < 1 or k > n:
         return None
@@ -94,27 +127,34 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
     while time.monotonic() < deadline:
         C = random_lcd_code(rng, n, k)
         rows = list(C.gen.rows)
+        g = list(C.gram().rows)  # cached by the LCD test
+        cols = list(C.gen.transpose().rows)
         current = min_weight(rows)
         stale = 0
         while current < d_target and stale < 40 * n and \
                 time.monotonic() < deadline:
             i = rng.randrange(k)
             j = rng.randrange(n)
-            trial = rows.copy()
-            trial[i] ^= 1 << j
-            if gf2.rank_of_rows(trial) != k:
+            trial_g = _flipped_gram(g, cols[j], i)
+            if gf2.rank_of_rows(trial_g) != k:
                 stale += 1
                 continue
-            M = BitMatrix.from_rows(trial, n)
-            if not gf2.is_nonsingular(gf2.gram(M)):
-                stale += 1
-                continue
-            # a trial below current is rejected whatever its exact value
-            d2 = min_weight(trial, current - 1)
+            t = rows[i] ^ 1 << j
+            if k >= BZ_MIN_K:
+                # a trial below current is rejected whatever its exact value
+                d2 = min_weight(rows[:i] + [t] + rows[i + 1:], current - 1)
+            else:
+                # span(others) lies in the current code: walk t's coset first
+                others = rows[:i] + rows[i + 1:]
+                d2 = _gray_min(others, current - 1, t)
+                if d2 > current and others:
+                    d2 = min(d2, min_weight(others, current))
             if d2 >= current:
                 if d2 > current:
                     stale = 0
-                rows = trial
+                rows[i] = t
+                g = trial_g
+                cols[j] ^= 1 << i
                 current = d2
             else:
                 stale += 1

@@ -7,7 +7,8 @@ import pytest
 
 from lcdkit import gf2
 from lcdkit.codes import (BZ_MIN_K, EngineBudgetError, LinearCode,
-                          ParseError, _gray_walk, _low_weight_words,
+                          ParseError, _gray_min, _gray_walk,
+                          _low_weight_words,
                           format_gen1, min_weight, parse_gen1)
 from lcdkit.gf2 import BitMatrix
 from lcdkit.search import random_code
@@ -220,6 +221,24 @@ class TestKernels:
                         assert got == true_min, (k, n, case, stop)
                     else:
                         assert true_min <= got <= stop, (k, n, case, stop)
+
+    def test_coset_walk_stop(self):
+        # the coset t + span(others) of one row t, as lcd_search walks it;
+        # k = 1 leaves no other rows
+        rng = random.Random(24)
+        for k in range(1, BZ_MIN_K):
+            for _ in range(6):
+                n = rng.randrange(k, 3 * k + 3)
+                rows = list(random_code(rng, n, k).gen.rows)
+                i = rng.randrange(k)
+                t = rows.pop(i)
+                true_min = min((t ^ c).bit_count() for c in _gray_walk(rows))
+                for stop in range(n + 1):
+                    got = _gray_min(rows, stop, t)
+                    if true_min > stop:
+                        assert got == true_min, (k, n, stop)
+                    else:
+                        assert true_min <= got <= stop, (k, n, stop)
 
     def test_min_weight_rejects_no_rows(self):
         with pytest.raises(ValueError):

@@ -55,6 +55,13 @@ class TestExtField:
                 for b in range(F.order):
                     assert F.trace(a ^ b) == F.trace(a) ^ F.trace(b)
 
+    def test_trace_outside_prime_field(self):
+        # x^2 + 1 = (x + 1)^2 is reducible, so Tr(x) = x + x^2 = x + 1
+        F = xp.ExtField(2, 0b101)
+        with pytest.raises(xp.ExpansionError, match="prime field"):
+            F.trace(0b10)
+        assert issubclass(xp.ExpansionError, AssertionError)
+
 
 class TestSelfDualBasis:
     def test_f4(self):

@@ -1,6 +1,7 @@
 """Gram normal forms, basis extraction, and all-one recovery."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -297,3 +298,48 @@ class TestTypeClassifyAndOrthogonalize:
             assert gf2.gram(out) == BitMatrix.identity(k)
             assert LinearCode(out) == code
             done += 1
+
+
+def _break_gf2(monkeypatch, **fakes):
+    """Give normal_form a gf2 with the named functions replaced."""
+    monkeypatch.setattr(nf, "gf2", SimpleNamespace(**{**vars(gf2), **fakes}))
+
+
+def _drop_last_kept(rows):
+    basis, kept = gf2.eliminate(rows)
+    return basis, kept[:-1]
+
+
+class TestNormalFormError:
+    """Each invariant raises NormalFormError, an AssertionError, also
+    under python -O."""
+
+    def test_is_an_assertion_error(self):
+        assert issubclass(nf.NormalFormError, AssertionError)
+
+    def test_completion_loses_a_row(self, monkeypatch):
+        _break_gf2(monkeypatch, eliminate=_drop_last_kept)
+        with pytest.raises(nf.NormalFormError, match="do not span C"):
+            nf.complete_orthogonal_basis(C("10", "01"),
+                                         BitVector.from_string("10"))
+
+    def test_extension_loses_a_row(self, monkeypatch):
+        _break_gf2(monkeypatch, eliminate=_drop_last_kept)
+        with pytest.raises(nf.NormalFormError, match="does not extend"):
+            nf.subcode_normal_form(C("1000", "0111"), C("0111"))
+
+    def test_a1_block_not_invertible(self, monkeypatch):
+        _break_gf2(monkeypatch, solve=lambda M, b: None)
+        with pytest.raises(nf.NormalFormError, match="A_1 block"):
+            nf.subcode_normal_form(C("1000", "0111"), C("0111"))
+
+    def test_singular_trailing_block(self, monkeypatch):
+        def singular(S):
+            P, N, _ = gf2.congruent_normal_form(S)
+            return P, N, 1
+        D = C("0111")
+        dcert = nf.hull_normal_basis(D)  # its own reduction stays intact
+        monkeypatch.setattr(nf, "hull_normal_basis", lambda code: dcert)
+        _break_gf2(monkeypatch, congruent_normal_form=singular)
+        with pytest.raises(nf.NormalFormError, match="trailing block"):
+            nf.subcode_normal_form(C("1000", "0111"), D)
