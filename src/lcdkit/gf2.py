@@ -5,8 +5,9 @@ so every row operation is a single XOR and inner products are one AND plus
 a popcount.  All values are immutable once constructed.
 
 ``eliminate`` is the library's only GF(2) forward elimination: rank,
-RREF, ``solve``, row selection for puncturing, the exhaustive tables'
-LCD test and basis extension in the normal forms all go through it.
+RREF (and through it ``inverse``), ``solve``, row selection for
+puncturing, the exhaustive tables' LCD test and basis extension in the
+normal forms all go through it.
 """
 
 from __future__ import annotations
@@ -224,6 +225,22 @@ def gram(G: BitMatrix) -> BitMatrix:
 
 def is_nonsingular(M: BitMatrix) -> bool:
     return M.nrows == M.cols and rank(M) == M.nrows
+
+
+def inverse(M: BitMatrix) -> BitMatrix:
+    """M^-1 for a square nonsingular M; raises ValueError otherwise.
+
+    Reduces the tagged rows [M | I]: when M is nonsingular the RREF is
+    [I | M^-1], and otherwise some reduced row pivots on a bare tag.
+    """
+    k = M.nrows
+    if M.cols != k:
+        raise ValueError("matrix is not square")
+    R, pivots = rref(BitMatrix(tuple(r | 1 << (k + i)
+                                     for i, r in enumerate(M.rows)), 2 * k))
+    if pivots != list(range(k)):
+        raise ValueError("matrix is singular")
+    return BitMatrix(tuple(w >> k for w in R.rows), k)
 
 
 def solve(M: BitMatrix, b: BitVector) -> Optional[BitVector]:

@@ -5,7 +5,9 @@ registered construction operation, its input code, auxiliary data
 (coordinates, appended vectors), and the expected output parameters.
 Records with inline or searchable inputs replay deterministically;
 records whose input is an externally distributed seed file are skipped
-— never failed — when the seed is absent.
+— never failed — when the seed is absent.  A record whose expected
+distance the engine cannot check within its budget is skipped too
+(``UNVERIFIED``), never passed.
 
 A bounds ledger holds published lower/upper bounds on the best LCD
 minimum distance d_lcd(n, k) at lengths beyond exhaustive reach, and
@@ -31,6 +33,8 @@ from .search import DEFAULT_SEED, lcd_search
 PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED-MISSING-SEED"
+# the output was built but its distance could not be checked at budget
+UNVERIFIED = "SKIPPED-UNVERIFIED-DISTANCE"
 
 class _ReplayFailure(Exception):
     """Internal: the replayed construction contradicts the record."""
@@ -278,12 +282,17 @@ def replay_record(rec: ConstructionRecord,
         outputs = _apply_op(rec, seed_code)
         dmin = None
         notes = []
+        verified = True
         for code in outputs:
             dmin, note = _verify(code, rec.expect, engine)
+            verified = verified and dmin is not None
             if note:
                 notes.append(note)
-        return ReplayResult(rec, PASS, "; ".join(sorted(set(notes))),
-                            outputs[0], dmin)
+        message = "; ".join(sorted(set(notes)))
+        if not verified and rec.expect[2] is not None:
+            # an expected distance that was never checked is no PASS
+            return ReplayResult(rec, UNVERIFIED, message, outputs[0])
+        return ReplayResult(rec, PASS, message, outputs[0], dmin)
     except _ReplayFailure as e:
         return ReplayResult(rec, FAIL, str(e))
     # a malformed record field (say, "rows": 5) surfaces as a TypeError
@@ -304,7 +313,8 @@ def replay_ledger(records: Sequence[ConstructionRecord],
 
 def summary_exit_code(results: Sequence[ReplayResult]) -> int:
     """0 when something passed and nothing failed, 1 on any failure,
-    2 when every record was skipped."""
+    2 when every record was skipped (a missing seed or a distance not
+    verified at budget)."""
     if any(r.status == FAIL for r in results):
         return 1
     if any(r.status == PASS for r in results):

@@ -1,10 +1,13 @@
 """Randomized code generation: test corpora and a seeded LCD hill-climb.
 
 Each hill-climb trial flips one bit of one generator row and is made
-incremental: the Gram rows are updated in O(k) instead of rebuilt, one
-k-row rank decides LCD-ness (which implies full rank), and below
-``BZ_MIN_K`` rows the distance test walks the 2^(k-1) words of the
-flipped row's coset before, and usually instead of, the rest of the code.
+incremental.  LCD-ness (which implies full rank) is decided in O(k) with
+no elimination: a flip changes the Gram matrix G G^T by a rank-2
+symmetric term, so the search keeps (G G^T)^-1 and tests the term's 2x2
+capacitance matrix (Sherman-Morrison-Woodbury over GF(2)), updating the
+inverse in O(k) when a flip is accepted.  Below ``BZ_MIN_K`` rows the
+distance test walks the 2^(k-1) words of the flipped row's coset
+before, and usually instead of, the rest of the code.
 """
 
 from __future__ import annotations
@@ -85,18 +88,54 @@ def random_lcd_eo_code(rng: random.Random, n: int, k: int,
     raise RuntimeError(f"no LCD_eo [{n},{k}] code found in {max_tries} tries")
 
 
-def _flipped_gram(g: List[int], c: int, i: int) -> List[int]:
-    """Gram rows after flipping one bit of generator row i, in O(k).
+def _flip_update(a: List[int], c: int, i: int) -> Optional[tuple]:
+    """Whether flipping bit j of generator row i keeps the code LCD, in O(k).
 
-    g holds the rows of G * G^T as k-bit ints and c is the flipped
-    column of G, also as a k-bit int.  Entry (i, l) changes by bit l of
-    c for l != i, and the diagonal entry (i, i), the parity of row i's
-    weight, always changes; the matrix stays symmetric.
+    a holds the rows of A = (G G^T)^-1 as k-bit ints (A is symmetric)
+    and c is column j of G.  The flip changes the Gram matrix M to
+    M + U V^T with U = [e_i, c] and V = [c + e_i, e_i], so the new Gram
+    matrix is nonsingular iff the capacitance matrix
+    K = I + V^T A U = [[1+p+q, r+p], [q, 1+p]] is, where p is bit i of
+    A c, q is bit i of A e_i and r = c^T A c; det K = 1 + p + q (1 + r).
+    Returns None when the trial is not LCD, else the rank-2 update
+    (x, z, y, w) with (M + U V^T)^-1 = A + x z^T + y w^T (Woodbury):
+    [x y] = [A e_i, A c] K^-1, z = A (c + e_i) and w = A e_i.
     """
-    bit = 1 << i
-    out = [r ^ bit if c >> l & 1 else r for l, r in enumerate(g)]
-    out[i] = g[i] ^ (c | bit)
-    return out
+    ai = a[i]
+    ac = 0
+    bits = c
+    while bits:
+        low = bits & -bits
+        ac ^= a[low.bit_length() - 1]
+        bits ^= low
+    p = ac >> i & 1
+    q = ai >> i & 1
+    r = (ac & c).bit_count() & 1
+    if p != q & (r ^ 1):
+        return None
+    # K^-1 = [[1+p, r+p], [q, 1+p+q]] since det K = 1; with p = q (1 + r)
+    # the columns of [A e_i, A c] K^-1 reduce to these three cases
+    if not q:
+        x, y = ai, (ai if r else 0) ^ ac
+    elif p:
+        x, y = ac, ai ^ ac
+    else:
+        x, y = ai ^ ac, ai
+    return x, ac ^ ai, y, ai
+
+
+def _apply_update(a: List[int], update: tuple) -> None:
+    """Adds the rank-2 update x z^T + y w^T of ``_flip_update`` to a."""
+    x, z, y, w = update
+    bits = x | y
+    while bits:
+        low = bits & -bits
+        l = low.bit_length() - 1
+        if x & low:
+            a[l] ^= z
+        if y & low:
+            a[l] ^= w
+        bits ^= low
 
 
 def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
@@ -109,19 +148,62 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
     reaching the distance target, or None when the time budget runs out.
     Fully deterministic for a fixed seed and budget outcome.
 
-    A trial costs O(k) plus one k-row rank for the LCD test: the Gram
-    rows and the generator's columns are kept beside the rows, and
-    ``_flipped_gram`` updates the flipped row's Gram row and bit i of
-    every other row that the flipped column meets.  Below ``BZ_MIN_K`` rows the distance test walks the
-    coset t + span(others) of the flipped row t first.  Every word of
-    span(others) is in the current code and weighs at least the current
-    distance, so a coset word below it rejects the trial, a coset
-    minimum equal to it accepts the trial at that distance, and only a
-    heavier coset needs the minimum of span(others) as well.  From
-    ``BZ_MIN_K`` rows on, the whole trial goes to ``min_weight``.
+    A trial's LCD test costs O(k) and no elimination: the inverse
+    (G G^T)^-1 and the generator's columns are kept beside the rows, a
+    flip changes G G^T by a rank-2 symmetric term, and ``_flip_update``
+    decides nonsingularity from its 2x2 capacitance matrix; an accepted
+    flip updates the kept inverse in place by Woodbury.  With k = 1 every
+    flip changes the one row's weight parity and so makes the 1x1 Gram
+    matrix singular, so each restart only checks its drawn code.  Below
+    ``BZ_MIN_K`` rows the distance test walks the coset t + span(others)
+    of the flipped row t first.  Every word of span(others) is in the
+    current code and weighs at least the current distance, so a coset
+    word below it rejects the trial, a coset minimum equal to it accepts
+    the trial at that distance, and only a heavier coset needs the
+    minimum of span(others) as well.  From ``BZ_MIN_K`` rows on, the
+    whole trial goes to ``min_weight``.
     """
     if d_target <= 0 or k < 1 or k > n:
         return None
+    rng = random.Random(seed)
+    deadline = time.monotonic() + budget_ms / 1000.0
+    while time.monotonic() < deadline:
+        C = random_lcd_code(rng, n, k)
+        rows = list(C.gen.rows)
+        a = list(gf2.inverse(C.gram()).rows)  # Gram cached by the LCD test
+        cols = list(C.gen.transpose().rows)
+        current = min_weight(rows)
+        stale = 0
+        while k > 1 and current < d_target and stale < 40 * n and \
+                time.monotonic() < deadline:
+            i = rng.randrange(k)
+            j = rng.randrange(n)
+            update = _flip_update(a, cols[j], i)
+            if update is None:
+                stale += 1
+                continue
+            t = rows[i] ^ 1 << j
+            if k >= BZ_MIN_K:
+                # a trial below current is rejected whatever its exact value
+                d2 = min_weight(rows[:i] + [t] + rows[i + 1:], current - 1)
+            else:
+                # span(others) lies in the current code: walk t's coset first
+                others = rows[:i] + rows[i + 1:]
+                d2 = _gray_min(others, current - 1, t)
+                if d2 > current:
+                    d2 = min(d2, min_weight(others, current))
+            if d2 >= current:
+                if d2 > current:
+                    stale = 0
+                rows[i] = t
+                _apply_update(a, update)
+                cols[j] ^= 1 << i
+                current = d2
+            else:
+                stale += 1
+        if current >= d_target:
+            return LinearCode(BitMatrix.from_rows(rows, n))
+    return None
     rng = random.Random(seed)
     deadline = time.monotonic() + budget_ms / 1000.0
     while time.monotonic() < deadline:

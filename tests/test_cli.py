@@ -5,7 +5,7 @@ import json
 import pytest
 
 from lcdkit import cli, conjecture, tables
-from lcdkit.codes import parse_gen1
+from lcdkit.codes import EngineBudgetError, LinearCode, parse_gen1
 
 
 def write(tmp_path, name, text):
@@ -242,6 +242,21 @@ class TestVerifyLedger:
         assert code == 1
         assert "FAIL extend_even -> [7,2,4]: TypeError" in out
         assert err == ""
+
+    def test_unverified_distance_is_skipped(self, tmp_path, capsys,
+                                            monkeypatch):
+        exact = LinearCode.min_distance
+
+        def give_up(self, engine="auto"):
+            # only the replayed [7, 2] output: extend_even reads its input's
+            if self.n == 7:
+                raise EngineBudgetError("over budget")
+            return exact(self, engine)
+        monkeypatch.setattr(LinearCode, "min_distance", give_up)
+        path = write(tmp_path, "ledger.jsonl", TestConstruct.LEDGER)
+        code, out, _ = run(capsys, "verify-ledger", "--path", path)
+        assert code == 2
+        assert "pass=0 fail=0 skipped=1" in out
 
 
 class TestUsage:

@@ -133,6 +133,35 @@ class TestGram:
             assert gf2.gram(G).is_symmetric()
 
 
+class TestInverse:
+    def test_random_round_trip(self):
+        rng = random.Random(41)
+        for _ in range(100):
+            k = rng.randrange(1, 12)
+            A = BitMatrix.from_rows([rng.getrandbits(k) for _ in range(k)],
+                                    k)
+            if not gf2.is_nonsingular(A):
+                with pytest.raises(ValueError):
+                    gf2.inverse(A)
+                continue
+            inv = gf2.inverse(A)
+            assert inv.mul(A) == BitMatrix.identity(k)
+            assert A.mul(inv) == BitMatrix.identity(k)
+
+    def test_singular(self):
+        with pytest.raises(ValueError):
+            gf2.inverse(M("11", "11"))
+        with pytest.raises(ValueError):
+            gf2.inverse(M("100", "010", "000"))
+
+    def test_not_square(self):
+        with pytest.raises(ValueError):
+            gf2.inverse(M("110", "011"))
+
+    def test_empty(self):
+        assert gf2.inverse(BitMatrix((), 0)) == BitMatrix((), 0)
+
+
 class TestSolve:
     def test_identity(self):
         x = gf2.solve(BitMatrix.identity(3), V("101"))

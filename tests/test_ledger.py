@@ -5,8 +5,9 @@ import json
 import pytest
 
 from lcdkit import ledger
-from lcdkit.ledger import (FAIL, PASS, SKIPPED, BoundsEntry, BoundsLedger,
-                           ConstructionRecord, parse_records,
+from lcdkit.codes import EngineBudgetError, LinearCode
+from lcdkit.ledger import (FAIL, PASS, SKIPPED, UNVERIFIED, BoundsEntry,
+                           BoundsLedger, ConstructionRecord, parse_records,
                            format_records, replay_record, replay_ledger,
                            summary_exit_code)
 
@@ -128,6 +129,36 @@ class TestReplayInline:
         assert plain.status == scaled.status == PASS
         assert plain.dmin == scaled.dmin
         assert plain.output != scaled.output  # the scaling is not trivial
+
+
+class TestDistanceOverBudget:
+    @pytest.fixture(autouse=True)
+    def no_budget(self, monkeypatch):
+        exact = LinearCode.min_distance
+
+        def give_up(self, engine="auto"):
+            # only the replayed [7, 2] output: extend_even reads its input's
+            if self.n == 7:
+                raise EngineBudgetError("over budget")
+            return exact(self, engine)
+        monkeypatch.setattr(LinearCode, "min_distance", give_up)
+
+    def test_expected_distance_is_not_passed(self):
+        rec = ConstructionRecord("extend_even", WORKED, {}, (7, 2, 4))
+        res = replay_record(rec)
+        assert res.status == UNVERIFIED
+        assert res.message == "distance unverifiable at budget"
+        assert res.output.n == 7 and res.dmin is None
+        # a skip, like a missing seed: it fails nothing beside a PASS
+        assert summary_exit_code([res]) == 2
+        passed = ledger.ReplayResult(rec, PASS)
+        assert summary_exit_code([res, passed]) == 0
+
+    def test_parameters_only_pass(self):
+        rec = ConstructionRecord("extend_even", WORKED, {}, (7, 2, None))
+        res = replay_record(rec)
+        assert res.status == PASS
+        assert res.message == "distance unverifiable at budget"
 
 
 class TestReplaySearchAndExternal:

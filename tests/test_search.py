@@ -7,7 +7,8 @@ import pytest
 from lcdkit import gf2
 from lcdkit.codes import BZ_MIN_K, min_weight
 from lcdkit.gf2 import BitMatrix
-from lcdkit.search import _flipped_gram, lcd_search, random_lcd_code
+from lcdkit.search import (_apply_update, _flip_update, lcd_search,
+                           random_lcd_code)
 
 BUDGET_MS = 10000
 
@@ -29,7 +30,8 @@ def reference_search(n, k, d_target, seed, max_restarts=1000):
         rows = list(random_lcd_code(rng, n, k).gen.rows)
         current = min_weight(rows)
         stale = 0
-        while current < d_target and stale < 40 * n:
+        # with one row no flip keeps the code LCD: restarts only
+        while k > 1 and current < d_target and stale < 40 * n:
             i = rng.randrange(k)
             j = rng.randrange(n)
             trial = rows.copy()
@@ -75,20 +77,56 @@ class TestNoSearch:
         assert lcd_search(n, k, d, seed=1, budget_ms=BUDGET_MS) is None
 
 
-class TestFlippedGram:
+class TestFlipUpdate:
     def test_matches_full_gram(self):
-        # g is reused for every i, j, so an update in place also fails
+        # a is reused for every i, j, so an update in place also fails
         rng = random.Random(31)
-        for _ in range(60):
-            n = rng.randrange(1, 12)
-            k = rng.randrange(1, 9)
+        checked = 0
+        while checked < 60:
+            n = rng.randrange(1, 13)
+            k = rng.randrange(1, min(n, 9) + 1)
             rows = [rng.getrandbits(n) for _ in range(k)]
             G = BitMatrix.from_rows(rows, n)
-            g = list(gf2.gram(G).rows)
+            if not gf2.is_nonsingular(gf2.gram(G)):
+                continue
+            checked += 1
+            a = list(gf2.inverse(gf2.gram(G)).rows)
             cols = G.transpose().rows
             for i in range(k):
                 for j in range(n):
                     flipped = rows.copy()
                     flipped[i] ^= 1 << j
-                    expect = gf2.gram(BitMatrix.from_rows(flipped, n)).rows
-                    assert _flipped_gram(g, cols[j], i) == list(expect)
+                    M = gf2.gram(BitMatrix.from_rows(flipped, n))
+                    update = _flip_update(a, cols[j], i)
+                    assert (update is not None) == gf2.is_nonsingular(M)
+                    if update is not None:
+                        a2 = a.copy()
+                        _apply_update(a2, update)
+                        assert BitMatrix.from_rows(a2, k).mul(M) == \
+                            BitMatrix.identity(k)
+
+    def test_accepted_walk_keeps_inverse(self):
+        # a long walk of accepted flips, each from the updated inverse
+        rng = random.Random(32)
+        for _ in range(20):
+            n = rng.randrange(2, 13)
+            k = rng.randrange(2, min(n, 9) + 1)
+            rows = list(random_lcd_code(rng, n, k).gen.rows)
+            a = list(gf2.inverse(gf2.gram(BitMatrix.from_rows(rows, n))).rows)
+            for _ in range(50):
+                i = rng.randrange(k)
+                j = rng.randrange(n)
+                c = sum((r >> j & 1) << l for l, r in enumerate(rows))
+                update = _flip_update(a, c, i)
+                if update is None:
+                    continue
+                _apply_update(a, update)
+                rows[i] ^= 1 << j
+                M = gf2.gram(BitMatrix.from_rows(rows, n))
+                assert BitMatrix.from_rows(a, k).mul(M) == \
+                    BitMatrix.identity(k)
+
+    def test_one_row_never_stays_lcd(self):
+        # [[1]] is its own inverse; c is 0 or 1 and both flips fail
+        assert _flip_update([1], 0, 0) is None
+        assert _flip_update([1], 1, 0) is None
