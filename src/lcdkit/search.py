@@ -204,42 +204,3 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
         if current >= d_target:
             return LinearCode(BitMatrix.from_rows(rows, n))
     return None
-    rng = random.Random(seed)
-    deadline = time.monotonic() + budget_ms / 1000.0
-    while time.monotonic() < deadline:
-        C = random_lcd_code(rng, n, k)
-        rows = list(C.gen.rows)
-        g = list(C.gram().rows)  # cached by the LCD test
-        cols = list(C.gen.transpose().rows)
-        current = min_weight(rows)
-        stale = 0
-        while current < d_target and stale < 40 * n and \
-                time.monotonic() < deadline:
-            i = rng.randrange(k)
-            j = rng.randrange(n)
-            trial_g = _flipped_gram(g, cols[j], i)
-            if gf2.rank_of_rows(trial_g) != k:
-                stale += 1
-                continue
-            t = rows[i] ^ 1 << j
-            if k >= BZ_MIN_K:
-                # a trial below current is rejected whatever its exact value
-                d2 = min_weight(rows[:i] + [t] + rows[i + 1:], current - 1)
-            else:
-                # span(others) lies in the current code: walk t's coset first
-                others = rows[:i] + rows[i + 1:]
-                d2 = _gray_min(others, current - 1, t)
-                if d2 > current and others:
-                    d2 = min(d2, min_weight(others, current))
-            if d2 >= current:
-                if d2 > current:
-                    stale = 0
-                rows[i] = t
-                g = trial_g
-                cols[j] ^= 1 << i
-                current = d2
-            else:
-                stale += 1
-        if current >= d_target:
-            return LinearCode(BitMatrix.from_rows(rows, n))
-    return None
