@@ -4,7 +4,10 @@ A LinearCode wraps a full-row-rank generator matrix.  The matrix is kept
 exactly as supplied (several basis-sensitive procedures depend on the
 stored shape); analyses are cached lazily on the immutable object, and
 ``with_generator`` swaps in a new basis as a fresh object so stale caches
-cannot leak.
+cannot leak.  The constructor's rank check is a ``gf2.eliminate`` whose
+echelon basis the code keeps: ``rref()`` back-substitutes it, ``dual()``
+reads the null space off that RREF, and ``contains`` reduces a vector
+against it, so none of them eliminates the generator again.
 
 Coordinates are 1-indexed at the API surface and 0-indexed internally.
 
@@ -88,19 +91,26 @@ class ParityClass:
 
 
 class LinearCode:
-    """An [n,k] binary code held by a fixed generator matrix."""
+    """An [n,k] binary code held by a fixed generator matrix.
+
+    The echelon basis from the constructor's elimination backs
+    ``rref``, ``dual``, ``contains`` and ``contains_all_one``; the Gram
+    matrix backs ``hull_dimension``, ``hull`` and ``is_lcd``.  Each
+    result is cached on first use.
+    """
 
     __slots__ = ("gen", "n", "k", "_cache")
 
     def __init__(self, gen: BitMatrix):
-        if gf2.rank(gen) != gen.nrows:
+        basis, _ = gf2.eliminate(gen.rows)
+        if len(basis) != gen.nrows:
             raise ValueError("generator matrix does not have full row rank")
         if gen.nrows > gen.cols:
             raise ValueError("dimension exceeds length")
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "n", gen.cols)
         object.__setattr__(self, "k", gen.nrows)
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_cache", {"basis": basis})
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
@@ -135,27 +145,37 @@ class LinearCode:
             self._cache[key] = fn()
         return self._cache[key]
 
+    def _echelon(self) -> tuple:
+        """RREF rows and pivot columns, back-substituted from the basis."""
+        return self._cached(
+            "echelon", lambda: gf2._back_substitute(self._cache["basis"]))
+
     def rref(self) -> BitMatrix:
-        return self._cached("rref", lambda: gf2.rref(self.gen)[0])
+        return self._cached(
+            "rref", lambda: BitMatrix(self._echelon()[0], self.n))
 
     def gram(self) -> BitMatrix:
         return self._cached("gram", lambda: gf2.gram(self.gen))
 
     def dual(self) -> "LinearCode":
-        return self._cached(
-            "dual", lambda: LinearCode(gf2.nullspace(self.gen)))
+        def build():
+            R, pivots = self._echelon()
+            return LinearCode(BitMatrix(
+                gf2._free_column_basis(R, pivots, self.n), self.n))
+        return self._cached("dual", build)
 
     def hull_dimension(self) -> int:
-        return self.k - gf2.rank(self.gram())
+        return self._cached(
+            "hull_dim", lambda: self.k - gf2.rank(self.gram()))
 
     def hull(self) -> "LinearCode":
         """The intersection C ∩ C⊥ as an explicit code.
 
         Computed from the Gram matrix: x·G lies in the hull exactly when
-        x is in the left null space of G·Gᵀ.
+        x is in the null space of the symmetric G·Gᵀ.
         """
         def build():
-            coeffs = gf2.nullspace(self.gram().transpose())
+            coeffs = gf2.nullspace(self.gram())
             return LinearCode(gf2.rref(coeffs.mul(self.gen))[0])
         return self._cached("hull", build)
 
@@ -166,7 +186,14 @@ class LinearCode:
         return all(r.bit_count() % 2 == 0 for r in self.gen.rows)
 
     def contains(self, v: BitVector) -> bool:
-        return gf2.row_space_contains(self.gen, v)
+        """Whether v is a codeword: v reduces to 0 against the basis."""
+        if v.length != self.n:
+            raise ValueError("dimension mismatch")
+        acc = v.bits
+        for col, w in self._cache["basis"]:
+            if (acc >> col) & 1:
+                acc ^= w
+        return not acc
 
     def contains_all_one(self) -> bool:
         return self.contains(BitVector.ones(self.n))

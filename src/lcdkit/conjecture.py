@@ -31,6 +31,14 @@ ROUTE_PADDED = "padded-puncture"
 ROUTE_EXTENSION = "extension"
 
 
+class ConjectureError(AssertionError):
+    """A step-down or its certificate broke an invariant of the proof.
+
+    An AssertionError, the documented type, raised explicitly so the
+    checks also run under ``python -O``.
+    """
+
+
 @dataclass(frozen=True)
 class PunctureWitness:
     """A doubly-punctured code C^{u,v} with its verified LCD status."""
@@ -55,13 +63,13 @@ class ConjectureCertificate:
         n1, k, d = self.input_params
         out = self.output
         if out.n != n1 - 1:
-            raise AssertionError("output length must drop by exactly one")
+            raise ConjectureError("output length must drop by exactly one")
         if out.k != k:
-            raise AssertionError("output dimension changed")
+            raise ConjectureError("output dimension changed")
         if not out.is_lcd():
-            raise AssertionError("output is not LCD")
+            raise ConjectureError("output is not LCD")
         if out.min_distance() < d - 1:
-            raise AssertionError(
+            raise ConjectureError(
                 f"output distance {out.min_distance()} < {d - 1}")
 
     def trace_jsonl(self) -> str:
@@ -97,14 +105,17 @@ def good_puncture_pairs(C: LinearCode, u: int) -> List[PunctureWitness]:
     for r in B.rows:
         if (r >> bit) & 1:
             z ^= r
-    assert (z >> bit) & 1, "column at u must meet an odd number of rows"
+    if not (z >> bit) & 1:
+        raise ConjectureError("column at u must meet an odd number of rows")
 
     Cu = C.puncture([u])
     zu = _drop_bits(z, (u,))
-    assert Cu.hull_dimension() == 1, "single puncture must leave hull dim 1"
-    assert Cu.hull().contains(BitVector(Cu.n, zu)), \
-        "row sum must span the punctured hull"
-    assert zu.bit_count() >= d - 1
+    if Cu.hull_dimension() != 1:
+        raise ConjectureError("single puncture must leave hull dim 1")
+    if not Cu.hull().contains(BitVector(Cu.n, zu)):
+        raise ConjectureError("row sum must span the punctured hull")
+    if zu.bit_count() < d - 1:
+        raise ConjectureError("punctured hull vector lighter than d - 1")
 
     witnesses: List[PunctureWitness] = []
     for j in range(C.n):
@@ -113,12 +124,16 @@ def good_puncture_pairs(C: LinearCode, u: int) -> List[PunctureWitness]:
         v = j + 1
         P = C.puncture([u, v])
         lcd = P.is_lcd()
-        assert lcd, f"punctured code at ({u},{v}) must be LCD"
+        if not lcd:
+            raise ConjectureError(f"punctured code at ({u},{v}) must be LCD")
         dmin = P.min_distance()
-        assert dmin >= d - 2
+        if dmin < d - 2:
+            raise ConjectureError(
+                f"punctured code at ({u},{v}) has distance below d - 2")
         witnesses.append(PunctureWitness(u=u, v=v, punctured=P,
                                          lcd=lcd, dmin=dmin))
-    assert len(witnesses) >= d - 1
+    if len(witnesses) < d - 1:
+        raise ConjectureError("fewer than d - 1 puncture witnesses")
     return witnesses
 
 
@@ -148,7 +163,8 @@ def column_append_even(C: LinearCode, y: BitVector) -> LinearCode:
         raise ValueError(f"column must have length {k}")
     rows = [r | (y.get(i) << C.n) for i, r in enumerate(C.gen.rows)]
     out = LinearCode.from_rows(rows, C.n + 1)
-    assert out.is_lcd(), "appended code must be LCD for every column"
+    if not out.is_lcd():
+        raise ConjectureError("appended code must be LCD for every column")
     return out
 
 
@@ -180,7 +196,7 @@ def column_append_odd(C: LinearCode, y_prefix: BitVector) -> LinearCode:
         out = LinearCode.from_rows(rows, C.n + 1)
         if out.is_lcd():
             return out
-    raise AssertionError("no completing entry keeps the code LCD")
+    raise ConjectureError("no completing entry keeps the code LCD")
 
 
 def _extend_with_details(
@@ -207,7 +223,7 @@ def _extend_with_details(
         cert = nf.subcode_normal_form(P, span_d2)
         sh = cert.shape
         if sh.a3_kind != nf.ORTHONORMAL or sh.t < 1:
-            raise AssertionError(
+            raise ConjectureError(
                 "no odd-weight codeword orthogonal to the span: "
                 "the all-one vector should then lie in the span")
         basis = cert.basis
@@ -217,12 +233,14 @@ def _extend_with_details(
         lam_rows = []
         for a in words:
             lam = gf2.solve(Dmat, BitVector(npunc, a))
-            assert lam is not None, "spanning word outside leading rows"
+            if lam is None:
+                raise ConjectureError("spanning word outside leading rows")
             lam_rows.append(lam.bits)
         L = BitMatrix.from_rows(lam_rows, sh.k1)
         ysol = gf2.solve(L.transpose(),
                          BitVector(len(words), (1 << len(words)) - 1))
-        assert ysol is not None, "lift containment system unsolvable"
+        if ysol is None:
+            raise ConjectureError("lift containment system unsolvable")
         base = LinearCode(basis)
         y_prefix = BitVector(k - 1, ysol.bits)
 

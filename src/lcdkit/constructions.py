@@ -31,6 +31,14 @@ class ConstructionSearchError(RuntimeError):
     """A guaranteed-to-exist witness was not found within budget."""
 
 
+class ConstructionError(AssertionError):
+    """A construction's output broke the property it guarantees.
+
+    An AssertionError, the documented type, raised explicitly so the
+    checks also run under ``python -O``.
+    """
+
+
 @dataclass(frozen=True)
 class ConstructionOutcome:
     code: Optional[LinearCode]  # None when a verdict op says "not LCD"
@@ -67,7 +75,8 @@ def extend_even(C: LinearCode) -> ConstructionOutcome:
     basis = nf.orthonormal_basis(C)
     rows = _prepend_bit(list(basis.rows), [1] * C.k)
     out = LinearCode(BitMatrix.from_rows(rows, C.n + 1))
-    assert out.is_lcd() and out.is_even_like()
+    if not (out.is_lcd() and out.is_even_like()):
+        raise ConstructionError("extension must be even-like LCD")
     return ConstructionOutcome(out, (C.n + 1, C.k, d + 1),
                                {"basis": [str(basis.row(i))
                                           for i in range(C.k)]})
@@ -87,7 +96,8 @@ def extend_odd_two(C: LinearCode) -> ConstructionOutcome:
     basis = nf.orthonormal_basis(C)
     rows = [(r << 2) | 0b11 for r in basis.rows]
     out = LinearCode(BitMatrix.from_rows(rows, C.n + 2))
-    assert out.is_lcd() and not out.is_even_like()
+    if not out.is_lcd() or out.is_even_like():
+        raise ConstructionError("extension must be odd-like LCD")
     return ConstructionOutcome(out, (C.n + 2, C.k, d + 1),
                                {"basis": [str(basis.row(i))
                                           for i in range(C.k)]})
@@ -100,7 +110,8 @@ def puncture_even_lcd(C: LinearCode, i: int) -> ConstructionOutcome:
         raise ValueError("input code is not even-like")
     check_coords([i], C.n)
     out = C.puncture([i])
-    assert out.is_lcd()
+    if not out.is_lcd():
+        raise ConstructionError("output is not LCD")
     d = C.min_distance()
     return ConstructionOutcome(out, (C.n - 1, out.k, d - 1),
                                {"coordinate": i})
@@ -123,7 +134,8 @@ def shorten_odd_lcd(C: LinearCode,
         coord = 1 if i is None else i
         check_coords([coord], C.n)
         out = C.shorten([coord])
-        assert out.is_lcd()
+        if not out.is_lcd():
+            raise ConstructionError("output is not LCD")
         return ConstructionOutcome(
             out, (C.n - 1, out.k, d if out.k else None),
             {"coordinate": coord, "all_one_in_code": True})
@@ -141,7 +153,8 @@ def shorten_odd_lcd(C: LinearCode,
             "no LCD shortening/puncturing coordinate found "
             "(contradicts the guarantee; likely an input bug)")
     out = C.shorten([short_i])
-    assert out.is_lcd()
+    if not out.is_lcd():
+        raise ConstructionError("output is not LCD")
     return ConstructionOutcome(
         out, (C.n - 1, out.k, d if out.k else None),
         {"coordinate": short_i, "puncture_coordinate": punct_j,
@@ -212,7 +225,7 @@ def hull1_puncture(C: LinearCode) -> List[int]:
     coords = [j + 1 for j in range(C.n) if (hv >> j) & 1]
     for c in coords:
         if not C.puncture([c]).is_lcd():
-            raise AssertionError(
+            raise ConstructionError(
                 f"puncturing coordinate {c} is not LCD; internal error")
     return coords
 
@@ -228,7 +241,8 @@ def extend_row_dual(C: LinearCode, x: BitVector) -> ConstructionOutcome:
         raise ValueError("x must have even weight")
     rows = [(x.bits << 1) | 1] + [r << 1 for r in C.gen.rows]
     out = LinearCode(BitMatrix.from_rows(rows, C.n + 1))
-    assert out.is_lcd()
+    if not out.is_lcd():
+        raise ConstructionError("output is not LCD")
     return ConstructionOutcome(out, (C.n + 1, C.k + 1, None),
                                {"x": str(x)})
 
@@ -280,7 +294,7 @@ def extend_systematic(C: LinearCode, x: BitVector) -> ConstructionOutcome:
     M = BitMatrix.from_rows(rows, C.n + 1)
     actual = gf2.is_nonsingular(gf2.gram(M))
     if actual != verdict:
-        raise AssertionError("parity verdict disagrees with Gram test")
+        raise ConstructionError("parity verdict disagrees with Gram test")
     code = LinearCode(M) if verdict else None
     witness = {"x": str(x), "lcd": verdict}
     return ConstructionOutcome(code, (C.n + 1, C.k + 1, None), witness)
@@ -299,7 +313,7 @@ def extend_hull_drop(C: LinearCode, x: BitVector) -> ConstructionOutcome:
     rows = [(x.bits << 1) | 1] + [r << 1 for r in C.gen.rows]
     out = LinearCode(BitMatrix.from_rows(rows, C.n + 1))
     if out.hull_dimension() != s - 1:
-        raise AssertionError("hull dimension did not drop by one")
+        raise ConstructionError("hull dimension did not drop by one")
     return ConstructionOutcome(out, (C.n + 1, C.k + 1, None),
                                {"x": str(x), "hull_dim": s - 1})
 
@@ -325,7 +339,7 @@ def extend_column_hull_drop(C: LinearCode,
     rows = _prepend_bit(list(C.gen.rows), y)
     out = LinearCode(BitMatrix.from_rows(rows, C.n + 1))
     if out.hull_dimension() != s - 1:
-        raise AssertionError("hull dimension did not drop by one")
+        raise ConstructionError("hull dimension did not drop by one")
     return ConstructionOutcome(out, (C.n + 1, C.k, None),
                                {"x": str(x), "y": "".join(map(str, y)),
                                 "hull_dim": s - 1})
@@ -356,7 +370,7 @@ def extend_two_multi(C: LinearCode) -> List[ConstructionOutcome]:
     k, n = C.k, C.n
     Cp = parity_extend(C)
     if Cp.hull_dimension() != 1:
-        raise AssertionError("parity extension must have hull dimension 1")
+        raise ConstructionError("parity extension must have hull dimension 1")
     cert = nf.hull_normal_basis(Cp)
     g = list(cert.basis.rows)  # g[0] spans the hull, rest symplectic
     outcomes = []
@@ -367,9 +381,11 @@ def extend_two_multi(C: LinearCode) -> List[ConstructionOutcome]:
             yi = (v >> (i - 1)) & 1
             rows.append(g[i] ^ (yi * g[0]))
         out = LinearCode(BitMatrix.from_rows(rows, n + 2))
-        assert out.is_lcd()
+        if not out.is_lcd():
+            raise ConstructionError("output is not LCD")
         key = out.rref().rows
-        assert key not in seen, "duplicate codeword set"
+        if key in seen:
+            raise ConstructionError("duplicate codeword set")
         seen.add(key)
         y = "1" + "".join(str((v >> (i - 1)) & 1) for i in range(1, k))
         outcomes.append(ConstructionOutcome(out, (n + 2, k, d + 1),

@@ -6,8 +6,12 @@ a popcount.  All values are immutable once constructed.
 
 ``eliminate`` is the library's only GF(2) forward elimination: rank,
 RREF (and through it ``inverse``), ``solve``, row selection for
-puncturing, the exhaustive tables' LCD test and basis extension in the
-normal forms all go through it.
+puncturing, the exhaustive tables' LCD test, basis extension in the
+normal forms and the ``LinearCode`` constructor's rank check all go
+through it.  ``rref`` and ``nullspace`` finish its basis with
+``_back_substitute`` and ``_free_column_basis``; ``LinearCode`` keeps
+the basis from its constructor and calls the same two steps, so a
+code's RREF and dual cost no second elimination.
 """
 
 from __future__ import annotations
@@ -199,28 +203,39 @@ def rref(M: BitMatrix) -> tuple:
     Returns (R, pivot_cols) with zero rows dropped and pivot columns in
     increasing order.
     """
-    basis = sorted(eliminate(M.rows)[0])
+    rows, pivots = _back_substitute(eliminate(M.rows)[0])
+    return BitMatrix(rows, M.cols), pivots
+
+
+def _back_substitute(basis: Sequence[tuple]) -> tuple:
+    """RREF rows and pivot columns of an ``eliminate`` basis.
+
+    Sorts the (pivot, row) pairs by pivot and clears each pivot column
+    from the rows above it; a row's pivot stays its lowest set bit.
+    """
+    basis = sorted(basis)
     work = [w for _, w in basis]
-    # back-substitute; a row's pivot stays its lowest set bit
     for i, (low, w) in enumerate(basis):
         for j in range(i):
             if (work[j] >> low) & 1:
                 work[j] ^= w
-    return BitMatrix(tuple(work), M.cols), [col for col, _ in basis]
+    return tuple(work), [col for col, _ in basis]
 
 
 def gram(G: BitMatrix) -> BitMatrix:
-    """G * G^T: the Gram matrix of the rows of G."""
-    k = G.nrows
-    out = []
-    for i in range(k):
-        ri = G.rows[i]
-        acc = 0
-        for j in range(k):
-            if (ri & G.rows[j]).bit_count() & 1:
-                acc |= 1 << j
-        out.append(acc)
-    return BitMatrix(tuple(out), k)
+    """G * G^T: the Gram matrix of the rows of G.
+
+    The matrix is symmetric, so each inner product is taken once, for
+    j <= i, and set in both rows.
+    """
+    rows = G.rows
+    out = [0] * len(rows)
+    for i, ri in enumerate(rows):
+        for j in range(i + 1):
+            if (ri & rows[j]).bit_count() & 1:
+                out[i] |= 1 << j
+                out[j] |= 1 << i
+    return BitMatrix(tuple(out), len(rows))
 
 
 def is_nonsingular(M: BitMatrix) -> bool:
@@ -272,20 +287,27 @@ def solve(M: BitMatrix, b: BitVector) -> Optional[BitVector]:
 def nullspace(M: BitMatrix) -> BitMatrix:
     """Basis of the right null space {v : M v = 0}, rows of the result."""
     R, pivot_cols = rref(M)
+    return BitMatrix(_free_column_basis(R.rows, pivot_cols, M.cols), M.cols)
+
+
+def _free_column_basis(R: Sequence[int], pivot_cols: Sequence[int],
+                       cols: int) -> tuple:
+    """Null-space basis read off RREF rows: one vector per free column.
+
+    The vector for free column f is e_f plus e_p for every RREF row
+    with pivot p and bit f set; vectors come in increasing order of f.
+    """
     pivset = set(pivot_cols)
-    free = [j for j in range(M.cols) if j not in pivset]
     out = []
-    for f in free:
+    for f in range(cols):
+        if f in pivset:
+            continue
         v = 1 << f
-        for prow, pcol in zip(R.rows, pivot_cols):
+        for prow, pcol in zip(R, pivot_cols):
             if (prow >> f) & 1:
                 v |= 1 << pcol
         out.append(v)
-    return BitMatrix(tuple(out), M.cols)
-
-
-def row_space_contains(M: BitMatrix, v: BitVector) -> bool:
-    return solve(M, v) is not None
+    return tuple(out)
 
 
 def congruent_normal_form(S: BitMatrix) -> tuple:

@@ -1,11 +1,14 @@
 """Command-line surface: subcommands, formats, and exit codes."""
 
 import json
+import random
 
 import pytest
 
 from lcdkit import cli, conjecture, tables
-from lcdkit.codes import EngineBudgetError, LinearCode, parse_gen1
+from lcdkit.codes import (EngineBudgetError, LinearCode, ParseError,
+                          format_gen1, parse_gen1)
+from lcdkit.search import random_code
 
 
 def write(tmp_path, name, text):
@@ -271,3 +274,76 @@ class TestUsage:
             cli.main([])
         assert ei.value.code == 3
         capsys.readouterr()
+
+
+BAD_HEADERS = ("", "5", "a b", "5 x", "5 -1", "0 0", "3 4", "5 2 1",
+               "5 2 7", "5 2 2 2", "-3 1", "5, 2", "1e1 2")
+
+
+def _mutant(rng):
+    """A seeded GEN1 text with one to three random corruptions."""
+    n = rng.randint(1, 12)
+    code = random_code(rng, n, rng.randint(0, n))
+    lines = format_gen1(code).splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(7)
+        if op == 0 and lines[i]:  # flip or replace one character
+            j = rng.randrange(len(lines[i]))
+            c = {"0": "1", "1": "0"}.get(lines[i][j], "0")
+            c = rng.choice([c, c, " ", "2", "x", "#", "\t", "-"])
+            lines[i] = lines[i][:j] + c + lines[i][j + 1:]
+        elif op == 1 and lines[i]:  # drop one character
+            j = rng.randrange(len(lines[i]))
+            lines[i] = lines[i][:j] + lines[i][j + 1:]
+        elif op == 2:  # drop a line
+            del lines[i]
+        elif op == 3:  # duplicate a line (a repeated row is dependent)
+            lines.insert(i, lines[i])
+        elif op == 4:
+            lines[0] = rng.choice(BAD_HEADERS)
+        elif op == 5 and len(lines) > 2:  # a row made dependent
+            a, b = rng.sample(range(1, len(lines)), 2)
+            lines[a] = rng.choice([lines[b], "0" * len(lines[b])])
+        else:  # swap two lines
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        if not lines:
+            lines = [""]
+    return "\n".join(lines) + rng.choice(["\n", "", "\n\n"])
+
+
+class TestGen1Fuzz:
+    """Corrupted GEN1 texts parse, or fail with ValueError; the CLI keeps
+    its exit-code contract on them."""
+
+    def test_parse_or_value_error(self):
+        rng = random.Random(2024)
+        outcomes = set()
+        for _ in range(600):
+            text = _mutant(rng)
+            try:
+                code = parse_gen1(text)
+            except ParseError:
+                outcomes.add("parse error")
+                continue
+            except ValueError as e:
+                assert "full row rank" in str(e), (text, e)
+                outcomes.add("rank error")
+                continue
+            assert isinstance(code, LinearCode)
+            outcomes.add("parsed")
+        assert outcomes == {"parsed", "parse error", "rank error"}
+
+    def test_analyze_exit_codes(self, tmp_path, capsys):
+        rng = random.Random(2025)
+        path = tmp_path / "c.gen1"
+        codes = set()
+        for _ in range(300):
+            text = _mutant(rng)
+            path.write_text(text)
+            code, _, err = run(capsys, "analyze", str(path))
+            assert code in (0, 1, 2, 3), text
+            assert "Traceback" not in err, text
+            codes.add(code)
+        assert {0, 1, 3} <= codes

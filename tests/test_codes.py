@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 
@@ -10,7 +12,7 @@ from lcdkit.codes import (BZ_MIN_K, EngineBudgetError, LinearCode,
                           ParseError, _gray_min, _gray_walk,
                           _low_weight_words,
                           format_gen1, min_weight, parse_gen1)
-from lcdkit.gf2 import BitMatrix
+from lcdkit.gf2 import BitMatrix, BitVector
 from lcdkit.search import random_code
 
 HAMMING_7_4 = LinearCode.from_strings([
@@ -100,6 +102,54 @@ def _intersection_dim(A: LinearCode, B: LinearCode) -> int:
     # dim(A) + dim(B) - dim(A + B)
     stacked = A.gen.vstack(B.gen)
     return A.k + B.k - gf2.rank(stacked)
+
+
+class TestKeptBasis:
+    """rref, dual, contains and hull dimension from the constructor's
+    elimination agree with the gf2 functions run on the generator."""
+
+    @staticmethod
+    def _codes():
+        rng = random.Random(17)
+        yield LinearCode.zero_code(5)
+        yield LinearCode.from_rows([1 << i for i in range(6)], 6)
+        for _ in range(300):
+            n = rng.randint(1, 16)
+            k = rng.randint(0, min(n, 12))
+            yield random_code(rng, n, k)
+
+    def test_rref(self):
+        for code in self._codes():
+            assert code.rref() == gf2.rref(code.gen)[0]
+
+    def test_dual(self):
+        for code in self._codes():
+            assert code.dual().gen == gf2.nullspace(code.gen)
+
+    def test_contains(self):
+        rng = random.Random(18)
+        for code in self._codes():
+            words = [BitVector(code.n, rng.getrandbits(code.n))
+                     for _ in range(8)]
+            words += [BitVector(code.n, reduce(
+                xor, (r for r in code.gen.rows if rng.random() < 0.5), 0))
+                for _ in range(4)]
+            words.append(BitVector.ones(code.n))
+            for v in words:
+                assert code.contains(v) == (gf2.solve(code.gen, v)
+                                            is not None)
+
+    def test_hull_dimension(self):
+        for code in self._codes():
+            want = code.k - gf2.rank(gf2.gram(code.gen))
+            assert code.hull_dimension() == want
+            assert code.hull_dimension() == want  # cached answer
+
+    def test_contains_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            HAMMING_7_4.contains(BitVector.ones(6))
+        with pytest.raises(ValueError):
+            LinearCode.zero_code(3).contains(BitVector.zero(4))
 
 
 class TestParityClass:

@@ -254,3 +254,17 @@ class TestPunctureLiftProperties:
                     from lcdkit.codes import _drop_bits
                     proj = _drop_bits(c, (W.u, W.v))
                     assert not span.contains(BitVector(span.n, proj))
+
+
+class TestConjectureError:
+    """Broken invariants raise ConjectureError, an AssertionError, also
+    under python -O."""
+
+    def test_is_an_assertion_error(self):
+        assert issubclass(cj.ConjectureError, AssertionError)
+
+    def test_appended_code_not_lcd(self, monkeypatch):
+        monkeypatch.setattr(LinearCode, "is_lcd", lambda self: False)
+        with pytest.raises(cj.ConjectureError, match="must be LCD"):
+            cj.column_append_even(C("1100", "0110"),
+                                  BitVector.from_string("10"))

@@ -449,3 +449,17 @@ class TestExtendTwoMulti:
                 assert o.code.is_lcd()
                 assert o.code.min_distance() >= d + 1
             done += 1
+
+
+class TestConstructionError:
+    """Broken guarantees raise ConstructionError, an AssertionError, also
+    under python -O."""
+
+    def test_is_an_assertion_error(self):
+        assert issubclass(cx.ConstructionError, AssertionError)
+
+    def test_punctured_code_not_lcd(self, monkeypatch):
+        # [110] is self-orthogonal, so its hull is the whole code
+        monkeypatch.setattr(LinearCode, "puncture", lambda self, T: C("110"))
+        with pytest.raises(cx.ConstructionError, match="not LCD"):
+            cx.puncture_even_lcd(C("1100", "0110"), 1)

@@ -132,6 +132,18 @@ class TestGram:
                 (rng.getrandbits(c) for _ in range(r)), c)
             assert gf2.gram(G).is_symmetric()
 
+    def test_matches_pairwise_definition(self):
+        rng = random.Random(6)
+        for r in [0, 1] + [rng.randrange(2, 51) for _ in range(60)]:
+            c = rng.randrange(1, 70)
+            G = BitMatrix.from_rows(
+                (rng.getrandbits(c) for _ in range(r)), c)
+            want = tuple(
+                sum(((G.rows[i] & G.rows[j]).bit_count() & 1) << j
+                    for j in range(r))
+                for i in range(r))
+            assert gf2.gram(G) == BitMatrix(want, r)
+
 
 class TestInverse:
     def test_random_round_trip(self):
