@@ -11,16 +11,17 @@ against it, so none of them eliminates the generator again.
 
 Coordinates are 1-indexed at the API surface and 0-indexed internally.
 
-The two codeword-search kernels live here: ``min_weight``, the minimum
-weight behind the full engine, the exhaustive tables and the search, and
+The codeword-weight kernels live here: ``min_weight``, the minimum
+weight behind the full engine, the exhaustive tables and the search;
+``WeightTable``, the weights of all 2^k messages packed as lanes of one
+int, which a column change updates in one subtraction and one addition
+(``lcd_search`` keeps one per restart below ``BZ_MIN_K`` rows); and
 ``_zero_sum_supports``, the meet-in-the-middle over parity-check column
 sums behind the low-weight engine.  ``min_weight`` walks all 2^k - 1
 nonzero codewords in Gray-code order below ``BZ_MIN_K`` rows, and runs
 the Brouwer-Zimmermann algorithm over disjoint information sets from
-there on; both paths keep the same ``stop`` contract.  The Gray loop is
-``_gray_min``, which walks any coset acc + span(rows); ``lcd_search``
-calls it directly on the coset of a flipped row.  ``_gray_walk`` is the
-plain enumerator behind ``codewords()`` and the tests' oracle.
+there on; both paths keep the same ``stop`` contract.  ``_gray_walk`` is
+the plain enumerator behind ``codewords()`` and the tests' oracle.
 GF(2) elimination lives in ``gf2.eliminate``.
 """
 
@@ -329,24 +330,8 @@ def min_weight(rows: Sequence[int], stop: int = 1) -> int:
         raise ValueError("minimum distance undefined for the zero code")
     if len(rows) >= BZ_MIN_K:
         return _brouwer_zimmermann(rows, stop)
-    return _gray_min(rows, stop)
-
-
-def _gray_min(rows: Sequence[int], stop: int, acc: int = 0) -> int:
-    """Minimum weight over the coset acc + span(rows), by a Gray walk.
-
-    The walk starts at acc and flips one row per step through all 2^k
-    words.  The start word counts unless it is 0, so acc = 0 gives the
-    minimum weight of the nonzero XORs of rows.  Same stop contract as
-    ``min_weight``: exact when the minimum exceeds stop, otherwise the
-    first weight <= stop met.
-    """
-    if acc:
-        best = acc.bit_count()
-        if best <= stop:
-            return best
-    else:
-        best = max(rows).bit_length() + 1  # above every possible weight
+    acc = 0
+    best = max(rows).bit_length() + 1  # above every possible weight
     for x in range(1, 1 << len(rows)):
         acc ^= rows[(x & -x).bit_length() - 1]
         w = acc.bit_count()
@@ -355,6 +340,93 @@ def _gray_min(rows: Sequence[int], stop: int, acc: int = 0) -> int:
             if w <= stop:
                 break
     return best
+
+
+class WeightTable:
+    """The weights of all 2^k messages of a k-row code, as lanes of one int.
+
+    Lane x of ``weights`` is ``width`` = n.bit_length() + 1 bits wide and
+    holds the weight of the codeword x G; its top bit is a guard bit that
+    no weight reaches.  Column c of G adds parity(x . c) to lane x, which
+    is lane x of ``pattern(c)``: the XOR of ``units[i]`` over the bits i
+    of c, where ``units[i]`` holds 1 in exactly the lanes x with bit i
+    set.  The table is the sum of the column patterns, so changing
+    column j from c to any c' is ``swap(j, pattern(c'))``, one
+    subtraction and one addition, and ``at_least`` checks a bound on
+    every lane of a set in one add and one AND against the guard bits.
+    """
+
+    __slots__ = ("n", "width", "units", "nonzero", "guards", "patterns",
+                 "weights")
+
+    def __init__(self, cols: Sequence[int], k: int):
+        n = len(cols)
+        width = n.bit_length() + 1
+        size = width << k  # bits of the whole table
+        units = []
+        run = 1  # 1 in lanes 0 .. 2^i - 1: a repunit of base 2^width
+        for i in range(k):
+            shift = width << i
+            unit = run << shift
+            period = shift << 1
+            while period < size:  # repeat it every 2^(i+1) lanes
+                unit |= unit << period
+                period <<= 1
+            units.append(unit)
+            run |= run << shift
+        self.n = n
+        self.width = width
+        self.units = units
+        self.nonzero = run ^ 1  # every lane but message 0's
+        self.guards = self.nonzero << (width - 1)
+        self.patterns = [self.pattern(c) for c in cols]
+        self.weights = sum(self.patterns)
+
+    def pattern(self, c: int) -> int:
+        """The lanes parity(x . c) that a column c adds to the weights."""
+        units = self.units
+        f = 0
+        while c:
+            low = c & -c
+            f ^= units[low.bit_length() - 1]
+            c ^= low
+        return f
+
+    def swap(self, j: int, pattern: int) -> int:
+        """The weights with column j's pattern replaced; nothing is kept."""
+        return self.weights - self.patterns[j] + pattern
+
+    def keep(self, j: int, pattern: int, weights: int) -> None:
+        """Keeps a swap: column j's new pattern and the weights it gives."""
+        self.patterns[j] = pattern
+        self.weights = weights
+
+    def at_least(self, weights: int, bound: int,
+                 lanes: Optional[int] = None) -> bool:
+        """Whether every lane in lanes weighs at least bound.
+
+        lanes has a 1 in each chosen lane, as ``units`` do; the default
+        is every nonzero message.  Adding 2^(width-1) - bound to a lane
+        sets its guard bit exactly when its weight is at least bound,
+        and carries into no other lane, for 0 <= bound <= n + 1.
+        """
+        top = self.width - 1
+        if lanes is None:
+            lanes, guards = self.nonzero, self.guards
+        else:
+            guards = lanes << top
+        return (weights + ((1 << top) - bound) * lanes) & guards == guards
+
+    def minimum(self, weights: int, lanes: Optional[int] = None,
+                known: int = 0) -> int:
+        """The least weight in lanes, stepping up from a known lower bound.
+
+        n + 1 when lanes is empty, as for a code with no nonzero word.
+        """
+        bound = known
+        while bound <= self.n and self.at_least(weights, bound + 1, lanes):
+            bound += 1
+        return bound
 
 
 def _information_sets(rows: Sequence[int]) -> List[Tuple[tuple, int]]:

@@ -131,7 +131,7 @@ def _kind_of_normal_block(N: BitMatrix, s: int) -> str:
 
 def hull_normal_basis(C: LinearCode) -> NormalFormCertificate:
     """Basis whose first s rows span Hull(C), Gram = diag(0_s, A)."""
-    S = gf2.gram(C.gen)
+    S = C.gram()
     P, N, s = gf2.congruent_normal_form(S)
     basis = P.mul(C.gen)
     kind = _kind_of_normal_block(N, s)

@@ -6,8 +6,10 @@ no elimination: a flip changes the Gram matrix G G^T by a rank-2
 symmetric term, so the search keeps (G G^T)^-1 and tests the term's 2x2
 capacitance matrix (Sherman-Morrison-Woodbury over GF(2)), updating the
 inverse in O(k) when a flip is accepted.  Below ``BZ_MIN_K`` rows the
-distance test walks the 2^(k-1) words of the flipped row's coset
-before, and usually instead of, the rest of the code.
+distance test reads ``codes.WeightTable``, the weights of all 2^k
+messages kept as lanes of one int: a flip changes one column, so the
+trial's weights are one subtraction and one addition away, and the
+verdict is one add and one AND.  No codeword is walked.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import List, Optional
 
 from . import gf2
 from .gf2 import BitMatrix
-from .codes import BZ_MIN_K, LinearCode, _gray_min, min_weight
+from .codes import BZ_MIN_K, LinearCode, WeightTable, min_weight
 
 DEFAULT_SEED = 20240801
 
@@ -155,13 +157,14 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
     flip updates the kept inverse in place by Woodbury.  With k = 1 every
     flip changes the one row's weight parity and so makes the 1x1 Gram
     matrix singular, so each restart only checks its drawn code.  Below
-    ``BZ_MIN_K`` rows the distance test walks the coset t + span(others)
-    of the flipped row t first.  Every word of span(others) is in the
-    current code and weighs at least the current distance, so a coset
-    word below it rejects the trial, a coset minimum equal to it accepts
-    the trial at that distance, and only a heavier coset needs the
-    minimum of span(others) as well.  From ``BZ_MIN_K`` rows on, the
-    whole trial goes to ``min_weight``.
+    ``BZ_MIN_K`` rows each restart builds a ``codes.WeightTable`` from
+    the columns and reads its starting distance off it.  Flipping bit j
+    of row i turns column j from c to c ^ e_i, whose pattern is the old
+    one XOR ``units[i]``; the swapped table is rejected unless every
+    nonzero message weighs at least the current distance, an accepted
+    trial steps that bound up to its exact distance, and only an
+    accepted trial is kept.  From ``BZ_MIN_K`` rows on, the whole trial
+    goes to ``min_weight``.
     """
     if d_target <= 0 or k < 1 or k > n:
         return None
@@ -172,7 +175,11 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
         rows = list(C.gen.rows)
         a = list(gf2.inverse(C.gram()).rows)  # Gram cached by the LCD test
         cols = list(C.gen.transpose().rows)
-        current = min_weight(rows)
+        if k < BZ_MIN_K:
+            table = WeightTable(cols, k)
+            current = table.minimum(table.weights)
+        else:
+            current = min_weight(rows)
         stale = 0
         while k > 1 and current < d_target and stale < 40 * n and \
                 time.monotonic() < deadline:
@@ -187,17 +194,21 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
                 # a trial below current is rejected whatever its exact value
                 d2 = min_weight(rows[:i] + [t] + rows[i + 1:], current - 1)
             else:
-                # span(others) lies in the current code: walk t's coset first
-                others = rows[:i] + rows[i + 1:]
-                d2 = _gray_min(others, current - 1, t)
-                if d2 > current:
-                    d2 = min(d2, min_weight(others, current))
+                # column j turns from c to c ^ e_i; as above, a trial
+                # below current needs no exact value
+                f = table.patterns[j] ^ table.units[i]
+                weights = table.swap(j, f)
+                d2 = current - 1
+                if table.at_least(weights, current):
+                    d2 = table.minimum(weights, known=current)
             if d2 >= current:
                 if d2 > current:
                     stale = 0
                 rows[i] = t
                 _apply_update(a, update)
                 cols[j] ^= 1 << i
+                if k < BZ_MIN_K:
+                    table.keep(j, f, weights)
                 current = d2
             else:
                 stale += 1

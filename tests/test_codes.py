@@ -9,7 +9,7 @@ import pytest
 
 from lcdkit import gf2
 from lcdkit.codes import (BZ_MIN_K, EngineBudgetError, LinearCode,
-                          ParseError, _gray_min, _gray_walk,
+                          ParseError, WeightTable, _gray_walk,
                           _low_weight_words,
                           format_gen1, min_weight, parse_gen1)
 from lcdkit.gf2 import BitMatrix, BitVector
@@ -273,22 +273,23 @@ class TestKernels:
                         assert true_min <= got <= stop, (k, n, case, stop)
 
     def test_coset_walk_stop(self):
-        # the coset t + span(others) of one row t, as lcd_search walks it;
-        # k = 1 leaves no other rows
+        # the coset t + span(others) of one row t is the set of messages
+        # with bit i set; k = 1 leaves no other rows
         rng = random.Random(24)
         for k in range(1, BZ_MIN_K):
             for _ in range(6):
                 n = rng.randrange(k, 3 * k + 3)
-                rows = list(random_code(rng, n, k).gen.rows)
+                gen = random_code(rng, n, k).gen
+                table = WeightTable(gen.transpose().rows, k)
+                rows = list(gen.rows)
                 i = rng.randrange(k)
                 t = rows.pop(i)
                 true_min = min((t ^ c).bit_count() for c in _gray_walk(rows))
+                coset = table.units[i]
+                assert table.minimum(table.weights, coset) == true_min
                 for stop in range(n + 1):
-                    got = _gray_min(rows, stop, t)
-                    if true_min > stop:
-                        assert got == true_min, (k, n, stop)
-                    else:
-                        assert true_min <= got <= stop, (k, n, stop)
+                    assert table.at_least(table.weights, stop + 1, coset) \
+                        == (true_min > stop), (k, n, stop)
 
     def test_min_weight_rejects_no_rows(self):
         with pytest.raises(ValueError):
@@ -304,6 +305,67 @@ class TestKernels:
                 expect = sorted(c for c in code.codewords()
                                 if c.bit_count() == w)
                 assert _low_weight_words(code, w) == expect
+
+
+
+class TestWeightTable:
+    """Every lane against the plain enumeration, across the lane widths."""
+
+    @staticmethod
+    def lanes(table):
+        mask = (1 << table.width) - 1
+        return [table.weights >> (x * table.width) & mask
+                for x in range(1 << len(table.units))]
+
+    def test_against_enumeration(self):
+        # n = 2^m - 1 and 2^m are the last length of a lane width and
+        # the first of the next one
+        rng = random.Random(25)
+        edges = [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64]
+        for k in range(1, BZ_MIN_K):
+            lengths = [n for n in edges if n >= k] + [
+                rng.randrange(k, 71) for _ in range(3)]
+            for n in lengths:
+                gen = random_code(rng, n, k).gen
+                cols = list(gen.transpose().rows)
+                table = WeightTable(cols, k)
+                weights = [0] * (1 << k)
+                for x, c in enumerate(_gray_walk(gen.rows)):
+                    weights[x ^ x >> 1] = c.bit_count()
+                assert self.lanes(table) == weights, (k, n)
+                true_min = min(weights[1:])
+                assert table.minimum(table.weights) == true_min
+                for bound in range(n + 2):
+                    assert table.at_least(table.weights, bound) == \
+                        (true_min >= bound), (k, n, bound)
+                # any new column, not only a flipped bit
+                j = rng.randrange(n)
+                cols[j] = rng.getrandbits(k)
+                swapped = table.swap(j, table.pattern(cols[j]))
+                assert swapped == WeightTable(cols, k).weights, (k, n)
+
+    def test_keep_swap(self):
+        # a walk of kept swaps stays equal to a rebuild
+        rng = random.Random(26)
+        for _ in range(20):
+            n = rng.randrange(1, 40)
+            k = rng.randrange(1, min(n, BZ_MIN_K - 1) + 1)
+            cols = [rng.getrandbits(k) for _ in range(n)]
+            table = WeightTable(cols, k)
+            for _ in range(30):
+                j = rng.randrange(n)
+                i = rng.randrange(k)
+                cols[j] ^= 1 << i
+                f = table.patterns[j] ^ table.units[i]
+                table.keep(j, f, table.swap(j, f))
+            rebuilt = WeightTable(cols, k)
+            assert table.weights == rebuilt.weights
+            assert table.patterns == rebuilt.patterns
+
+    def test_no_rows(self):
+        table = WeightTable([0, 0, 0], 0)
+        assert table.weights == 0
+        assert table.minimum(table.weights) == 4  # no nonzero message
 
 
 class TestPuncture:

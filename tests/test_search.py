@@ -13,13 +13,17 @@ from lcdkit.search import (_apply_update, _flip_update, lcd_search,
 BUDGET_MS = 10000
 
 # (n, k, d_target): k = 1 (no move keeps the code LCD, so only restarts
-# help), k = n, and one target from BZ_MIN_K rows on
+# help), k = n, one target from BZ_MIN_K rows on, and lengths on both
+# sides of a weight-table lane width (n = 2^m - 1 and 2^m), up to the
+# last k below BZ_MIN_K
 CASES = [
     (5, 1, 5), (6, 1, 5), (4, 4, 1), (6, 6, 1),
     (8, 2, 5), (8, 3, 3), (10, 4, 4), (10, 5, 3),
     (12, 4, 5), (12, 6, 4), (14, 5, 5), (14, 7, 4),
     (16, 4, 7), (16, 6, 6), (18, 5, 7), (18, 7, 6),
     (20, 8, 6), (22, 9, 6), (24, 10, 6), (16, BZ_MIN_K, 3),
+    (15, 5, 6), (31, 6, 13), (32, 6, 14), (32, BZ_MIN_K - 1, 10),
+    (63, 8, 26), (64, BZ_MIN_K - 1, 24),
 ]
 
 
