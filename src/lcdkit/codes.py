@@ -353,7 +353,7 @@ class WeightTable:
     set.  The table is the sum of the column patterns, so changing
     column j from c to any c' is ``swap(j, pattern(c'))``, one
     subtraction and one addition, and ``at_least`` checks a bound on
-    every lane of a set in one add and one AND against the guard bits.
+    every nonzero message in one add and one AND against the guard bits.
     """
 
     __slots__ = ("n", "width", "units", "nonzero", "guards", "patterns",
@@ -401,30 +401,26 @@ class WeightTable:
         self.patterns[j] = pattern
         self.weights = weights
 
-    def at_least(self, weights: int, bound: int,
-                 lanes: Optional[int] = None) -> bool:
-        """Whether every lane in lanes weighs at least bound.
+    def at_least(self, weights: int, bound: int) -> bool:
+        """Whether every nonzero message weighs at least bound.
 
-        lanes has a 1 in each chosen lane, as ``units`` do; the default
-        is every nonzero message.  Adding 2^(width-1) - bound to a lane
-        sets its guard bit exactly when its weight is at least bound,
-        and carries into no other lane, for 0 <= bound <= n + 1.
+        Adding 2^(width-1) - bound to a lane sets its guard bit exactly
+        when its weight is at least bound, and carries into no other
+        lane, for 0 <= bound <= n + 1; lane 0, message 0's, is masked out.
         """
         top = self.width - 1
-        if lanes is None:
-            lanes, guards = self.nonzero, self.guards
-        else:
-            guards = lanes << top
-        return (weights + ((1 << top) - bound) * lanes) & guards == guards
+        guards = self.guards
+        return (weights + ((1 << top) - bound) * self.nonzero) & guards \
+            == guards
 
-    def minimum(self, weights: int, lanes: Optional[int] = None,
-                known: int = 0) -> int:
-        """The least weight in lanes, stepping up from a known lower bound.
+    def minimum(self, weights: int, known: int = 0) -> int:
+        """The least nonzero message weight, stepping up from known.
 
-        n + 1 when lanes is empty, as for a code with no nonzero word.
+        Exact when it is at least known; below that, returns known.  n + 1
+        when k = 0, as for a code with no nonzero word.
         """
         bound = known
-        while bound <= self.n and self.at_least(weights, bound + 1, lanes):
+        while bound <= self.n and self.at_least(weights, bound + 1):
             bound += 1
         return bound
 

@@ -195,12 +195,10 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
                 d2 = min_weight(rows[:i] + [t] + rows[i + 1:], current - 1)
             else:
                 # column j turns from c to c ^ e_i; as above, a trial
-                # below current needs no exact value
+                # below current reads as current - 1 with no exact value
                 f = table.patterns[j] ^ table.units[i]
                 weights = table.swap(j, f)
-                d2 = current - 1
-                if table.at_least(weights, current):
-                    d2 = table.minimum(weights, known=current)
+                d2 = table.minimum(weights, known=current - 1)
             if d2 >= current:
                 if d2 > current:
                     stale = 0
