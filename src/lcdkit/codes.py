@@ -7,7 +7,9 @@ stored shape); analyses are cached lazily on the immutable object, and
 cannot leak.  The constructor's rank check is a ``gf2.eliminate`` whose
 echelon basis the code keeps: ``rref()`` back-substitutes it, ``dual()``
 reads the null space off that RREF, and ``contains`` reduces a vector
-against it, so none of them eliminates the generator again.
+against it, so none of them eliminates the generator again.  The hull
+dimension comes from the smaller of the two Gram matrices, G Gᵀ or the
+dual's H Hᵀ, when the dual is already built, and from G Gᵀ otherwise.
 
 Coordinates are 1-indexed at the API surface and 0-indexed internally.
 
@@ -96,8 +98,9 @@ class LinearCode:
 
     The echelon basis from the constructor's elimination backs
     ``rref``, ``dual``, ``contains`` and ``contains_all_one``; the Gram
-    matrix backs ``hull_dimension``, ``hull`` and ``is_lcd``.  Each
-    result is cached on first use.
+    matrix backs ``hull``, and ``hull_dimension`` and ``is_lcd`` read
+    the smaller of the two Gram matrices when the dual is already built.
+    Each result is cached on first use.
     """
 
     __slots__ = ("gen", "n", "k", "_cache")
@@ -166,8 +169,19 @@ class LinearCode:
         return self._cached("dual", build)
 
     def hull_dimension(self) -> int:
-        return self._cached(
-            "hull_dim", lambda: self.k - gf2.rank(self.gram()))
+        """dim(C ∩ C⊥) = k - rank(G Gᵀ) = (n - k) - rank(H Hᵀ).
+
+        The hull of C is also the hull of C⊥, so when the dual is already
+        built and has fewer rows, its smaller Gram matrix gives the answer.
+        A dual is not built for this alone: that costs more than the
+        larger Gram matrix on small codes.
+        """
+        def build():
+            dual = self._cache.get("dual")
+            if dual is not None and 2 * self.k > self.n:
+                return dual.hull_dimension()
+            return self.k - gf2.rank(self.gram())
+        return self._cached("hull_dim", build)
 
     def hull(self) -> "LinearCode":
         """The intersection C ∩ C⊥ as an explicit code.

@@ -169,11 +169,17 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
     if d_target <= 0 or k < 1 or k > n:
         return None
     rng = random.Random(seed)
+    # randrange(k) and randrange(n) inlined: CPython's getrandbits
+    # rejection loop (Random._randbelow_with_getrandbits), same draws
+    getrandbits = rng.getrandbits
+    k_bits, n_bits = k.bit_length(), n.bit_length()
     deadline = time.monotonic() + budget_ms / 1000.0
     while time.monotonic() < deadline:
         C = random_lcd_code(rng, n, k)
         rows = list(C.gen.rows)
-        a = list(gf2.inverse(C.gram()).rows)  # Gram cached by the LCD test
+        # Gram cached by the LCD test: a restart's code never has its dual
+        # built, so is_lcd read the k x k Gram matrix, not the dual's
+        a = list(gf2.inverse(C.gram()).rows)
         cols = list(C.gen.transpose().rows)
         if k < BZ_MIN_K:
             table = WeightTable(cols, k)
@@ -183,8 +189,12 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
         stale = 0
         while k > 1 and current < d_target and stale < 40 * n and \
                 time.monotonic() < deadline:
-            i = rng.randrange(k)
-            j = rng.randrange(n)
+            i = getrandbits(k_bits)
+            while i >= k:
+                i = getrandbits(k_bits)
+            j = getrandbits(n_bits)
+            while j >= n:
+                j = getrandbits(n_bits)
             update = _flip_update(a, cols[j], i)
             if update is None:
                 stale += 1

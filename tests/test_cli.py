@@ -8,6 +8,7 @@ import pytest
 from lcdkit import cli, conjecture, tables
 from lcdkit.codes import (EngineBudgetError, LinearCode, ParseError,
                           format_gen1, parse_gen1)
+from lcdkit.expansion import ExtFieldCode, parse_extgen1
 from lcdkit.search import random_code
 
 
@@ -341,6 +342,88 @@ class TestGen1Fuzz:
         codes = set()
         for _ in range(300):
             text = _mutant(rng)
+            path.write_text(text)
+            code, _, err = run(capsys, "analyze", str(path))
+            assert code in (0, 1, 2, 3), text
+            assert "Traceback" not in err, text
+            codes.add(code)
+        assert {0, 1, 3} <= codes
+
+
+BAD_EXT_HEADERS = ("", "5", "5 2", "a b c", "5 2 x", "5 -1 2", "0 0 1",
+                   "3 4 2", "5 2 5", "5 2 0", "5 2 2 2", "-3 1 2",
+                   "5, 2, 2", "1e1 2 2")
+
+
+def _ext_mutant(rng):
+    """A seeded EXTGEN1 text ("n k m", then k rows of n elements of
+    GF(2^m)) with one to three random corruptions; q^k <= 64 before
+    corruption, so analyze's exhaustive distance is quick."""
+    m = rng.randint(1, 3)
+    n = rng.randint(1, 6)
+    k = rng.randint(0, min(n, 6 // m))
+    lines = [f"{n} {k} {m}"] + [
+        " ".join(str(rng.randrange(1 << m)) for _ in range(n))
+        for _ in range(k)]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(7)
+        parts = lines[i].split()
+        if op == 0 and parts:  # replace one entry
+            j = rng.randrange(len(parts))
+            parts[j] = rng.choice([str(rng.randrange(1 << m)), str(1 << m),
+                                   "-1", "x", "#", "1.0", "0x1", "+1"])
+            lines[i] = " ".join(parts)
+        elif op == 1 and lines[i]:  # drop or replace one character
+            j = rng.randrange(len(lines[i]))
+            c = rng.choice(["", "", " ", "7", "x", "#", "\t", "-"])
+            lines[i] = lines[i][:j] + c + lines[i][j + 1:]
+        elif op == 2:  # drop a line
+            del lines[i]
+        elif op == 3:  # duplicate a line (a repeated row is dependent)
+            lines.insert(i, lines[i])
+        elif op == 4:
+            lines[0] = rng.choice(BAD_EXT_HEADERS)
+        elif op == 5 and len(lines) > 2:  # a row made dependent
+            a, b = rng.sample(range(1, len(lines)), 2)
+            lines[a] = rng.choice(
+                [lines[b], " ".join("0" * len(lines[b].split()))])
+        else:  # swap two lines
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        if not lines:
+            lines = [""]
+    return "\n".join(lines) + rng.choice(["\n", "", "\n\n"])
+
+
+class TestExtGen1Fuzz:
+    """Corrupted EXTGEN1 texts parse, or fail with ValueError; the CLI
+    keeps its exit-code contract on them."""
+
+    def test_parse_or_value_error(self):
+        rng = random.Random(2026)
+        outcomes = set()
+        for _ in range(600):
+            text = _ext_mutant(rng)
+            try:
+                code = parse_extgen1(text)
+            except ParseError:
+                outcomes.add("parse error")
+                continue
+            except ValueError as e:
+                assert "full row rank" in str(e), (text, e)
+                outcomes.add("rank error")
+                continue
+            assert isinstance(code, ExtFieldCode)
+            outcomes.add("parsed")
+        assert outcomes == {"parsed", "parse error", "rank error"}
+
+    def test_analyze_exit_codes(self, tmp_path, capsys):
+        rng = random.Random(2027)
+        path = tmp_path / "c.extgen1"
+        codes = set()
+        for _ in range(300):
+            text = _ext_mutant(rng)
             path.write_text(text)
             code, _, err = run(capsys, "analyze", str(path))
             assert code in (0, 1, 2, 3), text

@@ -159,6 +159,52 @@ class TestKeptBasis:
             LinearCode.zero_code(3).contains(BitVector.zero(4))
 
 
+class TestHullPaths:
+    """dim(C ∩ C⊥) read off G Gᵀ or, once the dual is built and has fewer
+    rows, off the dual's H Hᵀ; both equal k - rank(G Gᵀ)."""
+
+    @staticmethod
+    def _gens():
+        rng = random.Random(19)
+        yield BitMatrix.zeros(0, 5)
+        yield BitMatrix.identity(7)
+        for _ in range(300):
+            n = rng.randint(1, 16)
+            k = rng.randint(0, n)
+            yield random_code(rng, n, k).gen
+
+    def test_both_paths(self):
+        for gen in self._gens():
+            want = gen.nrows - gf2.rank(gf2.gram(gen))
+            primed = LinearCode(gen)
+            primed.dual()
+            dual = LinearCode(gen).dual()
+            assert LinearCode(gen).hull_dimension() == want
+            assert primed.hull_dimension() == want
+            assert dual.hull_dimension() == want
+            assert LinearCode(gen).is_lcd() == dual.is_lcd()
+
+    def test_smaller_gram_when_dual_built(self, monkeypatch):
+        rng = random.Random(20)
+        fresh = [random_code(rng, n, rng.randint(0, n))
+                 for n in (rng.randint(1, 16) for _ in range(100))]
+        primed = [LinearCode(code.gen) for code in fresh]
+        for code in primed:
+            code.dual()
+        sizes = []
+        gram = gf2.gram
+        monkeypatch.setattr(
+            gf2, "gram", lambda G: sizes.append(G.nrows) or gram(G))
+        for a, b in zip(fresh, primed):
+            n, k = a.n, a.k
+            sizes.clear()
+            a.hull_dimension()
+            assert sizes == [k]
+            sizes.clear()
+            b.hull_dimension()
+            assert sizes == [n - k if 2 * k > n else k]
+
+
 class TestParityClass:
     def test_oe(self):
         pc = C("111000", "000111").parity_class()
