@@ -34,26 +34,31 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="lcdkit",
                 description="Workbench for binary LCD codes.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized operations")
-    common.add_argument("--engine", choices=("auto", "full", "lowweight"),
-                        default="auto", help="minimum-distance engine")
-    common.add_argument("--budget-ms", type=int, default=2000,
-                        help="time budget for randomized search")
-    common.add_argument("--format", choices=("gen1", "extgen1"),
-                        default=None,
-                        help="input format (default: detect from header)")
+    # one parent parser per flag: a subcommand accepts only those it reads
+    def flag(*names, **kw):
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kw)
+        return parent
+
+    seed = flag("--seed", type=int, default=DEFAULT_SEED,
+                help="seed for randomized operations")
+    engine = flag("--engine", choices=("auto", "full", "lowweight"),
+                  default="auto", help="minimum-distance engine")
+    budget = flag("--budget-ms", type=int, default=2000,
+                  help="time budget for randomized search")
+    fmt = flag("--format", choices=("gen1", "extgen1"), default=None,
+               help="input format (default: detect from header)")
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=_Parser)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name, *flags, **kw):
+        return sub.add_parser(name, parents=list(flags), **kw)
 
-    q = add("analyze", help="report code parameters")
+    q = add("analyze", engine, fmt, help="report code parameters")
     q.add_argument("path")
 
-    q = add("construct", help="replay a construction ledger")
+    q = add("construct", seed, budget, engine,
+            help="replay a construction ledger")
     q.add_argument("path", help="JSON-lines ledger file")
     q.add_argument("--seed-dir", default=None,
                    help="directory holding external seed files")
@@ -76,12 +81,12 @@ def _build_parser() -> _Parser:
             help="exhaustive best-LCD-distance table")
     q.add_argument("n_max", type=int)
 
-    q = add("search", help="randomized LCD code search")
+    q = add("search", seed, budget, help="randomized LCD code search")
     q.add_argument("n", type=int)
     q.add_argument("k", type=int)
     q.add_argument("d_target", type=int)
 
-    q = add("verify-ledger",
+    q = add("verify-ledger", seed, budget, engine,
             help="replay the built-in construction ledger and "
                  "check the bounds tables")
     q.add_argument("--path", default=None,

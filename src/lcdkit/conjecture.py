@@ -150,24 +150,6 @@ def min_weight_span_punctured(W: PunctureWitness, d: int) -> LinearCode:
     return P.codeword_span(w)
 
 
-def column_append_even(C: LinearCode, y: BitVector) -> LinearCode:
-    """Append column y to an even-like LCD code; LCD for every y."""
-    if C.parity_class().label != "LCD_eo":
-        raise ValueError("expected an even-like LCD code")
-    k = C.k
-    expect = BitMatrix.from_rows(
-        nf._block_rows(nf.SYMPLECTIC, k, 0, k), k)
-    if C.gram() != expect:
-        raise ValueError("stored generator must be a symplectic basis")
-    if y.length != k:
-        raise ValueError(f"column must have length {k}")
-    rows = [r | (y.get(i) << C.n) for i, r in enumerate(C.gen.rows)]
-    out = LinearCode.from_rows(rows, C.n + 1)
-    if not out.is_lcd():
-        raise ConjectureError("appended code must be LCD for every column")
-    return out
-
-
 def column_append_odd(C: LinearCode, y_prefix: BitVector) -> LinearCode:
     """Append a column completing y_prefix so the result stays LCD.
 
@@ -199,14 +181,16 @@ def column_append_odd(C: LinearCode, y_prefix: BitVector) -> LinearCode:
     raise ConjectureError("no completing entry keeps the code LCD")
 
 
-def _extend_with_details(
+def extend_after_puncture(
         W: PunctureWitness,
         span_d2: LinearCode) -> Tuple[LinearCode, Dict]:
     """Extension route: append a column lifting every minimum-weight word.
 
     Finds an odd-weight codeword c of C^{u,v} outside span_d2 and
     orthogonal to it, solves for prefix entries so each spanning word
-    gains a trailing 1, then completes the column keeping LCD.
+    gains a trailing 1, then completes the column keeping LCD.  Returns
+    the [n, k, d-1] LCD code and the trace entry's data: c and the
+    appended column y.
     """
     if not W.lcd:
         raise ValueError("witness must be LCD")
@@ -253,13 +237,6 @@ def _extend_with_details(
     return out, info
 
 
-def extend_after_puncture(W: PunctureWitness,
-                          span_d2: LinearCode) -> LinearCode:
-    """Append a column to C^{u,v} giving an LCD code of distance d-1."""
-    out, _ = _extend_with_details(W, span_d2)
-    return out
-
-
 def certify_step_down(C: LinearCode) -> ConjectureCertificate:
     """Produce a verified [n, k, >= d-1] LCD code from [n+1, k, d] input.
 
@@ -296,7 +273,7 @@ def certify_step_down(C: LinearCode) -> ConjectureCertificate:
         span = min_weight_span_punctured(W, d)
         if span.contains(BitVector.ones(span.n)):
             continue
-        out, info = _extend_with_details(W, span)
+        out, info = extend_after_puncture(W, span)
         trace = (
             {"op": "puncture_pair", "u": W.u, "v": W.v,
              "lcd": True, "dmin": W.dmin},

@@ -51,11 +51,6 @@ def _prepend_bit(rows, bits):
     return [(r << 1) | b for r, b in zip(rows, bits)]
 
 
-def _append_bit(rows, bits, n):
-    """New last coordinate holding bits[i] for row i."""
-    return [r | (b << n) for r, b in zip(rows, bits)]
-
-
 def _require_lcd(C: LinearCode) -> None:
     if not C.is_lcd():
         raise ValueError("input code is not LCD")
@@ -161,17 +156,25 @@ def shorten_odd_lcd(C: LinearCode,
          "all_one_in_code": False})
 
 
-def _hull_guided_subsets(C: LinearCode, l: int):
-    """Candidate l-subsets of coordinates, hull-support-heavy first."""
-    hull = C.hull()
-    freq = [0] * C.n
-    for r in hull.gen.rows:
-        for j in range(C.n):
-            if (r >> j) & 1:
-                freq[j] += 1
-    order = sorted(range(1, C.n + 1), key=lambda c: (-freq[c - 1], c))
+def _first_hull_subset(C: LinearCode, l: int, build, k: int,
+                       what: str) -> Tuple[Tuple[int, ...], LinearCode]:
+    """(T, build(T)) for the first l-subset T whose build is an LCD
+    [n - l, k] code, over coordinates sorted by hull support, most first.
+    Gives up past SEARCH_BUDGET subsets unless n <= EXHAUSTIVE_N."""
+    hull = C.hull().gen.rows
+    order = sorted(range(1, C.n + 1),
+                   key=lambda c: (-sum((r >> (c - 1)) & 1 for r in hull), c))
+    tried = 0
     for combo in itertools.combinations(order, l):
-        yield tuple(sorted(combo))
+        tried += 1
+        if tried > SEARCH_BUDGET and C.n > EXHAUSTIVE_N:
+            break
+        T = tuple(sorted(combo))
+        out = build(T)
+        if out.k == k and out.is_lcd():
+            return T, out
+    raise ConstructionSearchError(
+        f"no size-{l} {what} set found within budget ({tried} tried)")
 
 
 def hull_shorten(C: LinearCode) -> ConstructionOutcome:
@@ -182,17 +185,9 @@ def hull_shorten(C: LinearCode) -> ConstructionOutcome:
     if l == C.k:
         raise ValueError("hull equals the code; shortening would be empty")
     d = C.min_distance()
-    tried = 0
-    for T in _hull_guided_subsets(C, l):
-        tried += 1
-        if tried > SEARCH_BUDGET and C.n > EXHAUSTIVE_N:
-            break
-        out = C.shorten(T)
-        if out.k == C.k - l and out.is_lcd():
-            return ConstructionOutcome(out, (C.n - l, C.k - l, d),
-                                       {"coordinates": list(T)})
-    raise ConstructionSearchError(
-        f"no size-{l} shortening set found within budget ({tried} tried)")
+    T, out = _first_hull_subset(C, l, C.shorten, C.k - l, "shortening")
+    return ConstructionOutcome(out, (C.n - l, C.k - l, d),
+                               {"coordinates": list(T)})
 
 
 def hull_puncture(C: LinearCode) -> ConstructionOutcome:
@@ -203,31 +198,9 @@ def hull_puncture(C: LinearCode) -> ConstructionOutcome:
     d = C.min_distance()
     if l >= d:
         raise ValueError("hull dimension must be below the distance")
-    tried = 0
-    for T in _hull_guided_subsets(C, l):
-        tried += 1
-        if tried > SEARCH_BUDGET and C.n > EXHAUSTIVE_N:
-            break
-        out = C.puncture(T)
-        if out.k == C.k and out.is_lcd():
-            return ConstructionOutcome(out, (C.n - l, C.k, d - l),
-                                       {"coordinates": list(T)})
-    raise ConstructionSearchError(
-        f"no size-{l} puncturing set found within budget ({tried} tried)")
-
-
-def hull1_puncture(C: LinearCode) -> List[int]:
-    """Hull dimension 1: every hull-vector support coordinate punctures
-    to an LCD code.  Returns those coordinates (1-based), each verified."""
-    if C.hull_dimension() != 1:
-        raise ValueError("hull dimension must be exactly 1")
-    hv = C.hull().gen.rows[0]
-    coords = [j + 1 for j in range(C.n) if (hv >> j) & 1]
-    for c in coords:
-        if not C.puncture([c]).is_lcd():
-            raise ConstructionError(
-                f"puncturing coordinate {c} is not LCD; internal error")
-    return coords
+    T, out = _first_hull_subset(C, l, C.puncture, C.k, "puncturing")
+    return ConstructionOutcome(out, (C.n - l, C.k, d - l),
+                               {"coordinates": list(T)})
 
 
 def extend_row_dual(C: LinearCode, x: BitVector) -> ConstructionOutcome:
@@ -300,8 +273,10 @@ def extend_systematic(C: LinearCode, x: BitVector) -> ConstructionOutcome:
     return ConstructionOutcome(code, (C.n + 1, C.k + 1, None), witness)
 
 
-def extend_hull_drop(C: LinearCode, x: BitVector) -> ConstructionOutcome:
-    """Adjoin row (1,x) meeting the hull -> hull dimension drops by one."""
+def _hull_drop(C: LinearCode, x: BitVector,
+               rows: List[int]) -> Tuple[LinearCode, int]:
+    """The [n+1] code with these rows, checked to drop C's hull by one
+    (x must meet the hull); returns it and its hull dimension."""
     s = C.hull_dimension()
     if s < 1:
         raise ValueError("hull is already trivial")
@@ -310,12 +285,18 @@ def extend_hull_drop(C: LinearCode, x: BitVector) -> ConstructionOutcome:
     hull = C.hull()
     if all((x.bits & r).bit_count() % 2 == 0 for r in hull.gen.rows):
         raise ValueError("x is orthogonal to the whole hull")
-    rows = [(x.bits << 1) | 1] + [r << 1 for r in C.gen.rows]
     out = LinearCode(BitMatrix.from_rows(rows, C.n + 1))
     if out.hull_dimension() != s - 1:
         raise ConstructionError("hull dimension did not drop by one")
+    return out, s - 1
+
+
+def extend_hull_drop(C: LinearCode, x: BitVector) -> ConstructionOutcome:
+    """Adjoin row (1,x) meeting the hull -> hull dimension drops by one."""
+    rows = [(x.bits << 1) | 1] + [r << 1 for r in C.gen.rows]
+    out, s = _hull_drop(C, x, rows)
     return ConstructionOutcome(out, (C.n + 1, C.k + 1, None),
-                               {"x": str(x), "hull_dim": s - 1})
+                               {"x": str(x), "hull_dim": s})
 
 
 def extend_column_hull_drop(C: LinearCode,
@@ -327,28 +308,16 @@ def extend_column_hull_drop(C: LinearCode,
     pair nontrivially with the (shared) hull.  Note that no x orthogonal
     to the hull can work — in particular no codeword of C can.
     """
-    s = C.hull_dimension()
-    if s < 1:
-        raise ValueError("hull is already trivial")
-    if x.length != C.n:
-        raise ValueError("x has wrong length")
-    hull = C.hull()
-    if all((x.bits & r).bit_count() % 2 == 0 for r in hull.gen.rows):
-        raise ValueError("x is orthogonal to the whole hull")
     y = [(x.bits & r).bit_count() & 1 for r in C.gen.rows]
-    rows = _prepend_bit(list(C.gen.rows), y)
-    out = LinearCode(BitMatrix.from_rows(rows, C.n + 1))
-    if out.hull_dimension() != s - 1:
-        raise ConstructionError("hull dimension did not drop by one")
+    out, s = _hull_drop(C, x, _prepend_bit(list(C.gen.rows), y))
     return ConstructionOutcome(out, (C.n + 1, C.k, None),
                                {"x": str(x), "y": "".join(map(str, y)),
-                                "hull_dim": s - 1})
+                                "hull_dim": s})
 
 
 def parity_extend(C: LinearCode) -> LinearCode:
     """Append an overall parity coordinate; output is even-like."""
-    bits = [r.bit_count() & 1 for r in C.gen.rows]
-    rows = _append_bit(list(C.gen.rows), bits, C.n)
+    rows = [r | ((r.bit_count() & 1) << C.n) for r in C.gen.rows]
     return LinearCode(BitMatrix.from_rows(rows, C.n + 1))
 
 

@@ -28,6 +28,8 @@ class ExpansionError(AssertionError):
 
 # Exhaustive self-dual basis search is limited to this extension degree.
 M_MAX = 4
+# ExtFieldCode.min_distance walks all 2^(m k) codewords up to m k = MK_MAX.
+MK_MAX = 20
 
 # One fixed irreducible modulus per degree, so element encodings are
 # reproducible across runs.
@@ -278,6 +280,9 @@ class ExtFieldCode:
         yield from rec(0, [0] * self.n)
 
     def min_distance(self) -> int:
+        if self.field.m * self.k > MK_MAX:
+            raise EngineBudgetError(
+                f"exhaustive distance capped at q^k <= 2^{MK_MAX}")
         best = None
         for w in self.codewords():
             wt = sum(1 for v in w if v)
@@ -306,7 +311,12 @@ def expand_code(C: ExtFieldCode, basis: SelfDualBasis):
 
 
 def expansion_indices(n: int, k: int, m: int) -> Tuple[int, int]:
-    """Extension-field parameters whose distance bounds d_LCD(n, k)."""
+    """Extension-field parameters whose distance bounds d_LCD(n, k).
+
+    Kept as API: these are the parameters (n // m, ceil(k / m)) of the
+    GF(2^m) code whose expansion gives the paper's lower bound on
+    d_LCD(n, k) by expanded codes.
+    """
     if n < 1 or k < 1 or m < 1:
         raise ValueError("inputs must be positive")
     return n // m, math.ceil(k / m)

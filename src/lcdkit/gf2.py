@@ -69,10 +69,6 @@ class BitVector:
             raise ValueError("length mismatch")
         return (self.bits & other.bits).bit_count() & 1
 
-    def concat(self, other: "BitVector") -> "BitVector":
-        return BitVector(self.length + other.length,
-                         self.bits | (other.bits << self.length))
-
     def __str__(self) -> str:
         return "".join("1" if (self.bits >> i) & 1 else "0"
                        for i in range(self.length))
@@ -145,23 +141,8 @@ class BitMatrix:
             out.append(acc)
         return BitMatrix(tuple(out), other.cols)
 
-    def apply(self, v: BitVector) -> BitVector:
-        """Matrix-vector product M v (v indexed by columns)."""
-        if v.length != self.cols:
-            raise ValueError("dimension mismatch")
-        bits = 0
-        for i, r in enumerate(self.rows):
-            if (r & v.bits).bit_count() & 1:
-                bits |= 1 << i
-        return BitVector(self.nrows, bits)
-
     def is_symmetric(self) -> bool:
         return self.nrows == self.cols and self == self.transpose()
-
-    def vstack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch")
-        return BitMatrix(self.rows + other.rows, self.cols)
 
     def __str__(self) -> str:
         return "\n".join(str(self.row(i)) for i in range(self.nrows))

@@ -79,14 +79,6 @@ class ConstructionRecord:
                            expect[2] if len(expect) > 2 else None),
                    status=obj.get("status"))
 
-    def to_json_obj(self) -> Dict:
-        n, k, d = self.expect
-        obj = {"op": self.op, "inputs": self.inputs, "aux": self.aux,
-               "expect": [n, k] if d is None else [n, k, d]}
-        if self.status is not None:
-            obj["status"] = self.status
-        return obj
-
 
 @dataclass(frozen=True)
 class ReplayResult:
@@ -109,11 +101,6 @@ def parse_records(text: str) -> List[ConstructionRecord]:
         except (ValueError, KeyError, TypeError) as e:
             raise ValueError(f"ledger line {lineno}: {e}") from None
     return records
-
-
-def format_records(records: Sequence[ConstructionRecord]) -> str:
-    return "".join(json.dumps(r.to_json_obj(), separators=(", ", ": "))
-                   + "\n" for r in records)
 
 
 def load_builtin_records() -> List[ConstructionRecord]:

@@ -142,46 +142,30 @@ def hull_normal_basis(C: LinearCode) -> NormalFormCertificate:
 
 def orthonormal_basis(C: LinearCode) -> BitMatrix:
     """Basis with Gram = I_k; exists exactly for odd-like LCD codes."""
-    if not C.is_lcd():
-        raise ValueError("code is not LCD")
-    if C.is_even_like():
-        raise ValueError("even-like code has no orthonormal basis")
-    cert = hull_normal_basis(C)
-    if cert.shape.s != 0 or cert.shape.a1_kind != ORTHONORMAL:
-        raise NormalFormError("odd-like LCD reduction failed")
-    return cert.basis
+    return _lcd_basis(C, ORTHONORMAL)
 
 
 def symplectic_basis(C: LinearCode) -> BitMatrix:
-    """Basis with Gram = diag(J_2,...); exists for even-like LCD codes."""
+    """Basis with Gram = diag(J_2,...); exists for even-like LCD codes.
+
+    ``extend_systematic`` accepts an even-like input only with its
+    stored generator in this form, so this is how a caller prepares one.
+    """
+    return _lcd_basis(C, SYMPLECTIC)
+
+
+def _lcd_basis(C: LinearCode, kind: str) -> BitMatrix:
+    """The hull-normal basis of an LCD code, whose parity fixes its kind."""
     if not C.is_lcd():
         raise ValueError("code is not LCD")
-    if not C.is_even_like():
-        raise ValueError("odd-like code has no symplectic basis")
+    even = C.is_even_like()
+    parity = "even-like" if even else "odd-like"
+    if even != (kind == SYMPLECTIC):
+        raise ValueError(f"{parity} code has no {kind} basis")
     cert = hull_normal_basis(C)
-    if cert.shape.s != 0 or cert.shape.a1_kind != SYMPLECTIC:
-        raise NormalFormError("even-like LCD reduction failed")
+    if cert.shape.s != 0 or cert.shape.a1_kind != kind:
+        raise NormalFormError(f"{parity} LCD reduction failed")
     return cert.basis
-
-
-def complete_orthogonal_basis(C: LinearCode, g1: BitVector) -> BitMatrix:
-    """Extend an odd-weight codeword g1 to a basis orthogonal to it."""
-    if not C.is_lcd() or C.is_even_like():
-        raise ValueError("code must be odd-like LCD")
-    if g1.weight() % 2 == 0:
-        raise ValueError("g1 must have odd weight")
-    if not C.contains(g1):
-        raise ValueError("g1 is not a codeword")
-    cand = [g1.bits, *C.gen.rows]
-    rows = [cand[i] for i in gf2.eliminate(cand)[1]]
-    if len(rows) != C.k:
-        raise NormalFormError("g1 and the generator rows do not span C")
-    out = [rows[0]]
-    for r in rows[1:]:
-        if _ip(g1.bits, r):
-            r ^= g1.bits
-        out.append(r)
-    return BitMatrix.from_rows(out, C.n)
 
 
 def subcode_normal_form(C: LinearCode,
@@ -286,94 +270,3 @@ def subcode_normal_form(C: LinearCode,
         raise NormalFormError("basis does not span the code")
     return cert
 
-
-def recover_all_one(cert: NormalFormCertificate) -> List[int]:
-    """Indices (1-based) of certificate rows summing to the all-one vector.
-
-    The index set is read off the block shape: rows coupled to a diagonal
-    one, plus the subcode's identity block when the subcode is odd-like,
-    plus the trailing identity block when it is orthonormal.  Verified by
-    actual summation.
-    """
-    shape = cert.shape
-    if not shape.coupled:
-        raise ValueError("expected a subcode-form certificate")
-    s, k1, t = shape.s, shape.k1, shape.t
-    k = cert.k
-    idx = list(range(1, shape.s1 + 1))
-    if shape.a1_kind == ORTHONORMAL:
-        idx.extend(range(s + 1, k1 + 1))
-    if shape.a3_kind == ORTHONORMAL:
-        idx.extend(range(k1 + s + 1, k + 1))
-    acc = 0
-    for i in idx:
-        acc ^= cert.basis.rows[i - 1]
-    if acc != (1 << cert.basis.cols) - 1:
-        raise NormalFormError(
-            "all-one recovery failed: input was not from an LCD code "
-            "containing the all-one vector, or the certificate is corrupt")
-    return idx
-
-
-def type_classify_and_orthogonalize(
-        cert: NormalFormCertificate) -> BitMatrix:
-    """Turn a certificate basis of an odd-like LCD code orthonormal.
-
-    Coupled even/odd pairs are merged first (even row += odd partner);
-    remaining coupled even/even pairs are resolved against a chained
-    odd anchor.  The result has Gram matrix I_k.
-    """
-    shape = cert.shape
-    k = cert.k
-    rows = list(cert.basis.rows)
-    n = cert.basis.cols
-
-    singles: List[int] = []      # indices of lone odd rows
-    mixed_pairs = []             # (even index, odd index)
-    even_pairs = []              # (even index, even index)
-    if shape.coupled:
-        s, k1 = shape.s, shape.k1
-        for i in range(s):
-            pair = (i, k1 + i)
-            if i < shape.s1:
-                mixed_pairs.append(pair)
-            else:
-                even_pairs.append(pair)
-        a1_range = range(s, k1)
-        a3_range = range(k1 + s, k)
-        for block, kind in ((a1_range, shape.a1_kind),
-                            (a3_range, shape.a3_kind)):
-            ids = list(block)
-            if kind == ORTHONORMAL:
-                singles.extend(ids)
-            elif kind == SYMPLECTIC:
-                even_pairs.extend(
-                    (ids[i], ids[i + 1]) for i in range(0, len(ids), 2))
-    else:
-        if shape.s != 0:
-            raise ValueError("input code is not LCD")
-        if shape.a1_kind == ORTHONORMAL:
-            singles.extend(range(k))
-        elif shape.a1_kind == SYMPLECTIC:
-            even_pairs.extend((i, i + 1) for i in range(0, k, 2))
-
-    # merge mixed pairs: the even member absorbs its odd partner
-    for e, o in mixed_pairs:
-        rows[e] ^= rows[o]
-        singles.extend([e, o])
-
-    if even_pairs and not singles:
-        raise NormalFormError(
-            "no odd anchor available: input cannot be odd-like LCD")
-    if even_pairs:
-        anchor = min(singles)
-        for u, v in even_pairs:
-            gu, gv, ga = rows[u], rows[v], rows[anchor]
-            rows[u] = gu ^ ga
-            rows[v] = gv ^ ga
-            rows[anchor] = ga ^ gu ^ gv
-
-    out = BitMatrix.from_rows(rows, n)
-    if gf2.gram(out) != BitMatrix.identity(k):
-        raise NormalFormError("orthogonalization failed to reach identity")
-    return out

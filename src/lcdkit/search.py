@@ -53,7 +53,7 @@ def random_lcd_oe_code(rng: random.Random, n: int, k: int,
     """Random odd-like LCD code containing the all-one vector.
 
     Built by forcing the all-one vector into the span: the first row is
-    the sum of the others plus 1_n.
+    the sum of the others plus 1_n.  A test corpus of step-down inputs.
     """
     ones = (1 << n) - 1
     for _ in range(max_tries):
@@ -72,7 +72,7 @@ def random_lcd_oe_code(rng: random.Random, n: int, k: int,
 
 def random_lcd_eo_code(rng: random.Random, n: int, k: int,
                        max_tries: int = 40000) -> LinearCode:
-    """Random even-like LCD code (k must be even)."""
+    """Random even-like LCD code (k even), a test corpus."""
     if k % 2:
         raise ValueError("even-like LCD codes have even dimension")
     for _ in range(max_tries):

@@ -217,7 +217,8 @@ def dlcd_value(n: int, k: int) -> int:
 
 
 def dlcd_value_oracle(n: int, k: int) -> int:
-    """d_lcd(n, k) with no canonical pruning (cross-check, n <= 7)."""
+    """d_lcd(n, k) over every systematic generator, n <= 7: the
+    reference that dlcd_value's canonical pruning is tested against."""
     if n > 7:
         raise EngineBudgetError("oracle search limited to n <= 7")
     if k == n:

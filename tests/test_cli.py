@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -57,6 +58,18 @@ class TestAnalyze:
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "analyze", str(tmp_path / "nope.gen1"))
         assert code == 3
+
+    def test_extension_field_distance_over_budget(self, tmp_path, capsys):
+        # [12,6] over GF(16): 2^24 codewords, refused before the walk
+        rows = [" ".join("1" if j == i else "0" if j < 6 else
+                         str((i + j) % 16) for j in range(12))
+                for i in range(6)]
+        path = write(tmp_path, "c.extgen1", "12 6 4\n" + "\n".join(rows))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", path)
+        assert time.perf_counter() - start < 5
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 class TestCertify:
@@ -275,6 +288,23 @@ class TestUsage:
             cli.main([])
         assert ei.value.code == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "c.gen1", "--engine", "lowweight"],
+        ["certify", "c.gen1", "--format", "extgen1"],
+        ["expand", "c.extgen1", "--seed", "1"],
+        ["dlcd-table", "4", "--budget-ms", "10"],
+        ["analyze", "c.gen1", "--seed", "1"],
+        ["search", "8", "3", "4", "--engine", "full"],
+        ["construct", "l.jsonl", "--format", "gen1"],
+        ["verify-ledger", "--format", "gen1"],
+    ])
+    def test_flag_the_subcommand_ignores(self, capsys, argv):
+        # a flag a subcommand would not read is a usage error, not a no-op
+        with pytest.raises(SystemExit) as ei:
+            cli.main(argv)
+        assert ei.value.code == 3
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 BAD_HEADERS = ("", "5", "a b", "5 x", "5 -1", "0 0", "3 4", "5 2 1",

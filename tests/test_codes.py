@@ -107,8 +107,7 @@ class TestHull:
 
 def _intersection_dim(A: LinearCode, B: LinearCode) -> int:
     # dim(A) + dim(B) - dim(A + B)
-    stacked = A.gen.vstack(B.gen)
-    return A.k + B.k - gf2.rank(stacked)
+    return A.k + B.k - gf2.rank_of_rows(A.gen.rows + B.gen.rows)
 
 
 class TestKeptBasis:

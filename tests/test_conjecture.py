@@ -9,7 +9,7 @@ from lcdkit import conjecture as cj
 from lcdkit import gf2
 from lcdkit.codes import LinearCode
 from lcdkit.gf2 import BitMatrix, BitVector
-from lcdkit.search import random_lcd_eo_code, random_lcd_oe_code
+from lcdkit.search import random_lcd_oe_code
 
 
 def C(*lines):
@@ -94,52 +94,6 @@ class TestMinWeightSpanPunctured:
             cj.min_weight_span_punctured(W, 3)
 
 
-class TestColumnAppendEven:
-    def test_worked_instance(self):
-        out = cj.column_append_even(C("1100", "0110"),
-                                    BitVector.from_string("10"))
-        assert out == C("11001", "01100")
-
-    def test_zero_column(self):
-        out = cj.column_append_even(C("1100", "0110"),
-                                    BitVector.from_string("00"))
-        assert out.is_lcd()
-        assert out.puncture([5]) == C("1100", "0110")
-
-    def test_exhaustive_small(self):
-        code = C("1100", "0110")
-        for y in range(4):
-            out = cj.column_append_even(code, BitVector(2, y))
-            assert out.is_lcd()
-
-    def test_exhaustive_corpus(self):
-        rng = random.Random(42)
-        done = 0
-        while done < 10:
-            n = rng.randrange(6, 14)
-            k = rng.choice([2, 4, 6])
-            try:
-                code = random_lcd_eo_code(rng, n, k, max_tries=2000)
-            except RuntimeError:
-                continue
-            from lcdkit import normal_form as nf
-            sym = code.with_generator(nf.symplectic_basis(code))
-            for y in range(1 << k):
-                assert cj.column_append_even(sym, BitVector(k, y)).is_lcd()
-            done += 1
-
-    def test_rejects_odd_like(self):
-        with pytest.raises(ValueError):
-            cj.column_append_even(C("100", "010"), BitVector(2, 0))
-
-    def test_rejects_unnormalized_generator(self):
-        # even-like LCD but stored basis not in paired form
-        code = C("11000000", "00001100", "01100000", "00000110")
-        assert code.parity_class().label == "LCD_eo"
-        with pytest.raises(ValueError):
-            cj.column_append_even(code, BitVector(4, 0))
-
-
 class TestColumnAppendOdd:
     def test_worked_instance(self):
         out = cj.column_append_odd(C("1000", "0111"),
@@ -179,15 +133,16 @@ class TestExtendAfterPuncture:
     def test_worked_instance(self):
         W = cj.good_puncture_pairs(WORKED, 1)[0]
         span = cj.min_weight_span_punctured(W, 3)
-        out = cj.extend_after_puncture(W, span)
+        out, info = cj.extend_after_puncture(W, span)
         assert out == C("10001", "01111")
         assert out.is_lcd() and out.min_distance() == 2
+        assert info == {"c": "0111", "y": "11"}
 
     def test_zero_span(self):
         P = C("1000", "0111")
         W = cj.PunctureWitness(u=1, v=2, punctured=P, lcd=True,
                                dmin=P.min_distance())
-        out = cj.extend_after_puncture(W, LinearCode.zero_code(4))
+        out, _ = cj.extend_after_puncture(W, LinearCode.zero_code(4))
         assert out.n == 5 and out.k == 2 and out.is_lcd()
 
     def test_rejects_all_one_in_span(self):
@@ -263,8 +218,10 @@ class TestConjectureError:
     def test_is_an_assertion_error(self):
         assert issubclass(cj.ConjectureError, AssertionError)
 
-    def test_appended_code_not_lcd(self, monkeypatch):
-        monkeypatch.setattr(LinearCode, "is_lcd", lambda self: False)
-        with pytest.raises(cj.ConjectureError, match="must be LCD"):
-            cj.column_append_even(C("1100", "0110"),
-                                  BitVector.from_string("10"))
+
+    def test_no_completing_entry(self, monkeypatch):
+        # the length-4 input stays LCD, every length-5 completion is not
+        monkeypatch.setattr(LinearCode, "is_lcd", lambda self: self.n == 4)
+        with pytest.raises(cj.ConjectureError, match="no completing entry"):
+            cj.column_append_odd(C("1000", "0111"),
+                                 BitVector.from_string("1"))

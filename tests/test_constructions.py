@@ -226,38 +226,6 @@ class TestHullPuncture:
             done += 1
 
 
-class TestHull1Puncture:
-    def test_rejects_lcd(self):
-        with pytest.raises(ValueError):
-            cx.hull1_puncture(C("11", "10"))
-
-    def test_worked_example(self):
-        code = C("1100", "0010")
-        coords = cx.hull1_puncture(code)
-        assert coords == [1, 2]
-        assert code.puncture([1]).is_lcd()
-
-    def test_punctured_two_block(self):
-        code = C("111000", "000111").puncture([1])
-        coords = cx.hull1_puncture(code)
-        assert coords == [1, 2]
-
-    def test_random(self):
-        rng = random.Random(47)
-        done = 0
-        while done < 40:
-            n = rng.randrange(3, 14)
-            k = rng.randrange(1, n)
-            code = random_code(rng, n, k)
-            if code.hull_dimension() != 1:
-                continue
-            coords = cx.hull1_puncture(code)
-            assert coords
-            for c in coords:
-                assert code.puncture([c]).is_lcd()
-            done += 1
-
-
 class TestExtendRowDual:
     def test_zero_x(self):
         out = cx.extend_row_dual(C("111"), V("000"))

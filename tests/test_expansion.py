@@ -203,6 +203,12 @@ class TestExtFieldCode:
         C = xp.ExtFieldCode.from_rows(F4, [[1, W, 0]], 3)
         assert C.min_distance() == 2
 
+    def test_min_distance_budget(self):
+        # m k = 22 > MK_MAX: refused before any codeword is walked
+        rows = [[int(i == j) for j in range(11)] for i in range(11)]
+        with pytest.raises(EngineBudgetError):
+            xp.ExtFieldCode.from_rows(F4, rows, 11).min_distance()
+
     def test_gram_symmetric(self):
         rng = random.Random(55)
         C = random_ext_code(rng, F4, 5, 3)

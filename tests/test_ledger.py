@@ -8,8 +8,7 @@ from lcdkit import ledger
 from lcdkit.codes import EngineBudgetError, LinearCode
 from lcdkit.ledger import (FAIL, PASS, SKIPPED, UNVERIFIED, BoundsEntry,
                            BoundsLedger, ConstructionRecord, parse_records,
-                           format_records, replay_record, replay_ledger,
-                           summary_exit_code)
+                           replay_record, replay_ledger, summary_exit_code)
 
 
 def inline(rows):
@@ -43,10 +42,12 @@ class TestParseFormat:
                                    PASS),
                 ConstructionRecord("extend_odd_two", inline(["1111111"]),
                                    {}, (9, 1, 8))]
-        text = format_records(recs)
-        back = parse_records(text)
-        assert [r.to_json_obj() for r in back] == \
-            [r.to_json_obj() for r in recs]
+        text = ('{"op": "extend_even", "inputs": ' + json.dumps(WORKED)
+                + ', "expect": [7, 2, 4], "status": "PASS"}\n'
+                '{"op": "extend_odd_two", "inputs": '
+                + json.dumps(inline(["1111111"])) + ', "aux": {}, '
+                '"expect": [9, 1, 8]}\n')
+        assert parse_records(text) == recs
 
     def test_comments_and_blanks(self):
         text = ('# ledger\n\n{"op": "extend_even", "inputs": '

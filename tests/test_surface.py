@@ -1,0 +1,103 @@
+"""No public lcdkit name that nothing but the tests reaches.
+
+Every public function, class and method defined in ``src/lcdkit`` must
+be named somewhere in ``src/lcdkit`` outside its own definition, or in
+``perfbench/``, unless ``ALLOWED`` lists it with the reason it stays.
+Names are matched by identifier, so a method counts as reached when any
+attribute of that name is read; the check errs towards passing.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lcdkit"
+PERFBENCH = ROOT / "perfbench"
+
+# qualified name -> why it stays although only tests call it
+ALLOWED = {
+    "normal_form.symplectic_basis":
+        "puts an even-like LCD code's generator into the symplectic form "
+        "that constructions.extend_systematic requires",
+    "codes.LinearCode.with_generator":
+        "swaps such a normalized basis into a code, checked to span the "
+        "same code; acceptance criterion 5 builds its inputs with the two",
+    "expansion.expansion_indices":
+        "the extension-field parameters of the paper's lower bound on "
+        "d_LCD(n, k) by expanded codes",
+    "search.random_lcd_oe_code":
+        "test corpus: odd-like LCD codes containing 1_n, the step-down's "
+        "inputs",
+    "search.random_lcd_eo_code":
+        "test corpus: even-like LCD codes for the symplectic paths",
+    "tables.dlcd_value_oracle":
+        "unpruned reference that dlcd_value's pruning is checked against",
+}
+
+
+def _public_defs():
+    """Qualified name -> bare name of each public def in src/lcdkit."""
+    defs = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                    node.name.startswith("_"):
+                continue
+            defs[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef) and \
+                            not m.name.startswith("_"):
+                        defs[f"{path.stem}.{node.name}.{m.name}"] = m.name
+    return defs
+
+
+def _names_used_in_src():
+    """Identifiers src/lcdkit reads, each outside the def of that name."""
+    used = set()
+
+    def walk(node, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, enclosing | {child.name})
+                continue
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            elif isinstance(child, ast.alias):
+                name = child.name.rsplit(".", 1)[-1]
+            else:
+                name = None
+            if name is not None and name not in enclosing:
+                used.add(name)
+            walk(child, enclosing)
+
+    for path in SRC.glob("*.py"):
+        walk(ast.parse(path.read_text()), frozenset())
+    return used
+
+
+def _names_in_perfbench():
+    # perfbench names its hook targets in strings, so match every word
+    return set(re.findall(r"\w+", "".join(
+        p.read_text() for p in PERFBENCH.glob("*.py"))))
+
+
+def _unreached():
+    reached = _names_used_in_src() | _names_in_perfbench()
+    return {q for q, name in _public_defs().items() if name not in reached}
+
+
+def test_no_unreached_public_name():
+    extra = sorted(_unreached() - ALLOWED.keys())
+    assert not extra, (
+        "public names only tests reach; use, delete or allow them: "
+        f"{extra}")
+
+
+def test_allowlist_is_current():
+    # an allowed name that is gone, or now reached, leaves the list
+    stale = sorted(ALLOWED.keys() - _unreached())
+    assert not stale, f"stale ALLOWED entries: {stale}"
