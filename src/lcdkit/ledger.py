@@ -45,7 +45,8 @@ class ConstructionRecord:
     """One ledger row: an operation, its inputs, and the expected result.
 
     expect is (n, k, d) where d may be None; n and k are verified
-    exactly and d as a lower bound on the replayed minimum distance.
+    exactly and d as a lower bound on the replayed minimum distance;
+    every output must also be LCD unless its op's ``lcd`` is False.
     status records the verdict of the run that produced the file (for
     shipped rows: PASS for replayable rows, SKIPPED-MISSING-SEED for
     external-seed rows).
@@ -202,10 +203,13 @@ class _Op(NamedTuple):
     replay: Callable  # (input code, aux) -> list of output codes
     aux: Tuple[str, ...] = ()  # aux keys the op reads; must be present
     input: type = LinearCode  # the type of code the op replays on
+    lcd: bool = True  # every output must be LCD
 
 
 # Operations a ledger record may name.  The hull-guided ops search
-# internally, so any coordinates in their aux are provenance only.
+# internally, so any coordinates in their aux are provenance only.  The
+# hull-drop ops promise only a hull one smaller than the input's, and
+# check that themselves.
 REGISTERED_OPS: Dict[str, _Op] = {
     "extend_even": _Op(_one(cons.extend_even)),
     "extend_odd_two": _Op(_one(cons.extend_odd_two)),
@@ -216,9 +220,10 @@ REGISTERED_OPS: Dict[str, _Op] = {
     "hull_puncture": _Op(_one(cons.hull_puncture)),
     "extend_row_dual": _Op(_with_vector(cons.extend_row_dual), ("x",)),
     "extend_systematic": _Op(_with_vector(cons.extend_systematic), ("x",)),
-    "extend_hull_drop": _Op(_with_vector(cons.extend_hull_drop), ("x",)),
+    "extend_hull_drop": _Op(_with_vector(cons.extend_hull_drop), ("x",),
+                            lcd=False),
     "extend_column_hull_drop": _Op(
-        _with_vector(cons.extend_column_hull_drop), ("x",)),
+        _with_vector(cons.extend_column_hull_drop), ("x",), lcd=False),
     "extend_two_multi": _Op(_extend_two_multi),
     "expand": _Op(_expand, input=xp.ExtFieldCode),
 }
@@ -238,13 +243,15 @@ def _apply_op(rec: ConstructionRecord, seed_code) -> List[LinearCode]:
 
 def _verify(code: LinearCode,
             expect: Tuple[int, int, Optional[int]],
-            engine: str = "auto"):
+            lcd: bool, engine: str = "auto"):
     """Returns (dmin or None, note) or raises _ReplayFailure."""
     n, k, d = expect
     if (code.n, code.k) != (n, k):
         raise _ReplayFailure(
             f"parameters [{code.n},{code.k}] differ from expected "
             f"[{n},{k}]")
+    if lcd and not code.is_lcd():
+        raise _ReplayFailure("output is not LCD")
     try:
         dmin = code.min_distance(engine)
     except EngineBudgetError:
@@ -271,7 +278,8 @@ def replay_record(rec: ConstructionRecord,
         notes = []
         verified = True
         for code in outputs:
-            dmin, note = _verify(code, rec.expect, engine)
+            dmin, note = _verify(code, rec.expect,
+                                 REGISTERED_OPS[rec.op].lcd, engine)
             verified = verified and dmin is not None
             if note:
                 notes.append(note)

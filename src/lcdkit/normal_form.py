@@ -40,7 +40,7 @@ def _ip(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
 
-def _block_rows(kind: str, size: int, offset: int, width: int) -> List[int]:
+def _block_rows(kind: str, size: int, offset: int) -> List[int]:
     """Rows of an identity or J_2-sum block placed at a diagonal offset."""
     rows = []
     if kind == ORTHONORMAL:
@@ -82,16 +82,15 @@ class GramShape:
             for i in range(s):
                 rows[i] |= 1 << (k1 + i)
                 rows[k1 + i] |= 1 << i
-            for i, r in enumerate(_block_rows(self.a1_kind, k1 - s, s, k)):
+            for i, r in enumerate(_block_rows(self.a1_kind, k1 - s, s)):
                 rows[s + i] |= r
             for i in range(self.s1):
                 rows[k1 + i] |= 1 << (k1 + i)
-            for i, r in enumerate(
-                    _block_rows(self.a3_kind, t, k1 + s, k)):
+            for i, r in enumerate(_block_rows(self.a3_kind, t, k1 + s)):
                 rows[k1 + s + i] |= r
             return BitMatrix.from_rows(rows, k)
         rows = [0] * self.s
-        rows.extend(_block_rows(self.a1_kind, k - self.s, self.s, k))
+        rows.extend(_block_rows(self.a1_kind, k - self.s, self.s))
         return BitMatrix.from_rows(rows, k)
 
 

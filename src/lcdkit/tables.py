@@ -10,14 +10,18 @@ taken on the smaller side — [I_k | B] and [B^T | I_k] have Gram
 matrices I + BB^T and I + B^T B, which are singular together — so B
 never has more than min(k, n-k) rows.
 
-The enumerator takes its callers' rejection tests into its recursion:
-a distance floor on the generator rows (the current best distance for
-d_lcd, d_min - 1 for the corpus) and, for the corpus, membership of
-the all-one vector.  Together they cut whole subtrees that no
-completion could pass.  Every caller still applies its full checks to
-what is yielded, and a pruned matrix is one those checks would reject,
-so callers see a subsequence of the unpruned sequence in the same order
-and every result is unchanged.
+The enumerator owns the distance test.  Its callers give it a floor
+(the current best distance for d_lcd, d_min - 1 for the corpus) and,
+for the corpus, membership of the all-one vector; it yields only the
+matrices that pass, each with its code's exact minimum distance, so a
+caller keeps only its LCD test.  On the [I_k | B] side the weights of
+all messages on the placed columns are lanes of one ``WeightTable``:
+a subtree is cut as soon as some nonzero message could not beat the
+floor even with every remaining column set, and the leaf's distance is
+read off the lanes.  On the [B^T | I_k] side light generator rows and
+pair sums are skipped and the leaf is measured with ``min_weight``.
+Either way the yields are, in the same order, exactly the matrices of
+the unpruned sequence whose code passes, so every result is unchanged.
 
 Also exposes the exhaustive corpus of odd-like LCD codes containing
 the all-one vector (one representative set covering every such code up
@@ -27,10 +31,12 @@ to column permutation), used to exercise the step-down engine.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from functools import reduce
+from operator import xor
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from . import gf2
-from .codes import EngineBudgetError, LinearCode, min_weight
+from .codes import EngineBudgetError, LinearCode, WeightTable, min_weight
 
 # Exhaustive table search budget.
 N_MAX = 12
@@ -45,10 +51,10 @@ class TableLawError(AssertionError):
 
 
 def canonical_b_matrices(
-        r: int, m: int, *, floor: Optional[Callable[[], int]] = None,
-        all_one: bool = False,
-        transposed: bool = False) -> Iterator[Tuple[int, ...]]:
-    """All r x m binary matrices in doubly lexical form.
+        r: int, m: int, *, floor: Callable[[], int] = lambda: 0,
+        all_one: bool = False, transposed: bool = False
+) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """All r x m binary matrices in doubly lexical form, with distances.
 
     Rows are emitted as ints with bit j = column j.  Column values
     (read top row first) are non-increasing left to right, and row
@@ -58,92 +64,87 @@ def canonical_b_matrices(
     class at least once.  Matrices come in decreasing order of their
     column sequence.
 
-    The keyword constraints read B as the redundant part of a
-    systematic generator matrix: [I_r | B], whose generator rows are
-    e_i | row i, or with ``transposed`` [B^T | I_m], whose generator
-    rows are column j | e_j.  They cut whole subtrees of the search,
-    and drop only matrices that the same test would reject once built:
+    B is read as the redundant part of a systematic generator matrix:
+    [I_r | B], whose generator rows are e_i | row i, or with
+    ``transposed`` [B^T | I_m], whose generator rows are column j | e_j.
+    Each B is yielded as (B, d) with d its code's exact minimum
+    distance, and only when it passes both constraints; subtrees that
+    no completion could pass are cut:
 
-    - ``floor``: every generator row, and the sum of every two, must
-      weigh more than ``floor()``.  It is read afresh at each node, so
-      a caller may raise it while iterating.  Untransposed, a column
-      is cut when some row could not exceed the floor even with every
-      remaining column set; transposed, a column (one generator row)
-      is skipped when it or its sum with an earlier column is too
-      light.
+    - ``floor``: d must exceed ``floor()``.  It is read afresh at each
+      node, so a caller may raise it while iterating.  Untransposed,
+      the weights of all 2^r messages on the placed columns are lanes
+      of one ``WeightTable``; a column is cut when some nonzero message
+      could not exceed the floor even with every remaining column set,
+      and d is read off the lanes.  Transposed, a column (one generator
+      row) is skipped when it or its sum with an earlier column is too
+      light, and d comes from ``min_weight``.
     - ``all_one``: the all-one vector must lie in the code.  Its
       coefficients over the identity part are all ones, so every
       redundant coordinate of the sum of all generator rows must be
       1: untransposed only odd-weight columns are tried, transposed
       the last column is forced to make every row's weight odd.
 
-    With no constraint the full sequence is yielded.
+    The default floor of 0 yields the full sequence.
     """
     odd_cols = all_one and not transposed
     # allowed column values, in the order they are tried
     values = [v for v in range((1 << r) - 1, -1, -1)
               if not odd_cols or v.bit_count() & 1]
-    rows = [0] * r
-    cols: List[int] = []  # placed columns (transposed: generator rows)
+    table = WeightTable([1 << i for i in range(r)] + [0] * m, r)
+    # the lanes a column value adds; its top bit is row 0's
+    pattern = [0] * (1 << r)
+    for v in range(1, 1 << r):
+        low = v & -v
+        pattern[v] = pattern[v ^ low] ^ table.units[r - low.bit_length()]
+    cols: List[int] = []  # placed column values (transposed: generator rows)
 
     def column_heavy(v: int, f: int) -> bool:
         # transposed: generator row v and its sums with earlier ones
         return v.bit_count() + 1 > f and all(
             (v ^ w).bit_count() + 2 > f for w in cols)
 
-    def rows_can_be_heavy(prefixes: List[int], left: int, f: int) -> bool:
-        # untransposed: each row and pair sum, with every column left set
-        return all(p.bit_count() + left + 1 > f for p in prefixes) and all(
-            (p ^ q).bit_count() + left + 2 > f
-            for i, p in enumerate(prefixes) for q in prefixes[i + 1:])
-
-    def rec(j: int, start: int,
-            prefixes: List[int]) -> Iterator[Tuple[int, ...]]:
+    def rec(j: int, start: int, tied: int,
+            w: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
+        # tied: bit r-1-i set while rows i-1 and i agree on every placed
+        # column; w: the message weights on the placed columns
+        f = floor()
         if j == m:
-            yield tuple(rows)
+            if transposed:
+                d = min_weight(
+                    [c | 1 << (r + t) for t, c in enumerate(cols)], f)
+            else:
+                d = table.minimum(w, f)
+            if d > f:
+                rows = [0] * r
+                for t, c in enumerate(cols):
+                    for i in range(r):
+                        rows[i] |= (c >> (r - 1 - i) & 1) << t
+                yield tuple(rows), d
             return
         left = m - j - 1  # columns still to place after this one
         candidates = range(start, len(values))
         if all_one and transposed and left == 0:
-            parity = 0
-            for p in prefixes:
-                parity = (parity << 1) | (~p.bit_count() & 1)
-            forced = len(values) - 1 - parity  # values run 2^r - 1 .. 0
+            # with x the rows' parities, value 2^r - 1 - x makes every
+            # row odd; values run down from 2^r - 1, so its index is x
+            forced = reduce(xor, cols, 0)
             candidates = range(max(forced, start), forced + 1)
-        f = floor() if floor is not None else None
         for idx in candidates:
             v = values[idx]
-            if f is not None and transposed and not column_heavy(v, f):
+            if v & ~(v >> 1) & tied:
+                continue  # a row would rise above the tied row before it
+            nw = w + pattern[v]
+            if transposed:
+                if not column_heavy(v, f):
+                    continue
+            elif f > left and not table.at_least(nw, f + 1 - left):
                 continue
-            new_pref = []
-            ok = True
-            last: Optional[int] = None
-            for i in range(r):
-                bit = (v >> (r - 1 - i)) & 1
-                p = (prefixes[i] << 1) | bit
-                if last is not None and p > last:
-                    ok = False
-                    break
-                last = p
-                new_pref.append(p)
-            if not ok:
-                continue
-            if f is not None and not transposed and f > left and \
-                    not rows_can_be_heavy(new_pref, left, f):
-                continue
-            for i in range(r):
-                if (v >> (r - 1 - i)) & 1:
-                    rows[i] |= 1 << j
             cols.append(v)
-            yield from rec(j + 1, idx, new_pref)
+            yield from rec(j + 1, idx, tied & ~(v ^ v >> 1), nw)
             cols.pop()
-            for i in range(r):
-                if (v >> (r - 1 - i)) & 1:
-                    rows[i] &= ~(1 << j)
-            if f is not None:
-                f = floor()  # the caller may have raised it
+            f = floor()  # the caller may have raised it
 
-    yield from rec(0, 0, [0] * r)
+    yield from rec(0, 0, (1 << r) - 1 >> 1, table.weights)
 
 
 def _systematic_rows(n: int, k: int, b_rows: Tuple[int, ...]) -> List[int]:
@@ -175,26 +176,6 @@ def _gram_nonsingular(b_rows: Tuple[int, ...]) -> bool:
     return gf2.rank_of_rows(g) == r
 
 
-def _weights_above(rows: List[int], limit: int) -> bool:
-    """Cheap filter: all single rows and row pairs heavier than limit."""
-    k = len(rows)
-    for i in range(k):
-        if rows[i].bit_count() <= limit:
-            return False
-        for j in range(i + 1, k):
-            if (rows[i] ^ rows[j]).bit_count() <= limit:
-                return False
-    return True
-
-
-def _dmin_above(rows: List[int], limit: int) -> Optional[int]:
-    """Exact minimum distance if it exceeds limit, else None."""
-    if not _weights_above(rows, limit):
-        return None
-    d = min_weight(rows, limit)
-    return d if d > limit else None
-
-
 def dlcd_value(n: int, k: int) -> int:
     """Exact d_lcd(n, k) by canonical exhaustive search."""
     if not 1 <= k <= n:
@@ -203,14 +184,10 @@ def dlcd_value(n: int, k: int) -> int:
         return 1  # the full space is LCD with distance 1
     r, m = min(k, n - k), max(k, n - k)
     best = 0
-    for b in canonical_b_matrices(r, m, floor=lambda: best,
-                                  transposed=k > n - k):
-        rows = _systematic_rows(n, k, b)
-        if not _weights_above(rows, best):
-            continue
-        if not _gram_nonsingular(b):
-            continue
-        best = max(best, min_weight(rows, best))
+    for b, d in canonical_b_matrices(r, m, floor=lambda: best,
+                                     transposed=k > n - k):
+        if _gram_nonsingular(b):
+            best = d
     if best < 1:
         raise TableLawError(f"no LCD code found for (n={n}, k={k})")
     return best
@@ -226,12 +203,8 @@ def dlcd_value_oracle(n: int, k: int) -> int:
     r, m = min(k, n - k), max(k, n - k)
     best = 0
     for b in itertools.product(range(1 << m), repeat=r):
-        if not _gram_nonsingular(b):
-            continue
-        rows = _systematic_rows(n, k, b)
-        d = _dmin_above(rows, best)
-        if d is not None:
-            best = d
+        if _gram_nonsingular(b):
+            best = max(best, min_weight(_systematic_rows(n, k, b), best))
     return best
 
 
@@ -283,14 +256,9 @@ def all_one_lcd_codes(length: int, d_min: int = 3,
             continue  # full space has d = 1 < 3
         c = n - k
         r, m = min(k, c), max(k, c)
-        for b in canonical_b_matrices(r, m, floor=lambda: d_min - 1,
-                                      all_one=True, transposed=k > c):
-            rows = _systematic_rows(n, k, b)
-            d = _dmin_above(rows, d_min - 1)
-            if d is None:
-                continue
-            if not _gram_nonsingular(b):
-                continue
-            code = LinearCode.from_rows(rows, n)
-            code._cache["dmin_value"] = d
-            yield code
+        for b, d in canonical_b_matrices(r, m, floor=lambda: d_min - 1,
+                                         all_one=True, transposed=k > c):
+            if _gram_nonsingular(b):
+                code = LinearCode.from_rows(_systematic_rows(n, k, b), n)
+                code._cache["dmin_value"] = d
+                yield code

@@ -366,18 +366,23 @@ class TestGen1Fuzz:
             outcomes.add("parsed")
         assert outcomes == {"parsed", "parse error", "rank error"}
 
-    def test_analyze_exit_codes(self, tmp_path, capsys):
+    # certify refuses every mutant that parses (none meets its
+    # preconditions), so no run of it exits 0
+    @pytest.mark.parametrize("command, expected", [
+        ("analyze", {0, 1, 3}), ("certify", {1, 3})],
+        ids=["analyze", "certify"])
+    def test_exit_codes(self, tmp_path, capsys, command, expected):
         rng = random.Random(2025)
         path = tmp_path / "c.gen1"
         codes = set()
         for _ in range(300):
             text = _mutant(rng)
             path.write_text(text)
-            code, _, err = run(capsys, "analyze", str(path))
+            code, _, err = run(capsys, command, str(path))
             assert code in (0, 1, 2, 3), text
             assert "Traceback" not in err, text
             codes.add(code)
-        assert {0, 1, 3} <= codes
+        assert codes == expected
 
 
 BAD_EXT_HEADERS = ("", "5", "5 2", "a b c", "5 2 x", "5 -1 2", "0 0 1",
@@ -448,15 +453,16 @@ class TestExtGen1Fuzz:
             outcomes.add("parsed")
         assert outcomes == {"parsed", "parse error", "rank error"}
 
-    def test_analyze_exit_codes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["analyze", "expand"])
+    def test_exit_codes(self, tmp_path, capsys, command):
         rng = random.Random(2027)
         path = tmp_path / "c.extgen1"
         codes = set()
         for _ in range(300):
             text = _ext_mutant(rng)
             path.write_text(text)
-            code, _, err = run(capsys, "analyze", str(path))
+            code, _, err = run(capsys, command, str(path))
             assert code in (0, 1, 2, 3), text
             assert "Traceback" not in err, text
             codes.add(code)
-        assert {0, 1, 3} <= codes
+        assert codes == {0, 1, 3}

@@ -117,6 +117,18 @@ class TestReplayInline:
             {"transformation": "id"}, (4, 2, 2))
         assert replay_record(rec).status == PASS
 
+    def test_expand_of_self_orthogonal_code_fails(self):
+        # [[1, 1]] over GF(4) is self-orthogonal: the expanded [4, 2, 2]
+        # code has hull dimension 2, so it is no LCD output
+        rec = ConstructionRecord(
+            "expand",
+            {"source": "inline", "format": "extgen1", "m": 2, "n": 2,
+             "rows": [[1, 1]]},
+            {"transformation": "id"}, (4, 2, 2))
+        res = replay_record(rec)
+        assert res.status == FAIL
+        assert res.message == "output is not LCD"
+
     def test_expand_diagonal(self):
         # scaling columns by nonzero field elements is a monomial map:
         # parameters are unchanged, so the diagonal row must replay to

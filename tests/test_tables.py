@@ -4,6 +4,8 @@ import itertools
 import os
 import subprocess
 import sys
+from functools import reduce
+from operator import xor
 from pathlib import Path
 
 import pytest
@@ -17,11 +19,11 @@ class TestCanonicalMatrices:
         # 1 x m: one matrix per weight (sorted columns)
         assert sum(1 for _ in tables.canonical_b_matrices(1, 4)) == 5
         # all 2 x 2 doubly lexical matrices
-        mats = list(tables.canonical_b_matrices(2, 2))
+        mats = [b for b, _ in tables.canonical_b_matrices(2, 2)]
         assert len(set(mats)) == len(mats)
 
     def test_rows_and_columns_sorted(self):
-        for b in tables.canonical_b_matrices(3, 4):
+        for b, _ in tables.canonical_b_matrices(3, 4):
             # row values, leftmost column most significant
             vals = [int(format(r, "04b")[::-1], 2) for r in b]
             assert vals == sorted(vals, reverse=True)
@@ -35,7 +37,7 @@ class TestCanonicalMatrices:
         # every matrix must be row/column-permutable to some canonical
         # representative
         for r, m in ((2, 3), (3, 3), (2, 4), (3, 4)):
-            canon = set(tables.canonical_b_matrices(r, m))
+            canon = {b for b, _ in tables.canonical_b_matrices(r, m)}
 
             def variants(rows):
                 out = set()
@@ -51,31 +53,34 @@ class TestCanonicalMatrices:
                 assert variants(rows) & canon, (r, m, rows)
 
     def test_degenerate_sizes(self):
-        assert list(tables.canonical_b_matrices(0, 0)) == [()]
-        assert list(tables.canonical_b_matrices(2, 0)) == [(0, 0)]
-        assert list(tables.canonical_b_matrices(0, 3)) == [()]
+        for r, m, want in ((0, 0, ()), (2, 0, (0, 0)), (0, 3, ())):
+            assert [b for b, _ in tables.canonical_b_matrices(r, m)] == \
+                [want]
 
 
 class TestPrunedEnumeration:
-    """The constrained enumerator against the unconstrained one plus the
-    callers' old post-hoc filters, written out here as the reference."""
+    """The constrained enumerator against the unconstrained one filtered
+    by the constraints, with distances measured here by min_weight."""
 
     def test_constrained_is_filtered_subsequence(self):
-        for r in range(1, 5):
-            for m in range(r, 6):
-                full = list(tables.canonical_b_matrices(r, m))
-                for transposed, all_one, f in itertools.product(
-                        (False, True), (False, True), range(m + 3)):
+        # (5, 5) has transposed matrices whose rows and pair sums beat a
+        # floor that a sum of three rows does not
+        sizes = [(r, m) for r in range(1, 5) for m in range(r, 6)]
+        for r, m in sizes + [(5, 5)]:
+            full = [b for b, _ in tables.canonical_b_matrices(r, m)]
+            for transposed, all_one in itertools.product((False, True),
+                                                         repeat=2):
+                measured = []
+                for b in full:
+                    rows = _generator_rows(b, r, m, transposed)
+                    if not all_one or reduce(xor, rows) == (1 << r + m) - 1:
+                        measured.append((b, min_weight(rows)))
+                for f in range(m + 3):
                     got = list(tables.canonical_b_matrices(
                         r, m, floor=lambda: f, all_one=all_one,
                         transposed=transposed))
-                    it = iter(full)
-                    assert all(b in it for b in got), (r, m, transposed)
-                    # nothing the filters accept is pruned
-                    kept = set(got)
-                    for b in full:
-                        if _passes(b, r, m, f, all_one, transposed):
-                            assert b in kept, (r, m, f, all_one, b)
+                    assert got == [(b, d) for b, d in measured if d > f], \
+                        (r, m, transposed, all_one, f)
 
     def test_all_one_corpus_matches_reference(self):
         for length in range(4, 10):
@@ -197,20 +202,12 @@ class TestAllOneCorpus:
         assert found == brute
 
 
-def _passes(b, r, m, floor, all_one, transposed):
-    """The callers' filters on a built matrix: every generator row and
-    pair sum heavier than floor, and the all-one vector in the code."""
+def _generator_rows(b, r, m, transposed):
+    """The generator rows the enumerator reads the r x m matrix b as."""
     if transposed:  # [B^T | I_m]: generator row j is column j of B
-        rows = [sum(((b[i] >> j) & 1) << i for i in range(r)) | 1 << (r + j)
-                for j in range(m)]
-    else:  # [I_r | B]
-        rows = [(1 << i) | (b[i] << r) for i in range(r)]
-    if not tables._weights_above(rows, floor):
-        return False
-    total = 0
-    for row in rows:
-        total ^= row
-    return not all_one or total == (1 << (r + m)) - 1
+        return [sum(((b[i] >> j) & 1) << i for i in range(r))
+                | 1 << (r + j) for j in range(m)]
+    return [(1 << i) | (b[i] << r) for i in range(r)]  # [I_r | B]
 
 
 def _reference_all_one(n, d_min=3, k_min=2):
@@ -218,7 +215,7 @@ def _reference_all_one(n, d_min=3, k_min=2):
     for k in range(k_min, n):
         c = n - k
         r, m = min(k, c), max(k, c)
-        for b in tables.canonical_b_matrices(r, m):
+        for b, _ in tables.canonical_b_matrices(r, m):
             if k <= c:
                 cols_odd = all(
                     sum((b[i] >> j) & 1 for i in range(r)) & 1
@@ -228,10 +225,9 @@ def _reference_all_one(n, d_min=3, k_min=2):
             if not cols_odd:
                 continue
             rows = tables._systematic_rows(n, k, b)
-            d = tables._dmin_above(rows, d_min - 1)
-            if d is None or not tables._gram_nonsingular(b):
-                continue
-            yield rows, d
+            d = min_weight(rows)
+            if d >= d_min and tables._gram_nonsingular(b):
+                yield rows, d
 
 
 def _reference_dlcd(n, k):
@@ -240,13 +236,10 @@ def _reference_dlcd(n, k):
         return 1
     r, m = min(k, n - k), max(k, n - k)
     best = 0
-    for b in tables.canonical_b_matrices(r, m):
-        rows = tables._systematic_rows(n, k, b)
-        if not tables._weights_above(rows, best):
-            continue
-        if not tables._gram_nonsingular(b):
-            continue
-        best = max(best, min_weight(rows, best))
+    for b, _ in tables.canonical_b_matrices(r, m):
+        if tables._gram_nonsingular(b):
+            rows = tables._systematic_rows(n, k, b)
+            best = max(best, min_weight(rows, best))
     return best
 
 
@@ -279,9 +272,7 @@ def _qualifying_codes_bruteforce(n, k):
     r, m = min(k, c), max(k, c)
     for b in itertools.product(range(1 << m), repeat=r):
         rows = tables._systematic_rows(n, k, b)
-        if tables._dmin_above(rows, 2) is None:
-            continue
-        if not tables._gram_nonsingular(b):
+        if min_weight(rows, 2) <= 2 or not tables._gram_nonsingular(b):
             continue
         code = LinearCode.from_rows(rows, n)
         if code.contains_all_one():
