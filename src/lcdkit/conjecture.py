@@ -13,6 +13,18 @@ hull that appears after puncturing a single coordinate:
     then append a column that lifts every weight-(d-2) word to weight
     d-1 while keeping the code LCD.
 
+Each pair is decided from the input's orthonormal basis B (Gram I_k),
+which is built once per code and kept in the code's cache together with
+a ``codes.WeightTable`` over B's columns c_1 .. c_{n+1}.  Puncturing u
+and v keeps k (d >= 3), and its messages x B weigh the table's lanes
+minus the patterns of c_u and c_v, so the pair's distance is one lane
+minimum; its Gram matrix is I + c_u c_u^T + c_v c_v^T, so its LCD
+verdict is the rank of that k x k matrix.  From ``BZ_MIN_K`` rows on no
+table is kept and the distance is ``min_weight`` of B's punctured rows.
+A witness builds its punctured code only when read, and re-tests it for
+LCD then, so a certification builds the code of the pair it uses and
+of the pairs the extension route scans before it.
+
 Every certificate re-verifies its output independently.
 """
 
@@ -20,11 +32,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 from . import gf2
 from . import normal_form as nf
-from .codes import LinearCode, check_coords, _drop_bits
+from .codes import (BZ_MIN_K, LinearCode, WeightTable, check_coords,
+                    min_weight, _drop_bits)
 from .gf2 import BitMatrix, BitVector
 
 ROUTE_PADDED = "padded-puncture"
@@ -41,13 +55,27 @@ class ConjectureError(AssertionError):
 
 @dataclass(frozen=True)
 class PunctureWitness:
-    """A doubly-punctured code C^{u,v} with its verified LCD status."""
+    """The pair (u, v) of a source code C, with the LCD status and
+    minimum distance of the doubly-punctured code C^{u,v}.
 
+    ``punctured`` builds C^{u,v} on first read and checks that its
+    ``is_lcd()`` agrees with ``lcd``.
+    """
+
+    source: LinearCode
     u: int
     v: int
-    punctured: LinearCode
     lcd: bool
     dmin: int
+
+    @cached_property
+    def punctured(self) -> LinearCode:
+        P = self.source.puncture([self.u, self.v])
+        if P.is_lcd() != self.lcd:
+            raise ConjectureError(
+                f"punctured code at ({self.u},{self.v}) contradicts "
+                "its Gram verdict")
+        return P
 
 
 @dataclass(frozen=True)
@@ -85,6 +113,17 @@ def _require_oe(C: LinearCode) -> None:
         raise ValueError("dimension must be at least 2")
 
 
+def _orthonormal_lanes(
+        C: LinearCode) -> Tuple[BitMatrix, List[int], Optional[WeightTable]]:
+    """C's orthonormal basis B, B's columns and, below ``BZ_MIN_K`` rows,
+    the weight table over them; built once per code, kept in its cache."""
+    def build():
+        B = nf.orthonormal_basis(C)
+        cols = list(B.transpose().rows)
+        return B, cols, WeightTable(cols, C.k) if C.k < BZ_MIN_K else None
+    return C._cached("orthonormal_lanes", build)
+
+
 def good_puncture_pairs(C: LinearCode, u: int) -> List[PunctureWitness]:
     """All v for which C^{u,v} is LCD, read off the hull of C^u.
 
@@ -93,13 +132,20 @@ def good_puncture_pairs(C: LinearCode, u: int) -> List[PunctureWitness]:
     u; puncturing any further coordinate in that hull vector's support
     removes the hull entirely.  Returns at least d-1 verified witnesses,
     in ascending v order.
+
+    C^u itself is built for its hull checks, but no C^{u,v} is: with B
+    the orthonormal basis and c_j its columns, the pair's LCD verdict is
+    the rank of its Gram matrix I + c_u c_u^T + c_v c_v^T, and its
+    distance is the least lane of the table without c_u's and c_v's
+    patterns (``min_weight`` of B's punctured rows from ``BZ_MIN_K``
+    rows on).  A witness builds C^{u,v} when its ``punctured`` is read.
     """
     _require_oe(C)
     d = C.min_distance()
     if d < 3:
         raise ValueError("minimum distance must be at least 3")
     (u,) = check_coords([u], C.n)
-    B = nf.orthonormal_basis(C)
+    B, cols, table = _orthonormal_lanes(C)
     bit = u - 1
     z = 0
     for r in B.rows:
@@ -117,20 +163,31 @@ def good_puncture_pairs(C: LinearCode, u: int) -> List[PunctureWitness]:
     if zu.bit_count() < d - 1:
         raise ConjectureError("punctured hull vector lighter than d - 1")
 
+    k = C.k
+    cu = cols[bit]
+    gram_u = [(1 << i) ^ (cu if (cu >> i) & 1 else 0) for i in range(k)]
     witnesses: List[PunctureWitness] = []
     for j in range(C.n):
         if j == bit or not (z >> j) & 1:
             continue
         v = j + 1
-        P = C.puncture([u, v])
-        lcd = P.is_lcd()
+        cv = cols[j]
+        lcd = gf2.rank_of_rows(
+            [g ^ cv if (cv >> i) & 1 else g for i, g in enumerate(gram_u)]
+        ) == k
         if not lcd:
             raise ConjectureError(f"punctured code at ({u},{v}) must be LCD")
-        dmin = P.min_distance()
+        if table is not None:
+            dmin = table.minimum(
+                table.weights - table.patterns[bit] - table.patterns[j],
+                d - 3)
+        else:
+            drop = (u, v) if u < v else (v, u)
+            dmin = min_weight([_drop_bits(r, drop) for r in B.rows], d - 3)
         if dmin < d - 2:
             raise ConjectureError(
                 f"punctured code at ({u},{v}) has distance below d - 2")
-        witnesses.append(PunctureWitness(u=u, v=v, punctured=P,
+        witnesses.append(PunctureWitness(source=C, u=u, v=v,
                                          lcd=lcd, dmin=dmin))
     if len(witnesses) < d - 1:
         raise ConjectureError("fewer than d - 1 puncture witnesses")

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from lcdkit import conjecture as cj
-from lcdkit import gf2
-from lcdkit.codes import LinearCode
+from lcdkit import gf2, tables
+from lcdkit.codes import BZ_MIN_K, LinearCode
 from lcdkit.gf2 import BitMatrix, BitVector
 from lcdkit.search import random_lcd_oe_code
 
@@ -62,9 +62,28 @@ class TestGoodPuncturePairs:
                 wits = cj.good_puncture_pairs(code, u)
                 assert len(wits) >= d - 1
                 for w in wits:
-                    assert w.punctured.is_lcd()
+                    built = code.puncture([w.u, w.v])
+                    assert w.lcd == built.is_lcd()
+                    assert w.dmin == built.min_distance(engine="full")
                     assert w.dmin >= d - 2
-                    assert w.punctured == code.puncture([w.u, w.v])
+                    assert w.punctured == built
+
+    def test_distance_without_table(self):
+        # from BZ_MIN_K rows on the pair distances come from min_weight
+        rng = random.Random(47)
+        code = None
+        while code is None or code.min_distance() < 3:
+            code = random_lcd_oe_code(rng, BZ_MIN_K + 8, BZ_MIN_K)
+        for u in (1, code.n):
+            for w in cj.good_puncture_pairs(code, u):
+                built = code.puncture([w.u, w.v])
+                assert w.lcd and built.is_lcd()
+                assert w.dmin == built.min_distance(engine="full")
+
+    def test_built_code_must_match_verdict(self):
+        W = cj.PunctureWitness(source=C("0011"), u=1, v=2, lcd=True, dmin=2)
+        with pytest.raises(cj.ConjectureError, match="Gram verdict"):
+            W.punctured
 
 
 class TestMinWeightSpanPunctured:
@@ -74,7 +93,7 @@ class TestMinWeightSpanPunctured:
         assert span == C("1000")
 
     def test_zero_span_when_distance_larger(self):
-        W = cj.PunctureWitness(u=1, v=2, punctured=C("100", "010"),
+        W = cj.PunctureWitness(source=C("00100", "00010"), u=1, v=2,
                                lcd=True, dmin=1)
         span = cj.min_weight_span_punctured(W, 5)
         assert span.k == 0
@@ -88,7 +107,7 @@ class TestMinWeightSpanPunctured:
         assert span.rref() == expect
 
     def test_rejects_non_lcd_witness(self):
-        W = cj.PunctureWitness(u=1, v=2, punctured=C("11"),
+        W = cj.PunctureWitness(source=C("0011"), u=1, v=2,
                                lcd=False, dmin=2)
         with pytest.raises(ValueError):
             cj.min_weight_span_punctured(W, 3)
@@ -140,14 +159,14 @@ class TestExtendAfterPuncture:
 
     def test_zero_span(self):
         P = C("1000", "0111")
-        W = cj.PunctureWitness(u=1, v=2, punctured=P, lcd=True,
-                               dmin=P.min_distance())
+        W = cj.PunctureWitness(source=C("001000", "000111"), u=1, v=2,
+                               lcd=True, dmin=P.min_distance())
         out, _ = cj.extend_after_puncture(W, LinearCode.zero_code(4))
         assert out.n == 5 and out.k == 2 and out.is_lcd()
 
     def test_rejects_all_one_in_span(self):
-        P = C("1000", "0111")
-        W = cj.PunctureWitness(u=1, v=2, punctured=P, lcd=True, dmin=1)
+        W = cj.PunctureWitness(source=C("001000", "000111"), u=1, v=2,
+                               lcd=True, dmin=1)
         span = LinearCode(gf2.rref(BitMatrix.from_strings(
             ["1000", "0111"]))[0])
         with pytest.raises(ValueError):
@@ -190,6 +209,29 @@ class TestCertifyStepDown:
             assert out.min_distance(engine="full") >= d - 1
             assert cert.route in (cj.ROUTE_PADDED, cj.ROUTE_EXTENSION)
 
+    def test_padded_route_builds_one_pair(self, monkeypatch):
+        built = []
+        puncture = LinearCode.puncture
+
+        def counting(self, T):
+            built.append(tuple(T))
+            return puncture(self, T)
+
+        monkeypatch.setattr(LinearCode, "puncture", counting)
+        padded = 0
+        for code in tables.all_one_lcd_codes(8):
+            built.clear()
+            cert = cj.certify_step_down(code)
+            if cert.route != cj.ROUTE_PADDED:
+                continue
+            padded += 1
+            pair = cert.trace[0]
+            u = pair["u"]
+            assert [T for T in built if len(T) == 2] == [(u, pair["v"])]
+            assert [T for T in built if len(T) == 1] == \
+                [(x,) for x in range(1, u + 1)]
+        assert padded
+
 
 class TestPunctureLiftProperties:
     def test_all_one_lifts_and_unequal_pairs(self):
@@ -225,3 +267,78 @@ class TestConjectureError:
         with pytest.raises(cj.ConjectureError, match="no completing entry"):
             cj.column_append_odd(C("1000", "0111"),
                                  BitVector.from_string("1"))
+
+
+def _plain_rank(rows):
+    pivots = {}
+    for r in rows:
+        while r:
+            top = r.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = r
+                break
+            r ^= pivots[top]
+    return len(pivots)
+
+
+def _plain_min_weight(rows):
+    best = None
+    for mask in range(1, 1 << len(rows)):
+        word = 0
+        for i, r in enumerate(rows):
+            if (mask >> i) & 1:
+                word ^= r
+        w = bin(word).count("1")
+        best = w if best is None else min(best, w)
+    return best
+
+
+def _check_step_down(rows, n1, cert):
+    """The certificate against its input rows, with plain ints only."""
+    k = len(rows)
+    d = _plain_min_weight(rows)
+    pair = cert.trace[0]
+    assert pair["op"] == "puncture_pair"
+    keep = [j for j in range(n1) if j not in (pair["u"] - 1, pair["v"] - 1)]
+    punctured = [sum(((r >> j) & 1) << i for i, j in enumerate(keep))
+                 for r in rows]
+    n = n1 - 1
+    out = list(cert.output.gen.rows)
+    assert cert.output.n == n and len(out) == k
+    assert all(r >> n == 0 for r in out)
+    trimmed = [r & ((1 << (n - 1)) - 1) for r in out]
+    assert _plain_rank(punctured) == _plain_rank(trimmed) == k
+    assert _plain_rank(punctured + trimmed) == k
+    gram = [sum((bin(a & b).count("1") & 1) << j for j, b in enumerate(out))
+            for a in out]
+    assert _plain_rank(gram) == k
+    assert _plain_min_weight(out) >= d - 1
+
+
+class TestCertificateAgainstInput:
+    """Each certificate re-checked against its input by plain-int code
+    that shares nothing with conjecture or normal_form."""
+
+    def test_corpus_and_equivalent_copies(self):
+        rng = random.Random(48)
+        routes = set()
+        count = 0
+        for length in range(4, 11):
+            for code in tables.all_one_lcd_codes(length):
+                n, k = code.n, code.k
+                rows = list(code.gen.rows)
+                perm = rng.sample(range(n), n)
+                permuted = [sum(((r >> perm[j]) & 1) << j for j in range(n))
+                            for r in rows]
+                mixed = list(rows)
+                for _ in range(3 * k):
+                    i, j = rng.sample(range(k), 2)
+                    mixed[i] ^= mixed[j]
+                for variant in (rows, permuted, mixed):
+                    cert = cj.certify_step_down(
+                        LinearCode.from_rows(variant, n))
+                    _check_step_down(variant, n, cert)
+                    routes.add(cert.route)
+                count += 1
+        assert count == 87
+        assert routes == {cj.ROUTE_PADDED, cj.ROUTE_EXTENSION}
