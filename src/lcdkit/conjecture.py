@@ -13,17 +13,24 @@ hull that appears after puncturing a single coordinate:
     then append a column that lifts every weight-(d-2) word to weight
     d-1 while keeping the code LCD.
 
-Each pair is decided from the input's orthonormal basis B (Gram I_k),
-which is built once per code and kept in the code's cache together with
-a ``codes.WeightTable`` over B's columns c_1 .. c_{n+1}.  Puncturing u
-and v keeps k (d >= 3), and its messages x B weigh the table's lanes
-minus the patterns of c_u and c_v, so the pair's distance is one lane
-minimum; its Gram matrix is I + c_u c_u^T + c_v c_v^T, so its LCD
-verdict is the rank of that k x k matrix.  From ``BZ_MIN_K`` rows on no
-table is kept and the distance is ``min_weight`` of B's punctured rows.
-A witness builds its punctured code only when read, and re-tests it for
-LCD then, so a certification builds the code of the pair it uses and
-of the pairs the extension route scans before it.
+Everything is read off the input's orthonormal basis B (Gram I_k),
+with columns c_1 .. c_{n+1}; B, a ``codes.WeightTable`` over the
+columns and the input checks are made once per code and kept in its
+cache.  Puncturing u keeps k (d >= 3), so C^u has Gram matrix
+I + c_u c_u^T over B's punctured rows, of rank k - 1 when |c_u| is odd.
+Its one-dimensional hull is spanned by z = c_u^T B, the sum of the rows
+supported at u, punctured at u: that z is orthogonal to every punctured
+row.  These hull checks are read from B; C^u is never built.
+
+The pair lemma: with |c_u| odd, I + c_u c_u^T + c_v c_v^T is
+nonsingular exactly when c_u . c_v = 1, which is bit v of z (it is as
+singular as I_2 + U^T U with U = [c_u c_v], of determinant
+(c_u . c_v)^2).  So C^{u,v} is LCD for exactly the v in z's support,
+and no pair needs a rank.  Its distance is the least lane of the table
+without c_u's and c_v's patterns (``min_weight`` of B's punctured rows
+from ``BZ_MIN_K`` rows on).  A witness builds C^{u,v} only when read,
+and checks then that it is LCD, so a certification builds the code of
+the pair it uses and of the pairs the extension route scans before it.
 
 Every certificate re-verifies its output independently.
 """
@@ -55,26 +62,24 @@ class ConjectureError(AssertionError):
 
 @dataclass(frozen=True)
 class PunctureWitness:
-    """The pair (u, v) of a source code C, with the LCD status and
-    minimum distance of the doubly-punctured code C^{u,v}.
+    """A pair (u, v) of a source code C whose doubly-punctured code
+    C^{u,v} is LCD, with the minimum distance of C^{u,v}.
 
-    ``punctured`` builds C^{u,v} on first read and checks that its
-    ``is_lcd()`` agrees with ``lcd``.
+    ``punctured`` builds C^{u,v} on first read and checks that it is
+    LCD, as the pair lemma says.
     """
 
     source: LinearCode
     u: int
     v: int
-    lcd: bool
     dmin: int
 
     @cached_property
     def punctured(self) -> LinearCode:
         P = self.source.puncture([self.u, self.v])
-        if P.is_lcd() != self.lcd:
+        if not P.is_lcd():
             raise ConjectureError(
-                f"punctured code at ({self.u},{self.v}) contradicts "
-                "its Gram verdict")
+                f"punctured code at ({self.u},{self.v}) is not LCD")
         return P
 
 
@@ -104,49 +109,53 @@ class ConjectureCertificate:
         return "".join(json.dumps(entry) + "\n" for entry in self.trace)
 
 
-def _require_oe(C: LinearCode) -> None:
-    label = C.parity_class().label
-    if label != "LCD_oe":
-        raise ValueError(
-            f"expected an odd-like LCD code with even-like dual, got {label}")
-    if C.k < 2:
-        raise ValueError("dimension must be at least 2")
+def _step_down_basis(
+        C: LinearCode
+) -> Tuple[int, BitMatrix, List[int], Optional[WeightTable]]:
+    """C's distance d, its orthonormal basis B, B's columns and, below
+    ``BZ_MIN_K`` rows, the weight table over them; checked and built
+    once per code, kept in its cache.
 
-
-def _orthonormal_lanes(
-        C: LinearCode) -> Tuple[BitMatrix, List[int], Optional[WeightTable]]:
-    """C's orthonormal basis B, B's columns and, below ``BZ_MIN_K`` rows,
-    the weight table over them; built once per code, kept in its cache."""
+    Raises ValueError on an input the step-down does not take; each
+    message starts with the name of the first failed precondition.
+    """
     def build():
+        if C.k < 2:
+            raise ValueError("k<2: dimension must be at least 2")
+        if C.is_even_like():
+            raise ValueError("not-odd-like: every codeword has even weight")
+        if not C.contains_all_one():
+            raise ValueError("dual-not-even: the all-one vector is not "
+                             "a codeword")
+        if not C.is_lcd():
+            raise ValueError("not-lcd: the code meets its dual")
+        d = C.min_distance()
+        if d < 3:
+            raise ValueError("d<3: minimum distance must be at least 3")
         B = nf.orthonormal_basis(C)
         cols = list(B.transpose().rows)
-        return B, cols, WeightTable(cols, C.k) if C.k < BZ_MIN_K else None
-    return C._cached("orthonormal_lanes", build)
+        table = WeightTable(cols, C.k) if C.k < BZ_MIN_K else None
+        return d, B, cols, table
+    return C._cached("step_down_basis", build)
 
 
 def good_puncture_pairs(C: LinearCode, u: int) -> List[PunctureWitness]:
     """All v for which C^{u,v} is LCD, read off the hull of C^u.
 
-    Over an orthonormal generator basis, puncturing coordinate u leaves
-    a one-dimensional hull spanned by the sum of the rows supported at
-    u; puncturing any further coordinate in that hull vector's support
-    removes the hull entirely.  Returns at least d-1 verified witnesses,
-    in ascending v order.
-
-    C^u itself is built for its hull checks, but no C^{u,v} is: with B
-    the orthonormal basis and c_j its columns, the pair's LCD verdict is
-    the rank of its Gram matrix I + c_u c_u^T + c_v c_v^T, and its
-    distance is the least lane of the table without c_u's and c_v's
-    patterns (``min_weight`` of B's punctured rows from ``BZ_MIN_K``
-    rows on).  A witness builds C^{u,v} when its ``punctured`` is read.
+    Over the orthonormal basis B with columns c_j, puncturing u leaves
+    a one-dimensional hull spanned by z, the sum of the rows supported
+    at u, punctured at u; these hull checks are read from B, without
+    building C^u.  By the pair lemma (module docstring), C^{u,v} is LCD
+    exactly when c_u . c_v = 1, that is for the v in z's support and
+    no other.  Returns these at least d-1 witnesses in ascending v
+    order, each with its distance from the weight table; a witness
+    builds C^{u,v} when its ``punctured`` is read.
     """
-    _require_oe(C)
-    d = C.min_distance()
-    if d < 3:
-        raise ValueError("minimum distance must be at least 3")
+    d, B, cols, table = _step_down_basis(C)
     (u,) = check_coords([u], C.n)
-    B, cols, table = _orthonormal_lanes(C)
     bit = u - 1
+    cu = cols[bit]
+    # z = c_u^T B; its bit j is c_u . c_j
     z = 0
     for r in B.rows:
         if (r >> bit) & 1:
@@ -154,29 +163,21 @@ def good_puncture_pairs(C: LinearCode, u: int) -> List[PunctureWitness]:
     if not (z >> bit) & 1:
         raise ConjectureError("column at u must meet an odd number of rows")
 
-    Cu = C.puncture([u])
-    zu = _drop_bits(z, (u,))
-    if Cu.hull_dimension() != 1:
+    k = C.k
+    gram_u = [(1 << i) ^ (cu if (cu >> i) & 1 else 0) for i in range(k)]
+    if gf2.rank_of_rows(gram_u) != k - 1:
         raise ConjectureError("single puncture must leave hull dim 1")
-    if not Cu.hull().contains(BitVector(Cu.n, zu)):
+    keep = ~(1 << bit)
+    if any((z & r & keep).bit_count() & 1 for r in B.rows):
         raise ConjectureError("row sum must span the punctured hull")
-    if zu.bit_count() < d - 1:
+    if (z & keep).bit_count() < d - 1:
         raise ConjectureError("punctured hull vector lighter than d - 1")
 
-    k = C.k
-    cu = cols[bit]
-    gram_u = [(1 << i) ^ (cu if (cu >> i) & 1 else 0) for i in range(k)]
     witnesses: List[PunctureWitness] = []
     for j in range(C.n):
         if j == bit or not (z >> j) & 1:
             continue
         v = j + 1
-        cv = cols[j]
-        lcd = gf2.rank_of_rows(
-            [g ^ cv if (cv >> i) & 1 else g for i, g in enumerate(gram_u)]
-        ) == k
-        if not lcd:
-            raise ConjectureError(f"punctured code at ({u},{v}) must be LCD")
         if table is not None:
             dmin = table.minimum(
                 table.weights - table.patterns[bit] - table.patterns[j],
@@ -187,24 +188,8 @@ def good_puncture_pairs(C: LinearCode, u: int) -> List[PunctureWitness]:
         if dmin < d - 2:
             raise ConjectureError(
                 f"punctured code at ({u},{v}) has distance below d - 2")
-        witnesses.append(PunctureWitness(source=C, u=u, v=v,
-                                         lcd=lcd, dmin=dmin))
-    if len(witnesses) < d - 1:
-        raise ConjectureError("fewer than d - 1 puncture witnesses")
+        witnesses.append(PunctureWitness(source=C, u=u, v=v, dmin=dmin))
     return witnesses
-
-
-def min_weight_span_punctured(W: PunctureWitness, d: int) -> LinearCode:
-    """Span of all weight-(d-2) codewords of C^{u,v} (possibly zero)."""
-    if not W.lcd:
-        raise ValueError("witness must be LCD")
-    w = d - 2
-    if w < 1:
-        raise ValueError("need d >= 3")
-    P = W.punctured
-    if P.min_distance() > w:
-        return LinearCode.zero_code(P.n)
-    return P.codeword_span(w)
 
 
 def column_append_odd(C: LinearCode, y_prefix: BitVector) -> LinearCode:
@@ -243,47 +228,41 @@ def extend_after_puncture(
         span_d2: LinearCode) -> Tuple[LinearCode, Dict]:
     """Extension route: append a column lifting every minimum-weight word.
 
-    Finds an odd-weight codeword c of C^{u,v} outside span_d2 and
-    orthogonal to it, solves for prefix entries so each spanning word
-    gains a trailing 1, then completes the column keeping LCD.  Returns
-    the [n, k, d-1] LCD code and the trace entry's data: c and the
-    appended column y.
+    span_d2 is the nonzero span of C^{u,v}'s weight-(d-2) words.  Finds
+    an odd-weight codeword c of C^{u,v} outside span_d2 and orthogonal
+    to it, solves for prefix entries so each spanning word gains a
+    trailing 1, then completes the column keeping LCD.  Returns the
+    [n, k, d-1] LCD code and the trace entry's data: c and the appended
+    column y.
     """
-    if not W.lcd:
-        raise ValueError("witness must be LCD")
     P = W.punctured
     npunc, k = P.n, P.k
     if span_d2.contains(BitVector.ones(npunc)):
         raise ValueError("all-one vector lies in the minimum-weight span")
 
-    if span_d2.k == 0:
-        basis = nf.orthonormal_basis(P)
-        base = LinearCode(basis)
-        y_prefix = BitVector(k - 1, 0)
-    else:
-        cert = nf.subcode_normal_form(P, span_d2)
-        sh = cert.shape
-        if sh.a3_kind != nf.ORTHONORMAL or sh.t < 1:
-            raise ConjectureError(
-                "no odd-weight codeword orthogonal to the span: "
-                "the all-one vector should then lie in the span")
-        basis = cert.basis
-        Dmat = BitMatrix.from_rows(basis.rows[:sh.k1], npunc)
-        w = span_d2.min_distance()
-        words = span_d2.weight_words(w)
-        lam_rows = []
-        for a in words:
-            lam = gf2.solve(Dmat, BitVector(npunc, a))
-            if lam is None:
-                raise ConjectureError("spanning word outside leading rows")
-            lam_rows.append(lam.bits)
-        L = BitMatrix.from_rows(lam_rows, sh.k1)
-        ysol = gf2.solve(L.transpose(),
-                         BitVector(len(words), (1 << len(words)) - 1))
-        if ysol is None:
-            raise ConjectureError("lift containment system unsolvable")
-        base = LinearCode(basis)
-        y_prefix = BitVector(k - 1, ysol.bits)
+    cert = nf.subcode_normal_form(P, span_d2)
+    sh = cert.shape
+    if sh.a3_kind != nf.ORTHONORMAL or sh.t < 1:
+        raise ConjectureError(
+            "no odd-weight codeword orthogonal to the span: "
+            "the all-one vector should then lie in the span")
+    basis = cert.basis
+    Dmat = BitMatrix.from_rows(basis.rows[:sh.k1], npunc)
+    w = span_d2.min_distance()
+    words = span_d2.weight_words(w)
+    lam_rows = []
+    for a in words:
+        lam = gf2.solve(Dmat, BitVector(npunc, a))
+        if lam is None:
+            raise ConjectureError("spanning word outside leading rows")
+        lam_rows.append(lam.bits)
+    L = BitMatrix.from_rows(lam_rows, sh.k1)
+    ysol = gf2.solve(L.transpose(),
+                     BitVector(len(words), (1 << len(words)) - 1))
+    if ysol is None:
+        raise ConjectureError("lift containment system unsolvable")
+    base = LinearCode(basis)
+    y_prefix = BitVector(k - 1, ysol.bits)
 
     out = column_append_odd(base, y_prefix)
     y_full = "".join(str(out.gen.get(i, npunc)) for i in range(k))
@@ -300,13 +279,12 @@ def certify_step_down(C: LinearCode) -> ConjectureCertificate:
     Scans pairs (u, v) with u ascending and v in hull-support order,
     preferring the padded-puncture route; falls back to the extension
     route on the first pair whose minimum-weight span misses the
-    all-one vector.  The guarantee is constructive: failure to find a
-    route signals an implementation bug and raises RuntimeError.
+    all-one vector.  An input outside the step-down's hypotheses raises
+    ValueError naming the failed precondition.  The guarantee is
+    constructive: failure to find a route signals an implementation bug
+    and raises RuntimeError.
     """
-    _require_oe(C)
-    d = C.min_distance()
-    if d < 3:
-        raise ValueError("minimum distance must be at least 3")
+    d = _step_down_basis(C)[0]
     n1, k = C.n, C.k
 
     all_witnesses: List[PunctureWitness] = []
@@ -327,7 +305,8 @@ def certify_step_down(C: LinearCode) -> ConjectureCertificate:
                 return cert
 
     for W in all_witnesses:
-        span = min_weight_span_punctured(W, d)
+        # every witness here has dmin == d - 2, so the span is nonzero
+        span = W.punctured.codeword_span(d - 2)
         if span.contains(BitVector.ones(span.n)):
             continue
         out, info = extend_after_puncture(W, span)

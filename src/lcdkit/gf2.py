@@ -35,6 +35,8 @@ class BitVector:
 
     @classmethod
     def from_string(cls, s: str) -> "BitVector":
+        if not isinstance(s, str):
+            raise ValueError(f"not a 0/1 string: {s!r}")
         # strip("01") leaves exactly the characters int(..., 2) must not
         # see: it alone accepts "1_0", "+1", "0b1" and surrounding spaces.
         if s.strip("01"):

@@ -290,8 +290,9 @@ def replay_record(rec: ConstructionRecord,
         return ReplayResult(rec, PASS, message, outputs[0], dmin)
     except _ReplayFailure as e:
         return ReplayResult(rec, FAIL, str(e))
-    # a malformed record field (say, "rows": 5) surfaces as a TypeError
-    # or LookupError from the code that reads it
+    # a malformed record field surfaces from the code that reads it: a
+    # ValueError for a bit string that is not a 0/1 str ("rows": [5]), a
+    # TypeError or LookupError for a field of the wrong shape ("rows": 5)
     except (ValueError, TypeError, LookupError,
             cons.ConstructionSearchError) as e:
         return ReplayResult(rec, FAIL, f"{type(e).__name__}: {e}")

@@ -3,6 +3,7 @@
 import json
 import random
 import time
+from importlib import resources
 
 import pytest
 
@@ -260,6 +261,16 @@ class TestVerifyLedger:
         assert "FAIL extend_even -> [7,2,4]: TypeError" in out
         assert err == ""
 
+    def test_non_string_aux_fails(self, tmp_path, capsys):
+        bad = ('{"op": "extend_row_dual", "inputs": {"source": "inline", '
+               '"format": "gen1", "rows": ["111000", "000111"]}, '
+               '"aux": {"x": 5}, "expect": [7, 3, 2]}\n')
+        path = write(tmp_path, "ledger.jsonl", bad)
+        code, out, err = run(capsys, "verify-ledger", "--path", path)
+        assert code == 1
+        assert "FAIL extend_row_dual -> [7,3,2]: ValueError" in out
+        assert err == ""
+
     def test_unverified_distance_is_skipped(self, tmp_path, capsys,
                                             monkeypatch):
         exact = LinearCode.min_distance
@@ -274,6 +285,70 @@ class TestVerifyLedger:
         code, out, _ = run(capsys, "verify-ledger", "--path", path)
         assert code == 2
         assert "pass=0 fail=0 skipped=1" in out
+
+
+def _ledger_rows():
+    """The built-in ledger's inline and search rows, as JSON objects."""
+    text = resources.files("lcdkit").joinpath(
+        "data/constructions.jsonl").read_text()
+    rows = [json.loads(line) for line in text.splitlines() if line.strip()]
+    return [r for r in rows if r["inputs"]["source"] in ("inline", "search")]
+
+
+def _paths(value, path=()):
+    """Every (container, key) path into a JSON value."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _ledger_mutant(rng, rows):
+    """A copy of one ledger row with one or two values replaced."""
+    row = json.loads(json.dumps(rng.choice(rows)))
+    for _ in range(rng.randint(1, 2)):
+        *parent, key = rng.choice(list(_paths(row)))
+        node = row
+        for p in parent:
+            node = node[p]
+        node[key] = rng.choice([5, "x", [], None, [[node[key]]]])
+    return json.dumps(row)
+
+
+class TestLedgerFuzz:
+    """Mutated ledger rows keep construct's exit-code contract: every
+    malformed field is a FAIL row or a one-line error, never a
+    traceback."""
+
+    NON_STRING_ROW = TestConstruct.LEDGER.replace(
+        '["111000", "000111"]', "[5]")
+
+    def test_non_string_row_is_a_fail_row(self, tmp_path, capsys):
+        path = write(tmp_path, "ledger.jsonl", self.NON_STRING_ROW)
+        code, out, err = run(capsys, "construct", path)
+        assert code == 1
+        assert out.startswith("FAIL extend_even -> [7,2,4] (ValueError")
+        assert err == ""
+
+    def test_exit_codes(self, tmp_path, capsys):
+        rng = random.Random(2028)
+        rows = _ledger_rows()
+        path = tmp_path / "ledger.jsonl"
+        codes = set()
+        texts = [self.NON_STRING_ROW] + [
+            _ledger_mutant(rng, rows) + "\n" for _ in range(600)]
+        for text in texts:
+            path.write_text(text)
+            try:
+                code, _, err = run(capsys, "construct", str(path),
+                                   "--budget-ms", "20")
+            except Exception as e:  # noqa: BLE001 - report the row
+                pytest.fail(f"{type(e).__name__}: {e} on {text}")
+            assert code in (0, 1, 2, 3), text
+            assert "Traceback" not in err, text
+            codes.add(code)
+        assert codes == {0, 1}
 
 
 class TestUsage:

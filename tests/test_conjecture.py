@@ -7,6 +7,7 @@ import pytest
 
 from lcdkit import conjecture as cj
 from lcdkit import gf2, tables
+from lcdkit import normal_form as nf
 from lcdkit.codes import BZ_MIN_K, LinearCode
 from lcdkit.gf2 import BitMatrix, BitVector
 from lcdkit.search import random_lcd_oe_code
@@ -39,7 +40,7 @@ class TestGoodPuncturePairs:
     def test_worked_instance(self):
         wits = cj.good_puncture_pairs(WORKED, 1)
         assert [w.v for w in wits] == [2, 3]
-        assert all(w.lcd for w in wits)
+        assert all(w.punctured.is_lcd() for w in wits)
         assert wits[0].punctured == C("1000", "0111")
 
     def test_coordinate_symmetry(self):
@@ -63,7 +64,7 @@ class TestGoodPuncturePairs:
                 assert len(wits) >= d - 1
                 for w in wits:
                     built = code.puncture([w.u, w.v])
-                    assert w.lcd == built.is_lcd()
+                    assert built.is_lcd()
                     assert w.dmin == built.min_distance(engine="full")
                     assert w.dmin >= d - 2
                     assert w.punctured == built
@@ -77,40 +78,44 @@ class TestGoodPuncturePairs:
         for u in (1, code.n):
             for w in cj.good_puncture_pairs(code, u):
                 built = code.puncture([w.u, w.v])
-                assert w.lcd and built.is_lcd()
+                assert built.is_lcd()
                 assert w.dmin == built.min_distance(engine="full")
 
     def test_built_code_must_match_verdict(self):
-        W = cj.PunctureWitness(source=C("0011"), u=1, v=2, lcd=True, dmin=2)
-        with pytest.raises(cj.ConjectureError, match="Gram verdict"):
+        # a witness whose built code is not LCD contradicts the pair lemma
+        W = cj.PunctureWitness(source=C("0011"), u=1, v=2, dmin=2)
+        with pytest.raises(cj.ConjectureError, match="is not LCD"):
             W.punctured
+
+    def test_pair_lemma(self):
+        # C^{u,v} is LCD for exactly the v returned, and C^u has hull
+        # dimension 1, for every u
+        codes = oe_corpus(49, 30) + [
+            code for n in range(4, 10) for code in tables.all_one_lcd_codes(n)]
+        for code in codes:
+            for u in range(1, code.n + 1):
+                lcd = {v for v in range(1, code.n + 1)
+                       if v != u and code.puncture([u, v]).is_lcd()}
+                assert lcd == {w.v for w in cj.good_puncture_pairs(code, u)}
+                assert code.puncture([u]).hull_dimension() == 1
 
 
 class TestMinWeightSpanPunctured:
+    """The span of C^{u,v}'s weight-(d-2) words, which the extension
+    route lifts."""
+
     def test_worked_instance(self):
         W = cj.good_puncture_pairs(WORKED, 1)[0]
-        span = cj.min_weight_span_punctured(W, 3)
+        span = W.punctured.codeword_span(1)
         assert span == C("1000")
-
-    def test_zero_span_when_distance_larger(self):
-        W = cj.PunctureWitness(source=C("00100", "00010"), u=1, v=2,
-                               lcd=True, dmin=1)
-        span = cj.min_weight_span_punctured(W, 5)
-        assert span.k == 0
 
     def test_second_pair_by_enumeration(self):
         W = cj.good_puncture_pairs(WORKED, 1)[1]
-        span = cj.min_weight_span_punctured(W, 3)
+        span = W.punctured.codeword_span(1)
         words = [c for c in W.punctured.codewords()
                  if c and c.bit_count() == 1]
         expect = gf2.rref(BitMatrix.from_rows(words, W.punctured.n))[0]
         assert span.rref() == expect
-
-    def test_rejects_non_lcd_witness(self):
-        W = cj.PunctureWitness(source=C("0011"), u=1, v=2,
-                               lcd=False, dmin=2)
-        with pytest.raises(ValueError):
-            cj.min_weight_span_punctured(W, 3)
 
 
 class TestColumnAppendOdd:
@@ -139,7 +144,6 @@ class TestColumnAppendOdd:
 
     def test_always_lcd_on_corpus(self):
         rng = random.Random(43)
-        from lcdkit import normal_form as nf
         for code in oe_corpus(44, 15):
             basis = nf.orthonormal_basis(code)
             base = code.with_generator(basis)
@@ -151,22 +155,15 @@ class TestColumnAppendOdd:
 class TestExtendAfterPuncture:
     def test_worked_instance(self):
         W = cj.good_puncture_pairs(WORKED, 1)[0]
-        span = cj.min_weight_span_punctured(W, 3)
+        span = W.punctured.codeword_span(1)
         out, info = cj.extend_after_puncture(W, span)
         assert out == C("10001", "01111")
         assert out.is_lcd() and out.min_distance() == 2
         assert info == {"c": "0111", "y": "11"}
 
-    def test_zero_span(self):
-        P = C("1000", "0111")
-        W = cj.PunctureWitness(source=C("001000", "000111"), u=1, v=2,
-                               lcd=True, dmin=P.min_distance())
-        out, _ = cj.extend_after_puncture(W, LinearCode.zero_code(4))
-        assert out.n == 5 and out.k == 2 and out.is_lcd()
-
     def test_rejects_all_one_in_span(self):
         W = cj.PunctureWitness(source=C("001000", "000111"), u=1, v=2,
-                               lcd=True, dmin=1)
+                               dmin=1)
         span = LinearCode(gf2.rref(BitMatrix.from_strings(
             ["1000", "0111"]))[0])
         with pytest.raises(ValueError):
@@ -227,10 +224,26 @@ class TestCertifyStepDown:
             padded += 1
             pair = cert.trace[0]
             u = pair["u"]
-            assert [T for T in built if len(T) == 2] == [(u, pair["v"])]
-            assert [T for T in built if len(T) == 1] == \
-                [(x,) for x in range(1, u + 1)]
+            # the pair it uses, and no single-coordinate puncture
+            assert built == [(u, pair["v"])]
         assert padded
+
+    def test_one_orthonormal_basis_per_code(self, monkeypatch):
+        calls = []
+        basis = nf.orthonormal_basis
+
+        def counting(code):
+            calls.append(code)
+            return basis(code)
+
+        monkeypatch.setattr(nf, "orthonormal_basis", counting)
+        routes = set()
+        for code in tables.all_one_lcd_codes(9):
+            calls.clear()
+            fresh = LinearCode.from_rows(code.gen.rows, code.n)
+            routes.add(cj.certify_step_down(fresh).route)
+            assert calls == [fresh]
+        assert routes == {cj.ROUTE_PADDED, cj.ROUTE_EXTENSION}
 
 
 class TestPunctureLiftProperties:
@@ -242,9 +255,9 @@ class TestPunctureLiftProperties:
             n = code.n
             # the all-one vector of the punctured code lifts to 1_n
             assert W.punctured.contains(BitVector.ones(W.punctured.n))
-            span = cj.min_weight_span_punctured(W, d)
-            if span.k == 0:
+            if W.dmin > d - 2:
                 continue
+            span = W.punctured.codeword_span(d - 2)
             bits_u, bits_v = W.u - 1, W.v - 1
             for c in code.codewords():
                 if ((c >> bits_u) & 1) != ((c >> bits_v) & 1):

@@ -26,6 +26,11 @@ class TestBitVector:
         with pytest.raises(ValueError):
             BitVector(2, 0b100)
 
+    @pytest.mark.parametrize("value", [5, None, [], ["1"], b"01"])
+    def test_from_string_rejects_non_str(self, value):
+        with pytest.raises(ValueError, match="not a 0/1 string"):
+            BitVector.from_string(value)
+
     def test_inner_product_symmetric(self):
         rng = random.Random(1)
         for _ in range(200):
