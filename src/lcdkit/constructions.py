@@ -5,16 +5,15 @@ parity-style row extensions from an orthonormal basis, systematic
 leading-column extension with an exact LCD verdict, hull-dropping
 row/column extensions, and the multi-output two-column extension.
 
-Every operator returns a ConstructionOutcome carrying the built code,
-the parameter claim it makes, and the witness data (chosen coordinates,
-appended columns) needed to replay the construction bit-exactly.
+Every operator returns the LinearCode it builds, so its output can be
+the next construction's input.  extend_systematic returns None when its
+verdict is "not LCD", and extend_two_multi returns a list of codes.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from . import gf2
 from .gf2 import BitMatrix, BitVector
@@ -39,13 +38,6 @@ class ConstructionError(AssertionError):
     """
 
 
-@dataclass(frozen=True)
-class ConstructionOutcome:
-    code: Optional[LinearCode]  # None when a verdict op says "not LCD"
-    claimed: Tuple[int, int, Optional[int]]  # (n, k, distance lower bound)
-    witness: Dict = field(default_factory=dict)
-
-
 def _prepend_bit(rows, bits):
     """New first coordinate: row i gets bits[i] there, old coords shift."""
     return [(r << 1) | b for r, b in zip(rows, bits)]
@@ -56,14 +48,13 @@ def _require_lcd(C: LinearCode) -> None:
         raise ValueError("input code is not LCD")
 
 
-def extend_even(C: LinearCode) -> ConstructionOutcome:
+def extend_even(C: LinearCode) -> LinearCode:
     """[n,k,d] LCD with d odd, k even -> even-like [n+1,k,d+1] LCD.
 
     Rows (1, c_i) over an orthonormal basis {c_i}.
     """
     _require_lcd(C)
-    d = C.min_distance()
-    if d % 2 == 0:
+    if C.min_distance() % 2 == 0:
         raise ValueError("minimum distance must be odd")
     if C.k % 2:
         raise ValueError("dimension must be even")
@@ -72,19 +63,16 @@ def extend_even(C: LinearCode) -> ConstructionOutcome:
     out = LinearCode(BitMatrix.from_rows(rows, C.n + 1))
     if not (out.is_lcd() and out.is_even_like()):
         raise ConstructionError("extension must be even-like LCD")
-    return ConstructionOutcome(out, (C.n + 1, C.k, d + 1),
-                               {"basis": [str(basis.row(i))
-                                          for i in range(C.k)]})
+    return out
 
 
-def extend_odd_two(C: LinearCode) -> ConstructionOutcome:
+def extend_odd_two(C: LinearCode) -> LinearCode:
     """[n,k,d] LCD with d odd, k odd -> odd-like [n+2,k,>=d+1] LCD.
 
     Rows (1, 1, c_i) over an orthonormal basis {c_i}.
     """
     _require_lcd(C)
-    d = C.min_distance()
-    if d % 2 == 0:
+    if C.min_distance() % 2 == 0:
         raise ValueError("minimum distance must be odd")
     if C.k % 2 == 0:
         raise ValueError("dimension must be odd")
@@ -93,13 +81,11 @@ def extend_odd_two(C: LinearCode) -> ConstructionOutcome:
     out = LinearCode(BitMatrix.from_rows(rows, C.n + 2))
     if not out.is_lcd() or out.is_even_like():
         raise ConstructionError("extension must be odd-like LCD")
-    return ConstructionOutcome(out, (C.n + 2, C.k, d + 1),
-                               {"basis": [str(basis.row(i))
-                                          for i in range(C.k)]})
+    return out
 
 
-def puncture_even_lcd(C: LinearCode, i: int) -> ConstructionOutcome:
-    """Puncture an even-like LCD code on one coordinate; stays LCD."""
+def puncture_even_lcd(C: LinearCode, i: int) -> LinearCode:
+    """Even-like [n,k,d] LCD punctured on coordinate i -> [n-1,k,>=d-1] LCD."""
     _require_lcd(C)
     if not C.is_even_like():
         raise ValueError("input code is not even-like")
@@ -107,58 +93,40 @@ def puncture_even_lcd(C: LinearCode, i: int) -> ConstructionOutcome:
     out = C.puncture([i])
     if not out.is_lcd():
         raise ConstructionError("output is not LCD")
-    d = C.min_distance()
-    return ConstructionOutcome(out, (C.n - 1, out.k, d - 1),
-                               {"coordinate": i})
+    return out
 
 
 def shorten_odd_lcd(C: LinearCode,
-                    i: Optional[int] = None) -> ConstructionOutcome:
-    """Shorten an odd-like LCD code on one coordinate, staying LCD.
+                    i: Optional[int] = None) -> LinearCode:
+    """Odd-like [n,k,d] LCD shortened on one coordinate -> LCD
+    [n-1,k-1 or k,>=d].
 
     When the all-one vector lies in C any coordinate works (default: 1).
-    Otherwise a shortening coordinate i and a puncturing coordinate j are
-    searched; the witness reports both, the returned code is the
-    shortening at i.
+    Otherwise i is ignored and the code is shortened at the first
+    coordinate whose shortening is LCD; the paper guarantees one.
     """
     _require_lcd(C)
     if C.is_even_like():
         raise ValueError("input code is not odd-like")
-    d = C.min_distance()
     if C.contains_all_one():
         coord = 1 if i is None else i
         check_coords([coord], C.n)
-        out = C.shorten([coord])
-        if not out.is_lcd():
-            raise ConstructionError("output is not LCD")
-        return ConstructionOutcome(
-            out, (C.n - 1, out.k, d if out.k else None),
-            {"coordinate": coord, "all_one_in_code": True})
-    short_i = None
-    punct_j = None
-    for c in range(1, C.n + 1):
-        if short_i is None and C.shorten([c]).is_lcd():
-            short_i = c
-        if punct_j is None and C.puncture([c]).is_lcd():
-            punct_j = c
-        if short_i is not None and punct_j is not None:
-            break
-    if short_i is None or punct_j is None:
-        raise ConstructionSearchError(
-            "no LCD shortening/puncturing coordinate found "
-            "(contradicts the guarantee; likely an input bug)")
-    out = C.shorten([short_i])
+    else:
+        coord = next((c for c in range(1, C.n + 1)
+                      if C.shorten([c]).is_lcd()), None)
+        if coord is None:
+            raise ConstructionSearchError(
+                "no LCD shortening coordinate found "
+                "(contradicts the guarantee; likely an input bug)")
+    out = C.shorten([coord])
     if not out.is_lcd():
         raise ConstructionError("output is not LCD")
-    return ConstructionOutcome(
-        out, (C.n - 1, out.k, d if out.k else None),
-        {"coordinate": short_i, "puncture_coordinate": punct_j,
-         "all_one_in_code": False})
+    return out
 
 
 def _first_hull_subset(C: LinearCode, l: int, build, k: int,
-                       what: str) -> Tuple[Tuple[int, ...], LinearCode]:
-    """(T, build(T)) for the first l-subset T whose build is an LCD
+                       what: str) -> LinearCode:
+    """build(T) for the first l-subset T whose build is an LCD
     [n - l, k] code, over coordinates sorted by hull support, most first.
     Gives up past SEARCH_BUDGET subsets unless n <= EXHAUSTIVE_N."""
     hull = C.hull().gen.rows
@@ -169,41 +137,34 @@ def _first_hull_subset(C: LinearCode, l: int, build, k: int,
         tried += 1
         if tried > SEARCH_BUDGET and C.n > EXHAUSTIVE_N:
             break
-        T = tuple(sorted(combo))
-        out = build(T)
+        out = build(tuple(sorted(combo)))
         if out.k == k and out.is_lcd():
-            return T, out
+            return out
     raise ConstructionSearchError(
         f"no size-{l} {what} set found within budget ({tried} tried)")
 
 
-def hull_shorten(C: LinearCode) -> ConstructionOutcome:
+def hull_shorten(C: LinearCode) -> LinearCode:
     """Shorten away the hull: [n,k,d] with hull dim l -> [n-l,k-l,>=d] LCD."""
     l = C.hull_dimension()
     if l < 1:
         raise ValueError("hull is already trivial")
     if l == C.k:
         raise ValueError("hull equals the code; shortening would be empty")
-    d = C.min_distance()
-    T, out = _first_hull_subset(C, l, C.shorten, C.k - l, "shortening")
-    return ConstructionOutcome(out, (C.n - l, C.k - l, d),
-                               {"coordinates": list(T)})
+    return _first_hull_subset(C, l, C.shorten, C.k - l, "shortening")
 
 
-def hull_puncture(C: LinearCode) -> ConstructionOutcome:
+def hull_puncture(C: LinearCode) -> LinearCode:
     """Puncture away the hull: hull dim l < d -> [n-l,k,>=d-l] LCD."""
     l = C.hull_dimension()
     if l < 1:
         raise ValueError("hull is already trivial")
-    d = C.min_distance()
-    if l >= d:
+    if l >= C.min_distance():
         raise ValueError("hull dimension must be below the distance")
-    T, out = _first_hull_subset(C, l, C.puncture, C.k, "puncturing")
-    return ConstructionOutcome(out, (C.n - l, C.k, d - l),
-                               {"coordinates": list(T)})
+    return _first_hull_subset(C, l, C.puncture, C.k, "puncturing")
 
 
-def extend_row_dual(C: LinearCode, x: BitVector) -> ConstructionOutcome:
+def extend_row_dual(C: LinearCode, x: BitVector) -> LinearCode:
     """Adjoin row (1,x) with x an even-weight dual word -> [n+1,k+1] LCD."""
     _require_lcd(C)
     if x.length != C.n:
@@ -216,8 +177,7 @@ def extend_row_dual(C: LinearCode, x: BitVector) -> ConstructionOutcome:
     out = LinearCode(BitMatrix.from_rows(rows, C.n + 1))
     if not out.is_lcd():
         raise ConstructionError("output is not LCD")
-    return ConstructionOutcome(out, (C.n + 1, C.k + 1, None),
-                               {"x": str(x)})
+    return out
 
 
 def _stored_gram_kind(C: LinearCode) -> Optional[str]:
@@ -235,15 +195,15 @@ def _stored_gram_kind(C: LinearCode) -> Optional[str]:
     return None
 
 
-def extend_systematic(C: LinearCode, x: BitVector) -> ConstructionOutcome:
-    """Leading-column extension with an exact LCD verdict.
+def extend_systematic(C: LinearCode, x: BitVector) -> Optional[LinearCode]:
+    """Leading-column extension [n+1,k+1] with an exact LCD verdict.
 
     The stored generator must already be orthonormal or symplectic with
     its first k columns independent.  x ranges over the last n-k
     coordinates and is padded to x~ = (0,...,0,x); the candidate code has
-    generator [[1, x~], [0, G]].  The verdict (outcome witness "lcd") is
-    computed from the parity rule and always cross-checked against Gram
-    nonsingularity; the code is included only when the verdict is LCD.
+    generator [[1, x~], [0, G]].  The verdict is computed from the parity
+    rule and always cross-checked against Gram nonsingularity; the code
+    is returned when the verdict is LCD, None otherwise.
     """
     _require_lcd(C)
     if x.length != C.n - C.k:
@@ -268,15 +228,13 @@ def extend_systematic(C: LinearCode, x: BitVector) -> ConstructionOutcome:
     actual = gf2.is_nonsingular(gf2.gram(M))
     if actual != verdict:
         raise ConstructionError("parity verdict disagrees with Gram test")
-    code = LinearCode(M) if verdict else None
-    witness = {"x": str(x), "lcd": verdict}
-    return ConstructionOutcome(code, (C.n + 1, C.k + 1, None), witness)
+    return LinearCode(M) if verdict else None
 
 
 def _hull_drop(C: LinearCode, x: BitVector,
-               rows: List[int]) -> Tuple[LinearCode, int]:
+               rows: List[int]) -> LinearCode:
     """The [n+1] code with these rows, checked to drop C's hull by one
-    (x must meet the hull); returns it and its hull dimension."""
+    (x must meet the hull)."""
     s = C.hull_dimension()
     if s < 1:
         raise ValueError("hull is already trivial")
@@ -288,20 +246,18 @@ def _hull_drop(C: LinearCode, x: BitVector,
     out = LinearCode(BitMatrix.from_rows(rows, C.n + 1))
     if out.hull_dimension() != s - 1:
         raise ConstructionError("hull dimension did not drop by one")
-    return out, s - 1
+    return out
 
 
-def extend_hull_drop(C: LinearCode, x: BitVector) -> ConstructionOutcome:
-    """Adjoin row (1,x) meeting the hull -> hull dimension drops by one."""
+def extend_hull_drop(C: LinearCode, x: BitVector) -> LinearCode:
+    """Adjoin row (1,x) meeting the hull -> [n+1,k+1], hull dimension
+    one smaller."""
     rows = [(x.bits << 1) | 1] + [r << 1 for r in C.gen.rows]
-    out, s = _hull_drop(C, x, rows)
-    return ConstructionOutcome(out, (C.n + 1, C.k + 1, None),
-                               {"x": str(x), "hull_dim": s})
+    return _hull_drop(C, x, rows)
 
 
-def extend_column_hull_drop(C: LinearCode,
-                            x: BitVector) -> ConstructionOutcome:
-    """Prepend the column y_i = <x, r_i>; the hull drops by one.
+def extend_column_hull_drop(C: LinearCode, x: BitVector) -> LinearCode:
+    """Prepend the column y_i = <x, r_i> -> [n+1,k]; the hull drops by one.
 
     This is the column-side mirror of extend_hull_drop: the output is the
     dual of the row extension [[1,x],[0,H]] of the dual code, so x must
@@ -309,10 +265,7 @@ def extend_column_hull_drop(C: LinearCode,
     to the hull can work — in particular no codeword of C can.
     """
     y = [(x.bits & r).bit_count() & 1 for r in C.gen.rows]
-    out, s = _hull_drop(C, x, _prepend_bit(list(C.gen.rows), y))
-    return ConstructionOutcome(out, (C.n + 1, C.k, None),
-                               {"x": str(x), "y": "".join(map(str, y)),
-                                "hull_dim": s})
+    return _hull_drop(C, x, _prepend_bit(list(C.gen.rows), y))
 
 
 def parity_extend(C: LinearCode) -> LinearCode:
@@ -321,20 +274,20 @@ def parity_extend(C: LinearCode) -> LinearCode:
     return LinearCode(BitMatrix.from_rows(rows, C.n + 1))
 
 
-def extend_two_multi(C: LinearCode) -> List[ConstructionOutcome]:
-    """All 2^(k-1) two-column extensions of an odd-k, odd-d LCD code.
+def extend_two_multi(C: LinearCode) -> List[LinearCode]:
+    """All 2^(k-1) two-column extensions of an odd-k, odd-d [n,k,d] LCD
+    code, each an [n+2,k,>=d+1] LCD code.
 
     Parity-extend to an even [n+1,k,d+1] code with one-dimensional hull,
     normalize so the first row spans the hull, then for every column
     y = (1, y_2, ..., y_k) append it with the row fix-up that restores
-    orthogonality.  Outcomes are ordered by the integer value of
+    orthogonality.  Outputs are ordered by the integer value of
     (y_2,...,y_k) and are pairwise distinct as codeword sets.
     """
     _require_lcd(C)
-    d = C.min_distance()
     if C.k % 2 == 0:
         raise ValueError("dimension must be odd")
-    if d % 2 == 0:
+    if C.min_distance() % 2 == 0:
         raise ValueError("minimum distance must be odd")
     k, n = C.k, C.n
     Cp = parity_extend(C)
@@ -342,7 +295,7 @@ def extend_two_multi(C: LinearCode) -> List[ConstructionOutcome]:
         raise ConstructionError("parity extension must have hull dimension 1")
     cert = nf.hull_normal_basis(Cp)
     g = list(cert.basis.rows)  # g[0] spans the hull, rest symplectic
-    outcomes = []
+    outputs = []
     seen = set()
     for v in range(1 << (k - 1)):
         rows = [g[0] | (1 << (n + 1))]
@@ -356,7 +309,5 @@ def extend_two_multi(C: LinearCode) -> List[ConstructionOutcome]:
         if key in seen:
             raise ConstructionError("duplicate codeword set")
         seen.add(key)
-        y = "1" + "".join(str((v >> (i - 1)) & 1) for i in range(1, k))
-        outcomes.append(ConstructionOutcome(out, (n + 2, k, d + 1),
-                                            {"y": y}))
-    return outcomes
+        outputs.append(out)
+    return outputs

@@ -6,8 +6,8 @@ registered construction operation, its input code, auxiliary data
 Records with inline or searchable inputs replay deterministically;
 records whose input is an externally distributed seed file are skipped
 — never failed — when the seed is absent.  A record whose expected
-distance the engine cannot check within its budget is skipped too
-(``UNVERIFIED``), never passed.
+distance, or the input distance its operation needs, the engine cannot
+compute within its budget is skipped too (``UNVERIFIED``), never passed.
 
 A bounds ledger holds published lower/upper bounds on the best LCD
 minimum distance d_lcd(n, k) at lengths beyond exhaustive reach, and
@@ -33,7 +33,8 @@ from .search import DEFAULT_SEED, lcd_search
 PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED-MISSING-SEED"
-# the output was built but its distance could not be checked at budget
+# a distance the replay needs, of the input or of the output, could not
+# be computed at budget
 UNVERIFIED = "SKIPPED-UNVERIFIED-DISTANCE"
 
 class _ReplayFailure(Exception):
@@ -174,29 +175,29 @@ def _puncture_even_lcd(code: LinearCode, aux: Dict) -> List[LinearCode]:
     # puncture highest coordinates first so the recorded positions keep
     # referring to the original code
     for i in sorted(aux["coordinates"], reverse=True):
-        code = cons.puncture_even_lcd(code, i).code
+        code = cons.puncture_even_lcd(code, i)
     return [code]
 
 
 def _extend_two_multi(code: LinearCode, aux: Dict) -> List[LinearCode]:
-    outcomes = cons.extend_two_multi(code)
+    outputs = cons.extend_two_multi(code)
     want = 1 << (code.k - 1)
-    if len(outcomes) != want:
-        raise _ReplayFailure(f"expected {want} outputs, got {len(outcomes)}")
-    if len(set(o.code for o in outcomes)) != len(outcomes):
+    if len(outputs) != want:
+        raise _ReplayFailure(f"expected {want} outputs, got {len(outputs)}")
+    if len(set(outputs)) != len(outputs):
         raise _ReplayFailure("outputs are not pairwise distinct")
-    return [o.code for o in outcomes]
+    return outputs
 
 
 def _one(construct: Callable) -> Callable:
-    """Handler for a construction with a single outcome."""
-    return lambda code, aux: [construct(code).code]
+    """Handler for a construction with a single output."""
+    return lambda code, aux: [construct(code)]
 
 
 def _with_vector(construct: Callable) -> Callable:
     """Handler for a construction taking the aux vector x."""
     return lambda code, aux: [
-        construct(code, BitVector.from_string(aux["x"])).code]
+        construct(code, BitVector.from_string(aux["x"]))]
 
 
 class _Op(NamedTuple):
@@ -215,7 +216,7 @@ REGISTERED_OPS: Dict[str, _Op] = {
     "extend_odd_two": _Op(_one(cons.extend_odd_two)),
     "puncture_even_lcd": _Op(_puncture_even_lcd, ("coordinates",)),
     "shorten_odd_lcd": _Op(lambda code, aux: [
-        cons.shorten_odd_lcd(code, aux.get("coordinate")).code]),
+        cons.shorten_odd_lcd(code, aux.get("coordinate"))]),
     "hull_shorten": _Op(_one(cons.hull_shorten)),
     "hull_puncture": _Op(_one(cons.hull_puncture)),
     "extend_row_dual": _Op(_with_vector(cons.extend_row_dual), ("x",)),
@@ -273,7 +274,12 @@ def replay_record(rec: ConstructionRecord,
             seed, budget_ms)
         if skip is not None:
             return ReplayResult(rec, SKIPPED, skip)
-        outputs = _apply_op(rec, seed_code)
+        try:
+            outputs = _apply_op(rec, seed_code)
+        except EngineBudgetError:
+            # an op whose precondition reads the input's distance
+            return ReplayResult(rec, UNVERIFIED,
+                                "input distance unverifiable at budget")
         dmin = None
         notes = []
         verified = True

@@ -242,21 +242,19 @@ def check_step_property(table: Dict[Tuple[int, int], int]) -> None:
             raise TableLawError(f"not antitone in k at (n={n}, k={k})")
 
 
-def all_one_lcd_codes(length: int, d_min: int = 3,
-                      k_min: int = 2) -> Iterator[LinearCode]:
+def all_one_lcd_codes(length: int) -> Iterator[LinearCode]:
     """All odd-like LCD codes containing 1_n, up to column permutation.
 
     Yields one systematic representative per canonical matrix with
-    dimension >= k_min and minimum distance >= d_min.  Any LCD code
-    containing the all-one vector is automatically odd-like.
+    dimension >= 2 and minimum distance >= 3, the step-down's
+    preconditions.  Any LCD code containing the all-one vector is
+    automatically odd-like.
     """
     n = length
-    for k in range(k_min, n + 1):
-        if k == n:
-            continue  # full space has d = 1 < 3
+    for k in range(2, n):  # k = n is the full space, d = 1
         c = n - k
         r, m = min(k, c), max(k, c)
-        for b, d in canonical_b_matrices(r, m, floor=lambda: d_min - 1,
+        for b, d in canonical_b_matrices(r, m, floor=lambda: 2,
                                          all_one=True, transposed=k > c):
             if _gram_nonsingular(b):
                 code = LinearCode.from_rows(_systematic_rows(n, k, b), n)

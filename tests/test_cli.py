@@ -8,10 +8,10 @@ from importlib import resources
 import pytest
 
 from lcdkit import cli, conjecture, tables
-from lcdkit.codes import (EngineBudgetError, LinearCode, ParseError,
-                          format_gen1, parse_gen1)
+from lcdkit.codes import (W_MAX, EngineBudgetError, LinearCode, ParseError,
+                          format_gen1, min_weight, parse_gen1)
 from lcdkit.expansion import ExtFieldCode, parse_extgen1
-from lcdkit.search import random_code
+from lcdkit.search import random_code, random_lcd_eo_code
 
 
 def write(tmp_path, name, text):
@@ -236,6 +236,51 @@ class TestConstruct:
         assert code == 1
         assert out.startswith("FAIL extend_even -> [7,2,4] (TypeError")
         assert err == ""
+
+    def test_puncture_needs_no_input_distance(self, tmp_path, capsys):
+        # an even-like LCD [62, 28, 10] input: k > K_FULL sends it to the
+        # low-weight engine, which cannot reach d = 10
+        seed = random_lcd_eo_code(random.Random(5), 62, 28)
+        assert min_weight(seed.gen.rows) > W_MAX
+        row = {"op": "puncture_even_lcd",
+               "inputs": {"source": "inline", "format": "gen1",
+                          "rows": [str(seed.gen.row(i))
+                                   for i in range(seed.k)]},
+               "aux": {"coordinates": [1]}, "expect": [61, 28]}
+        path = write(tmp_path, "ledger.jsonl",
+                     json.dumps(row) + "\n" + self.LEDGER)
+        code, out, err = run(capsys, "construct", path)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("PASS puncture_even_lcd -> [61,28]")
+        assert lines[1] == "PASS extend_even -> [7,2,4]"
+        assert err == ""
+
+    def test_input_distance_over_budget_is_skipped(self, tmp_path, capsys,
+                                                   monkeypatch):
+        exact = LinearCode.min_distance
+
+        def give_up(self, engine="auto"):
+            # only extend_even's [6, 2] input, whose distance it reads
+            if self.n == 6:
+                raise EngineBudgetError("over budget")
+            return exact(self, engine)
+        monkeypatch.setattr(LinearCode, "min_distance", give_up)
+        passing = ('{"op": "puncture_even_lcd", "inputs": {"source": '
+                   '"inline", "format": "gen1", "rows": ["1100", "0110"]}, '
+                   '"aux": {"coordinates": [1]}, "expect": [3, 2, 1]}\n')
+        path = write(tmp_path, "ledger.jsonl", self.LEDGER + passing)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "construct", path,
+                             "--out-dir", str(out_dir))
+        assert code == 0
+        assert out.splitlines() == [
+            "SKIPPED-UNVERIFIED-DISTANCE extend_even -> [7,2,4] "
+            "(input distance unverifiable at budget)",
+            "PASS puncture_even_lcd -> [3,2,1]"]
+        assert err == ""
+        assert sorted(p.name for p in out_dir.iterdir()) == ["row001.gen1"]
 
 
 class TestVerifyLedger:

@@ -40,15 +40,15 @@ def _lcd_corpus(rng, count, n_range=(2, 12), k_cap=8):
 class TestExtendEven:
     def test_identity_pair(self):
         out = cx.extend_even(C("10", "01"))
-        assert out.code == C("110", "101")
-        assert out.claimed == (3, 2, 2)
-        assert out.code.min_distance() == 2
+        assert out == C("110", "101")
+        assert (out.n, out.k) == (3, 2)
+        assert out.min_distance() == 2
 
     def test_two_blocks(self):
         out = cx.extend_even(C("111000", "000111"))
-        assert out.claimed == (7, 2, 4)
-        assert out.code.is_lcd() and out.code.is_even_like()
-        assert out.code.min_distance() == 4
+        assert (out.n, out.k) == (7, 2)
+        assert out.is_lcd() and out.is_even_like()
+        assert out.min_distance() == 4
 
     def test_rejects_odd_k(self):
         with pytest.raises(ValueError):
@@ -73,20 +73,21 @@ class TestExtendEven:
             if code.min_distance() % 2 == 0 or code.is_even_like():
                 continue
             out = cx.extend_even(code)
-            assert out.code.is_lcd() and out.code.is_even_like()
-            assert out.code.min_distance() == code.min_distance() + 1
+            assert out.is_lcd() and out.is_even_like()
+            assert out.min_distance() == code.min_distance() + 1
             done += 1
 
 
 class TestExtendOddTwo:
     def test_single_bit(self):
         out = cx.extend_odd_two(C("1"))
-        assert out.code == C("111")
+        assert out == C("111")
 
     def test_repetition(self):
         out = cx.extend_odd_two(C("111"))
-        assert out.code == C("11111")
-        assert out.claimed == (5, 1, 4)
+        assert out == C("11111")
+        assert (out.n, out.k) == (5, 1)
+        assert out.min_distance() >= 4
 
     def test_rejects_even_k(self):
         with pytest.raises(ValueError):
@@ -107,20 +108,20 @@ class TestExtendOddTwo:
             if code.min_distance() % 2 == 0 or code.is_even_like():
                 continue
             out = cx.extend_odd_two(code)
-            assert out.code.is_lcd() and not out.code.is_even_like()
-            assert out.code.min_distance() >= code.min_distance() + 1
+            assert out.is_lcd() and not out.is_even_like()
+            assert out.min_distance() >= code.min_distance() + 1
             done += 1
 
 
 class TestPunctureEvenLcd:
     def test_first_coordinate(self):
         out = cx.puncture_even_lcd(C("1100", "0110"), 1)
-        assert out.code == C("100", "110")
-        assert out.code.is_lcd()
+        assert out == C("100", "110")
+        assert out.is_lcd()
 
     def test_last_coordinate(self):
         out = cx.puncture_even_lcd(C("1100", "0110"), 4)
-        assert out.code == C("110", "011")
+        assert out == C("110", "011")
 
     def test_rejects_odd_like(self):
         with pytest.raises(ValueError):
@@ -138,27 +139,29 @@ class TestPunctureEvenLcd:
             except (RuntimeError, ValueError):
                 continue
             for i in range(1, n + 1):
-                assert cx.puncture_even_lcd(code, i).code.is_lcd()
+                assert cx.puncture_even_lcd(code, i).is_lcd()
             done += 1
 
 
 class TestShortenOddLcd:
     def test_all_one_in_code(self):
-        out = cx.shorten_odd_lcd(C("111000", "000111"), 1)
-        assert out.code == C("00111")
-        assert out.witness["all_one_in_code"]
+        code = C("111000", "000111")
+        assert code.contains_all_one()
+        out = cx.shorten_odd_lcd(code, 1)
+        assert out == C("00111")
 
     def test_identity_code(self):
         out = cx.shorten_odd_lcd(C("10", "01"), 2)
-        assert out.code == C("1")
+        assert out == C("1")
 
     def test_without_all_one(self):
         code = C("100", "010")  # LCD_oo, no all-one vector
+        assert not code.contains_all_one()
         out = cx.shorten_odd_lcd(code)
-        assert not out.witness["all_one_in_code"]
-        assert out.code.is_lcd()
-        j = out.witness["puncture_coordinate"]
-        assert code.puncture([j]).is_lcd()
+        assert out.is_lcd()
+        # the theorem also promises a coordinate whose puncture is LCD
+        assert any(code.puncture([j]).is_lcd()
+                   for j in range(1, code.n + 1))
 
     def test_all_coordinates_when_all_one_present(self):
         rng = random.Random(44)
@@ -172,16 +175,16 @@ class TestShortenOddLcd:
             except RuntimeError:
                 continue
             for i in range(1, n + 1):
-                assert cx.shorten_odd_lcd(code, i).code.is_lcd()
+                assert cx.shorten_odd_lcd(code, i).is_lcd()
             done += 1
 
 
 class TestHullShorten:
     def test_hamming(self):
         out = cx.hull_shorten(HAMMING_7_4)
-        assert out.code.is_lcd()
-        assert (out.code.n, out.code.k) == (4, 1)
-        assert out.code.min_distance() >= 3
+        assert out.is_lcd()
+        assert (out.n, out.k) == (4, 1)
+        assert out.min_distance() >= 3
 
     def test_rejects_hull_equals_code(self):
         with pytest.raises(ValueError):
@@ -198,9 +201,9 @@ class TestHullShorten:
             if l < 1 or l == k:
                 continue
             out = cx.hull_shorten(code)
-            assert out.code.is_lcd()
-            assert (out.code.n, out.code.k) == (n - l, k - l)
-            assert out.code.min_distance() >= code.min_distance()
+            assert out.is_lcd()
+            assert (out.n, out.k) == (n - l, k - l)
+            assert out.min_distance() >= code.min_distance()
             done += 1
 
 
@@ -220,21 +223,21 @@ class TestHullPuncture:
             if l < 1 or l >= code.min_distance():
                 continue
             out = cx.hull_puncture(code)
-            assert out.code.is_lcd()
-            assert (out.code.n, out.code.k) == (n - l, k)
-            assert out.code.min_distance() >= code.min_distance() - l
+            assert out.is_lcd()
+            assert (out.n, out.k) == (n - l, k)
+            assert out.min_distance() >= code.min_distance() - l
             done += 1
 
 
 class TestExtendRowDual:
     def test_zero_x(self):
         out = cx.extend_row_dual(C("111"), V("000"))
-        assert out.code == C("1000", "0111")
+        assert out == C("1000", "0111")
 
     def test_even_dual_word(self):
         out = cx.extend_row_dual(C("111"), V("110"))
-        assert out.code == C("1110", "0111")
-        assert out.code.is_lcd()
+        assert out == C("1110", "0111")
+        assert out.is_lcd()
 
     def test_rejects_odd_weight(self):
         with pytest.raises(ValueError):
@@ -255,25 +258,24 @@ class TestExtendRowDual:
             evens = [w for w in words if w.bit_count() % 2 == 0]
             w = rng.choice(evens)
             out = cx.extend_row_dual(code, BitVector(code.n, w))
-            assert out.code.is_lcd()
-            assert (out.code.n, out.code.k) == (code.n + 1, code.k + 1)
+            assert out.is_lcd()
+            assert (out.n, out.k) == (code.n + 1, code.k + 1)
 
 
 class TestExtendSystematic:
     def test_odd_like_even_x(self):
         code = C("100", "010")
         out = cx.extend_systematic(code, V("0"))
-        assert out.witness["lcd"] is True
-        assert out.code == C("1000", "0100", "0010")
+        assert out is not None
+        assert out == C("1000", "0100", "0010")
 
     def test_odd_like_odd_x(self):
         out = cx.extend_systematic(C("100", "010"), V("1"))
-        assert out.witness["lcd"] is False
-        assert out.code is None
+        assert out is None
 
     def test_even_like_odd_x(self):
         out = cx.extend_systematic(C("1100", "0110"), V("01"))
-        assert out.witness["lcd"] is False
+        assert out is None
 
     def test_rejects_unnormalized_generator(self):
         with pytest.raises(ValueError):
@@ -302,18 +304,20 @@ class TestExtendSystematic:
             for xv in range(1 << (n - k)):
                 out = cx.extend_systematic(normalized,
                                            BitVector(n - k, xv))
-                if out.witness["lcd"]:
-                    assert out.code.is_lcd()
-                else:
-                    assert out.code is None
+                rows = [(xv << k << 1) | 1] + [r << 1
+                                               for r in normalized.gen.rows]
+                candidate = LinearCode.from_rows(rows, n + 1)
+                assert (out is not None) == candidate.is_lcd()
+                if out is not None:
+                    assert out == candidate
             done += 1
 
 
 class TestExtendHullDrop:
     def test_single_self_orthogonal(self):
         out = cx.extend_hull_drop(C("11"), V("10"))
-        assert out.code == C("110", "011")
-        assert out.code.is_lcd()
+        assert out == C("110", "011")
+        assert out.is_lcd()
 
     def test_rejects_orthogonal_x(self):
         with pytest.raises(ValueError):
@@ -328,7 +332,7 @@ class TestExtendHullDrop:
                 x = BitVector(7, v)
                 break
         out = cx.extend_hull_drop(HAMMING_7_4, x)
-        assert out.code.hull_dimension() == 2
+        assert out.hull_dimension() == 2
 
     def test_random_drop_by_one(self):
         rng = random.Random(50)
@@ -343,9 +347,9 @@ class TestExtendHullDrop:
             hv = code.hull().gen.rows[0]
             x = BitVector(n, 1 << ((hv & -hv).bit_length() - 1))
             out = cx.extend_hull_drop(code, x)
-            assert out.code.hull_dimension() == s - 1
+            assert out.hull_dimension() == s - 1
             if s == 1:
-                assert out.code.is_lcd()
+                assert out.is_lcd()
             done += 1
 
 
@@ -372,10 +376,10 @@ class TestExtendColumnHullDrop:
             hv = code.hull().gen.rows[0]
             x = BitVector(n, 1 << ((hv & -hv).bit_length() - 1))
             out = cx.extend_column_hull_drop(code, x)
-            assert out.code.hull_dimension() == s - 1
-            assert (out.code.n, out.code.k) == (n + 1, k)
+            assert out.hull_dimension() == s - 1
+            assert (out.n, out.k) == (n + 1, k)
             if s == 1:
-                assert out.code.is_lcd()
+                assert out.is_lcd()
             done += 1
 
 
@@ -383,12 +387,12 @@ class TestExtendTwoMulti:
     def test_repetition_single(self):
         outs = cx.extend_two_multi(C("111"))
         assert len(outs) == 1
-        assert outs[0].code == C("11111")
+        assert outs[0] == C("11111")
 
     def test_single_bit(self):
         outs = cx.extend_two_multi(C("1"))
         assert len(outs) == 1
-        assert outs[0].code == C("111")
+        assert outs[0] == C("111")
 
     def test_rejects_even_k(self):
         with pytest.raises(ValueError):
@@ -411,11 +415,12 @@ class TestExtendTwoMulti:
                 continue
             outs = cx.extend_two_multi(code)
             assert len(outs) == 2 ** (k - 1)
-            rrefs = {o.code.rref().rows for o in outs}
+            rrefs = {o.rref().rows for o in outs}
             assert len(rrefs) == len(outs)
             for o in outs:
-                assert o.code.is_lcd()
-                assert o.code.min_distance() >= d + 1
+                assert (o.n, o.k) == (n + 2, k)
+                assert o.is_lcd()
+                assert o.min_distance() >= d + 1
             done += 1
 
 

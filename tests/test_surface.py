@@ -1,10 +1,17 @@
-"""No public lcdkit name that nothing but the tests reaches.
+"""No public lcdkit name, and no record field, that nothing but the
+tests reaches.
 
 Every public function, class and method defined in ``src/lcdkit`` must
 be named somewhere in ``src/lcdkit`` outside its own definition, or in
 ``perfbench/``, unless ``ALLOWED`` lists it with the reason it stays.
 Names are matched by identifier, so a method counts as reached when any
 attribute of that name is read; the check errs towards passing.
+
+Every annotated field of a ``@dataclass`` or ``NamedTuple`` class must
+be read as an attribute (``.name``) somewhere in ``src/lcdkit``, its own
+class's methods included, or in ``perfbench/``, under the same
+``ALLOWED`` rule.  A field only tests read is data its producer computes
+for no one.
 """
 
 import ast
@@ -90,6 +97,43 @@ def _unreached():
     return {q for q, name in _public_defs().items() if name not in reached}
 
 
+def _is_record(node):
+    decorators = [d.func if isinstance(d, ast.Call) else d
+                  for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               for d in decorators) or \
+        any(isinstance(b, ast.Name) and b.id == "NamedTuple"
+            for b in node.bases)
+
+
+def _record_fields():
+    """Qualified name -> field name of each dataclass/NamedTuple field."""
+    fields = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef) or not _is_record(node):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and \
+                        isinstance(stmt.target, ast.Name):
+                    fields[f"{path.stem}.{node.name}.{stmt.target.id}"] = \
+                        stmt.target.id
+    return fields
+
+
+def _attributes_read(paths):
+    return {node.attr for path in paths
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _unread_fields():
+    read = _attributes_read(SRC.glob("*.py")) | \
+        _attributes_read(PERFBENCH.glob("*.py"))
+    return {q for q, name in _record_fields().items() if name not in read}
+
+
 def test_no_unreached_public_name():
     extra = sorted(_unreached() - ALLOWED.keys())
     assert not extra, (
@@ -97,7 +141,14 @@ def test_no_unreached_public_name():
         f"{extra}")
 
 
+def test_no_unread_field():
+    extra = sorted(_unread_fields() - ALLOWED.keys())
+    assert not extra, (
+        "record fields only tests read; use, delete or allow them: "
+        f"{extra}")
+
+
 def test_allowlist_is_current():
     # an allowed name that is gone, or now reached, leaves the list
-    stale = sorted(ALLOWED.keys() - _unreached())
+    stale = sorted(ALLOWED.keys() - _unreached() - _unread_fields())
     assert not stale, f"stale ALLOWED entries: {stale}"
