@@ -7,9 +7,11 @@ stored shape); analyses are cached lazily on the immutable object, and
 cannot leak.  The constructor's rank check is a ``gf2.eliminate`` whose
 echelon basis the code keeps: ``rref()`` back-substitutes it, ``dual()``
 reads the null space off that RREF, and ``contains`` reduces a vector
-against it, so none of them eliminates the generator again.  The hull
-dimension comes from the smaller of the two Gram matrices, G Gᵀ or the
-dual's H Hᵀ, when the dual is already built, and from G Gᵀ otherwise.
+against it, so none of them eliminates the generator again.  The
+low-weight engine's parity-check columns are read off that RREF too,
+with no dual code built.  The hull dimension comes from the smaller of
+the two Gram matrices, G Gᵀ or H Hᵀ, when those columns are already
+cached, and from G Gᵀ otherwise.
 
 Coordinates are 1-indexed at the API surface and 0-indexed internally.
 
@@ -22,16 +24,19 @@ int, which a column change updates in one subtraction and one addition
 sums behind the low-weight engine.  ``min_weight`` walks all 2^k - 1
 nonzero codewords in Gray-code order below ``BZ_MIN_K`` rows, and runs
 the Brouwer-Zimmermann algorithm over disjoint information sets from
-there on; both paths keep the same ``stop`` contract.  ``_gray_walk`` is
+there on, its w-row combinations read off half-subset XOR tables; both
+paths keep the same ``stop`` contract.  ``_gray_walk`` is
 the plain enumerator behind ``codewords()`` and the tests' oracle.
 GF(2) elimination lives in ``gf2.eliminate``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
+from itertools import (chain, combinations, compress, islice, product,
+                       repeat, starmap)
+from math import comb
 from operator import or_, xor
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -97,10 +102,11 @@ class LinearCode:
     """An [n,k] binary code held by a fixed generator matrix.
 
     The echelon basis from the constructor's elimination backs
-    ``rref``, ``dual``, ``contains`` and ``contains_all_one``; the Gram
-    matrix backs ``hull``, and ``hull_dimension`` and ``is_lcd`` read
-    the smaller of the two Gram matrices when the dual is already built.
-    Each result is cached on first use.
+    ``rref``, ``dual``, ``contains``, ``contains_all_one`` and the
+    low-weight engine's parity-check columns; the Gram matrix backs
+    ``hull``, and ``hull_dimension`` and ``is_lcd`` read the smaller of
+    the two Gram matrices when those columns are already cached.  Each
+    result is cached on first use.
     """
 
     __slots__ = ("gen", "n", "k", "_cache")
@@ -171,16 +177,21 @@ class LinearCode:
     def hull_dimension(self) -> int:
         """dim(C ∩ C⊥) = k - rank(G Gᵀ) = (n - k) - rank(H Hᵀ).
 
-        The hull of C is also the hull of C⊥, so when the dual is already
-        built and has fewer rows, its smaller Gram matrix gives the answer.
-        A dual is not built for this alone: that costs more than the
-        larger Gram matrix on small codes.
+        The hull of C is also the hull of C⊥, so when the parity-check
+        columns are already cached (the low-weight engine reads them)
+        and H has fewer rows, its smaller Gram matrix gives the answer:
+        H Hᵀ is the sum of hⱼ hⱼᵀ over the columns, so its row at bit f
+        is the XOR of the columns with bit f set.  The columns are not
+        built for this alone.
         """
         def build():
-            dual = self._cache.get("dual")
-            if dual is not None and 2 * self.k > self.n:
-                return dual.hull_dimension()
-            return self.k - gf2.rank(self.gram())
+            cols = self._cache.get("parity_columns")
+            if cols is None or 2 * self.k <= self.n:
+                return self.k - gf2.rank(self.gram())
+            h_rows = reduce(or_, cols, 0)  # the bits that H's rows sit at
+            return self.n - self.k - gf2.rank_of_rows([
+                reduce(xor, compress(cols, map(e.__and__, cols)))
+                for e in (1 << f for f in range(self.n) if h_rows >> f & 1)])
         return self._cached("hull_dim", build)
 
     def hull(self) -> "LinearCode":
@@ -337,8 +348,12 @@ def min_weight(rows: Sequence[int], stop: int = 1) -> int:
     is Brouwer-Zimmermann: round w walks every w-row combination of each
     generator from ``_information_sets``, and afterwards every codeword
     not yet met weighs at least sum_j max(0, w + 1 - (k - r_j)) on the
-    disjoint pivot sets.  The search ends when the lightest word met
-    weighs <= stop or no more than that bound.
+    disjoint pivot sets.  A partial set (r_j < k) adds nothing to that
+    bound before round k - r_j, so it is first walked then, through
+    every combination size up to it.  A combination is the XOR of two
+    entries of the generator halves' subset-XOR tables, which grow one
+    size at a time as the rounds reach it.  The search ends when the
+    lightest word met weighs <= stop or no more than that bound.
     """
     if not rows:
         raise ValueError("minimum distance undefined for the zero code")
@@ -455,37 +470,82 @@ def _information_sets(rows: Sequence[int]) -> List[Tuple[tuple, int]]:
         # Each row masked to the free columns carries the whole row in
         # the bits above them, so every reduced row is a codeword on top;
         # one whose mask part cancels is zero on every free column.
-        R, pivots = gf2.rref(BitMatrix.from_rows(
-            ((r & free) | r << n for r in rows), 2 * n))
+        R, pivots = gf2._back_substitute(gf2.eliminate(
+            (r & free) | r << n for r in rows)[0])
         r = sum(p < n for p in pivots)
-        sets.append((tuple(w >> n for w in R.rows), r))
+        sets.append((tuple(w >> n for w in R), r))
         for p in pivots[:r]:
             free &= ~(1 << p)
     return sets
 
 
+def _subset_xors(sizes: List[list], s: int) -> None:
+    """Grow sizes, the XORs of some rows' subsets listed by size, to s.
+
+    sizes[0] is [0] and sizes[1] the rows themselves.  Each size lists
+    its subsets by their last row, so the (t-1)-subsets of the first j
+    rows are the first C(j, t-1) entries of size t - 1, and the
+    t-subsets whose last row is row j are those XORed with row j.
+    """
+    rows = sizes[1]
+    for t in range(len(sizes), min(s, len(rows)) + 1):
+        counts = [comb(j, t - 1) for j in range(t - 1, len(rows))]
+        sizes.append(list(map(xor, chain.from_iterable(
+            map(islice, repeat(sizes[t - 1]), counts)),
+            chain.from_iterable(map(repeat, rows[t - 1:], counts)))))
+
+
 def _brouwer_zimmermann(rows: Sequence[int], stop: int) -> int:
-    """``min_weight`` by rounds over the disjoint information sets."""
+    """``min_weight`` by rounds over the disjoint information sets.
+
+    A w-row combination of a set's basis is the XOR of an i-subset of
+    its first half with a (w - i)-subset of the other half.
+    """
     sets = _information_sets(rows)
     k = len(sets[0][0]) if sets else 0
     if k < len(rows):
         return 0  # dependent rows: some nonempty combination is zero
     upper = max(rows).bit_length() + 1  # above every possible weight
+    tables = [([[0], list(gamma[:k // 2])], [[0], list(gamma[k // 2:])])
+              for gamma, _ in sets]
     gains = [0] * len(sets)  # each set's share of the lower bound
     for w in range(1, k + 1):
-        for j, (gamma, r) in enumerate(sets):
-            upper = min(upper, min(map(int.bit_count, map(
-                partial(reduce, xor), itertools.combinations(gamma, w)))))
-            gains[j] = max(0, w + 1 - (k - r))
+        for j, (_, r) in enumerate(sets):
+            start = max(1, k - r)  # the set's first contributing round
+            if w < start:
+                continue
+            lo, hi = tables[j]
+            _subset_xors(lo, w)
+            _subset_xors(hi, w)
+            words = chain.from_iterable(
+                starmap(xor, product(lo[i], hi[s - i]))
+                for s in (range(1, w + 1) if w == start else (w,))
+                for i in range(max(0, s - len(hi[1])),
+                               min(s, len(lo[1])) + 1))
+            upper = min(upper, min(map(int.bit_count, words)))
+            gains[j] = w + 1 - (k - r)
             if upper <= stop or sum(gains) >= upper:
                 return upper
     return upper
 
 
 def _parity_columns(C: LinearCode) -> List[int]:
-    """Columns of a parity-check matrix, packed as ints (one per coord)."""
-    H = C.dual().gen
-    return list(H.transpose().rows)
+    """Columns of a parity-check matrix, packed as ints (one per coord).
+
+    Read off the RREF [I | A] (up to column order): H = [Aᵀ | I] has a
+    row per free column f, stored at bit f, so free column f is 1 << f
+    and pivot column p_i is RREF row i masked to the free columns.  A
+    set of columns sums to zero exactly when it is a codeword's support.
+    Cached on the code, where ``hull_dimension`` reads it.
+    """
+    def build():
+        R, pivots = C._echelon()
+        cols = [1 << j for j in range(C.n)]
+        free = (1 << C.n) - 1 - sum(1 << p for p in pivots)
+        for p, row in zip(pivots, R):
+            cols[p] = row & free
+        return cols
+    return C._cached("parity_columns", build)
 
 
 def _zero_sum_supports(cols: Sequence[int], w: int) -> Iterator[int]:
@@ -500,7 +560,7 @@ def _zero_sum_supports(cols: Sequence[int], w: int) -> Iterator[int]:
     half = w // 2
     table: dict = {}
     for probe in (False, True):
-        for sub in itertools.combinations(range(len(cols)),
+        for sub in combinations(range(len(cols)),
                                           w - half if probe else half):
             s = m = 0
             for i in sub:

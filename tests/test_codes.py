@@ -7,10 +7,11 @@ from operator import xor
 
 import pytest
 
-from lcdkit import gf2
+from lcdkit import codes, gf2
 from lcdkit.codes import (BZ_MIN_K, EngineBudgetError, LinearCode,
                           ParseError, WeightTable, _gray_walk,
-                          _low_weight_words,
+                          _information_sets, _low_weight_words,
+                          _parity_columns,
                           format_gen1, min_weight, parse_gen1)
 from lcdkit.gf2 import BitMatrix, BitVector
 from lcdkit.search import random_code
@@ -159,37 +160,48 @@ class TestKeptBasis:
 
 
 class TestHullPaths:
-    """dim(C ∩ C⊥) read off G Gᵀ or, once the dual is built and has fewer
-    rows, off the dual's H Hᵀ; both equal k - rank(G Gᵀ)."""
+    """dim(C ∩ C⊥) read off G Gᵀ or, once the parity-check columns are
+    cached and H has fewer rows, off H Hᵀ; both equal k - rank(G Gᵀ)."""
 
     @staticmethod
     def _gens():
         rng = random.Random(19)
         yield BitMatrix.zeros(0, 5)
         yield BitMatrix.identity(7)
-        for _ in range(300):
+        for case in range(300):
             n = rng.randint(1, 16)
             k = rng.randint(0, n)
-            yield random_code(rng, n, k).gen
+            gen = random_code(rng, n, k).gen
+            if case % 3 == 0 and k < n:
+                # a zero column and a repeated one
+                cols = list(gen.transpose().rows)
+                cols[rng.randrange(n)] = 0
+                cols[rng.randrange(n)] = cols[rng.randrange(n)]
+                rows = BitMatrix(tuple(cols), k).transpose().rows
+                if gf2.rank_of_rows(rows) == k:
+                    gen = BitMatrix(rows, n)
+            yield gen
 
     def test_both_paths(self):
         for gen in self._gens():
             want = gen.nrows - gf2.rank(gf2.gram(gen))
             primed = LinearCode(gen)
-            primed.dual()
+            _parity_columns(primed)
             dual = LinearCode(gen).dual()
             assert LinearCode(gen).hull_dimension() == want
             assert primed.hull_dimension() == want
             assert dual.hull_dimension() == want
             assert LinearCode(gen).is_lcd() == dual.is_lcd()
 
-    def test_smaller_gram_when_dual_built(self, monkeypatch):
+    def test_smaller_gram_when_columns_built(self, monkeypatch):
         rng = random.Random(20)
         fresh = [random_code(rng, n, rng.randint(0, n))
                  for n in (rng.randint(1, 16) for _ in range(100))]
         primed = [LinearCode(code.gen) for code in fresh]
         for code in primed:
-            code.dual()
+            _parity_columns(code)
+        for code in fresh:
+            code.dual()  # a built dual alone does not count
         sizes = []
         gram = gf2.gram
         monkeypatch.setattr(
@@ -201,7 +213,8 @@ class TestHullPaths:
             assert sizes == [k]
             sizes.clear()
             b.hull_dimension()
-            assert sizes == [n - k if 2 * k > n else k]
+            # H Hᵀ is built from the cached columns, with no gram call
+            assert sizes == ([] if 2 * k > n else [k])
 
 
 class TestParityClass:
@@ -324,6 +337,65 @@ class TestKernels:
                     else:
                         assert true_min <= got <= stop, (k, n, case, stop)
 
+    @staticmethod
+    def _partial_set_rows():
+        # k = 11-20 splits its information sets into halves of both
+        # parities; n = m k + r leaves partial sets, such as one of rank r
+        rng = random.Random(27)
+        for k in range(11, 21):
+            for case, (m, r) in enumerate(((1, 1), (1, k // 3), (1, k - 2),
+                                           (2, k // 2 + 1), (2, k - 2))):
+                zeros = 2 if case % 2 else 0  # zero columns
+                n = m * k + r + zeros
+                rows = [rng.getrandbits(n - zeros) << zeros
+                        for _ in range(k)]
+                if case in (2, 4):  # sparse rows
+                    rows = [x & rng.getrandbits(n) for x in rows]
+                if k <= 14 and case == 3:  # dependent rows
+                    rows[-1] = rows[0] ^ rows[1]
+                yield n, rows
+        # a [22, 12, 3] code whose one weight-3 word is a single row of
+        # its rank-10 second set: that set joins in round 2, and if it
+        # walked only size 2 then, the bound 3 + 1 would end the search
+        # at weight 4
+        yield 22, [4130638, 1551377, 3829854, 682729, 2047655, 2915692,
+                   574111, 1916867, 1479375, 2978735, 232220, 2498969]
+
+    def test_brouwer_zimmermann_partial_sets(self, monkeypatch):
+        # a partial set of rank r is first walked in round k - r, before,
+        # at or after the round where the search ends, which the walked
+        # table sizes record
+        grow = codes._subset_xors
+        walked = []
+        monkeypatch.setattr(codes, "_subset_xors", lambda sizes, s: (
+            walked.append((tuple(sizes[1]), s)), grow(sizes, s)))
+        joins = set()
+        for n, rows in self._partial_set_rows():
+            k = len(rows)
+            true_min = min(map(int.bit_count, itertools.islice(
+                _gray_walk(rows), 1, None)))
+            # each partial set's first half, and its first round
+            starts = {gamma[:k // 2]: k - rank
+                      for gamma, rank in _information_sets(rows)
+                      if rank < len(gamma)}
+            for stop in range(n + 1):
+                walked.clear()
+                got = min_weight(rows, stop)
+                if true_min > stop:
+                    assert got == true_min, (k, n, stop)
+                else:
+                    assert true_min <= got <= stop, (k, n, stop)
+                if not walked:  # dependent rows
+                    continue
+                end = walked[-1][1]
+                for part, start in starts.items():
+                    first = min((w for half, w in walked if half == part),
+                                default=None)
+                    assert first in (None, start), (k, n, stop)
+                    joins.add("after" if first is None else
+                              "at" if first == end else "before")
+        assert joins == {"before", "at", "after"}
+
     def test_coset_walk_stop(self):
         # the coset t + span(others) of one row t is the set of messages
         # with bit i set; k = 1 leaves no other rows
@@ -344,6 +416,34 @@ class TestKernels:
     def test_min_weight_rejects_no_rows(self):
         with pytest.raises(ValueError):
             min_weight(())
+
+    def test_parity_columns(self):
+        # columns read off the echelon: each generator row's support sums
+        # to zero, they span n - k dimensions, and the weight-w words they
+        # give are the enumeration's, with zero and repeated columns
+        rng = random.Random(28)
+        for case in range(120):
+            n = rng.randint(1, 16)
+            k = (1, n - 1, n, rng.randint(1, n))[case % 4] or 1
+            gen = random_code(rng, n, k).gen
+            if case % 3 and n > 1:
+                cols = list(gen.transpose().rows)
+                cols[rng.randrange(n)] = 0
+                cols[rng.randrange(n)] = cols[rng.randrange(n)]
+                rows = BitMatrix(tuple(cols), k).transpose().rows
+                if gf2.rank_of_rows(rows) == k:
+                    gen = BitMatrix(rows, n)
+            code = LinearCode(gen)
+            cols = _parity_columns(code)
+            assert len(cols) == n
+            for r in gen.rows:
+                assert reduce(xor, (c for j, c in enumerate(cols)
+                                    if r >> j & 1), 0) == 0
+            assert gf2.rank_of_rows(cols) == n - k
+            for w in range(1, min(n, 4) + 1):
+                expect = sorted(c for c in code.codewords()
+                                if c.bit_count() == w)
+                assert _low_weight_words(code, w) == expect, (n, k, w)
 
     def test_low_weight_words_match_enumeration(self):
         rng = random.Random(22)
