@@ -143,10 +143,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    code = _read_code(args.path, "extgen1")
-    basis = xp.find_self_dual_basis(code.field)
-    out = xp.expand_code(code, basis)
-    text = format_gen1(out)
+    text = format_gen1(_read_code(args.path, "extgen1").image)
     if args.output:
         Path(args.output).write_text(text)
     else:

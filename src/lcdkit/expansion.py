@@ -6,15 +6,21 @@ elements, and the expansion map that turns an [n, k] code over GF(2^m)
 into a binary [mn, mk] code.  Expansion through a self-dual basis
 preserves the inner product up to trace, so hulls commute with the map
 and LCD status transfers in both directions.
+
+An ``ExtFieldCode`` is analysed only through that binary image: its rank
+check is the image's, its hull dimension is the image's divided by m,
+and its symbol distance is the binary distance of the image
+concatenated with the simplex code [2^m - 1, m, 2^(m-1)], divided by
+2^(m-1).  No elimination or codeword walk runs over the field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional, Sequence, Tuple
 
-from .codes import EngineBudgetError, ParseError
+from .codes import EngineBudgetError, LinearCode, ParseError
 from .gf2 import BitVector, rank_of_rows
 
 
@@ -28,8 +34,6 @@ class ExpansionError(AssertionError):
 
 # Exhaustive self-dual basis search is limited to this extension degree.
 M_MAX = 4
-# ExtFieldCode.min_distance walks all 2^(m k) codewords up to m k = MK_MAX.
-MK_MAX = 20
 
 # One fixed irreducible modulus per degree, so element encodings are
 # reproducible across runs.
@@ -74,20 +78,6 @@ class ExtField:
             if (p >> i) & 1:
                 p ^= self.modulus << (i - self.m)
         return p
-
-    def pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return self.pow(a, self.order - 2)
 
     def trace(self, x: int) -> int:
         """Absolute trace x + x^2 + ... + x^(2^(m-1)); always 0 or 1."""
@@ -166,136 +156,8 @@ def expand_vector(basis: SelfDualBasis, x: Sequence[int]) -> BitVector:
     return BitVector(len(x) * m, bits)
 
 
-# ----------------------------------------------------------------------
-# Linear algebra over GF(2^m)
-
-
-def _field_rref(field: ExtField,
-                rows: Sequence[Sequence[int]],
-                ncols: int) -> Tuple[List[List[int]], List[int]]:
-    """Reduced row echelon form; returns nonzero rows and pivot columns."""
-    work = [list(r) for r in rows]
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = field.inv(work[r][c])
-        work[r] = [field.mul(inv, v) for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [vi ^ field.mul(f, vr)
-                           for vi, vr in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    return work[:r], pivots
-
-
-def _field_nullspace(field: ExtField,
-                     rows: Sequence[Sequence[int]],
-                     ncols: int) -> List[List[int]]:
-    """Basis of {x : M x = 0} for the matrix with the given rows."""
-    red, pivots = _field_rref(field, rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, p in zip(red, pivots):
-            vec[p] = r[f]
-        out.append(vec)
-    return out
-
-
-@dataclass(frozen=True)
-class ExtFieldCode:
-    """An [n, k] code over GF(2^m) held by a full-row-rank generator."""
-
-    field: ExtField
-    gen: Tuple[Tuple[int, ...], ...]
-    n: int
-
-    def __post_init__(self):
-        for row in self.gen:
-            if len(row) != self.n:
-                raise ValueError("ragged generator matrix")
-            for v in row:
-                self.field.check(v)
-        if len(_field_rref(self.field, self.gen, self.n)[0]) != \
-                len(self.gen):
-            raise ValueError("generator matrix does not have full row rank")
-
-    @classmethod
-    def from_rows(cls, field: ExtField,
-                  rows: Sequence[Sequence[int]], n: int) -> "ExtFieldCode":
-        return cls(field, tuple(tuple(r) for r in rows), n)
-
-    @property
-    def k(self) -> int:
-        return len(self.gen)
-
-    def inner(self, x: Sequence[int], y: Sequence[int]) -> int:
-        F = self.field
-        acc = 0
-        for a, b in zip(x, y):
-            acc ^= F.mul(a, b)
-        return acc
-
-    def gram(self) -> List[List[int]]:
-        return [[self.inner(a, b) for b in self.gen] for a in self.gen]
-
-    def hull_dimension(self) -> int:
-        return self.k - len(_field_rref(self.field, self.gram(), self.k)[0])
-
-    def hull(self) -> "ExtFieldCode":
-        """C intersected with its Euclidean dual, over the field."""
-        F = self.field
-        coeffs = _field_nullspace(F, self.gram(), self.k)
-        rows = []
-        for x in coeffs:
-            row = [0] * self.n
-            for xi, g in zip(x, self.gen):
-                if xi:
-                    row = [r ^ F.mul(xi, gi) for r, gi in zip(row, g)]
-            rows.append(row)
-        red, _ = _field_rref(F, rows, self.n)
-        return ExtFieldCode.from_rows(F, red, self.n)
-
-    def is_lcd(self) -> bool:
-        return self.hull_dimension() == 0
-
-    def codewords(self):
-        """All q^k codewords (exhaustive; intended for small k)."""
-        F = self.field
-        def rec(i, acc):
-            if i == self.k:
-                yield tuple(acc)
-                return
-            for c in range(F.order):
-                nxt = [a ^ F.mul(c, g) for a, g in zip(acc, self.gen[i])]
-                yield from rec(i + 1, nxt)
-        yield from rec(0, [0] * self.n)
-
-    def min_distance(self) -> int:
-        if self.field.m * self.k > MK_MAX:
-            raise EngineBudgetError(
-                f"exhaustive distance capped at q^k <= 2^{MK_MAX}")
-        best = None
-        for w in self.codewords():
-            wt = sum(1 for v in w if v)
-            if wt and (best is None or wt < best):
-                best = wt
-        if best is None:
-            raise ValueError("minimum distance undefined for the zero code")
-        return best
-
-
-def expand_code(C: ExtFieldCode, basis: SelfDualBasis):
+def expand_code(C: "ExtFieldCode", basis: SelfDualBasis) -> LinearCode:
     """Binary [mn, mk] code generated by expansions of alpha_j * row_i."""
-    from .codes import LinearCode
     if basis.field != C.field:
         raise ValueError("basis and code fields differ")
     F = C.field
@@ -308,6 +170,69 @@ def expand_code(C: ExtFieldCode, basis: SelfDualBasis):
     if not rows:
         return LinearCode.zero_code(m * C.n)
     return LinearCode.from_rows(rows, m * C.n)
+
+
+@dataclass(frozen=True)
+class ExtFieldCode:
+    """An [n, k] code over GF(2^m) held by a full-row-rank generator.
+
+    Every analysis reads ``image``, the binary [mn, mk] expansion through
+    the field's self-dual basis, built once by the constructor.  The
+    generator has full rank over GF(2^m) exactly when its image has mk
+    independent rows, so the image's own rank check is the code's.  The
+    image's hull is the expansion of the code's hull, so its hull
+    dimension is m times the code's and the two are LCD together.  The
+    symbol distance is read off the image concatenated with the binary
+    simplex code [2^m - 1, m, 2^(m-1)]: that code maps each nonzero
+    m-bit block, a nonzero symbol, to a block of weight exactly 2^(m-1),
+    so its minimum distance is 2^(m-1) d.
+    """
+
+    field: ExtField
+    gen: Tuple[Tuple[int, ...], ...]
+    n: int
+    image: LinearCode = dataclass_field(init=False, repr=False,
+                                        compare=False)
+
+    def __post_init__(self):
+        for row in self.gen:
+            if len(row) != self.n:
+                raise ValueError("ragged generator matrix")
+            for v in row:
+                self.field.check(v)
+        object.__setattr__(self, "image", expand_code(
+            self, find_self_dual_basis(self.field)))
+
+    @classmethod
+    def from_rows(cls, field: ExtField,
+                  rows: Sequence[Sequence[int]], n: int) -> "ExtFieldCode":
+        return cls(field, tuple(tuple(r) for r in rows), n)
+
+    @property
+    def k(self) -> int:
+        return len(self.gen)
+
+    def hull_dimension(self) -> int:
+        return self.image.hull_dimension() // self.field.m
+
+    def is_lcd(self) -> bool:
+        return self.image.is_lcd()
+
+    def min_distance(self) -> int:
+        """Exact symbol distance, by the full engine on the image
+        concatenated with the simplex code; capped at mk <= K_FULL."""
+        m = self.field.m
+        width = (1 << m) - 1
+        # block value b -> the simplex codeword with bit l - 1 set
+        # exactly when b . l is odd
+        simplex = [sum(1 << (l - 1) for l in range(1, width + 1)
+                       if (b & l).bit_count() & 1)
+                   for b in range(1 << m)]
+        rows = [sum(simplex[r >> (i * m) & width] << (i * width)
+                    for i in range(self.n))
+                for r in self.image.gen.rows]
+        concatenated = LinearCode.from_rows(rows, width * self.n)
+        return concatenated.min_distance("full") >> (m - 1)
 
 
 def expansion_indices(n: int, k: int, m: int) -> Tuple[int, int]:

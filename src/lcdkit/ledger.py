@@ -166,8 +166,7 @@ def _expand(seed_code: xp.ExtFieldCode, aux: Dict) -> List[LinearCode]:
         rows = [[F.mul(t, v) for t, v in zip(transform, row)]
                 for row in seed_code.gen]
         seed_code = xp.ExtFieldCode.from_rows(F, rows, seed_code.n)
-    basis = xp.find_self_dual_basis(seed_code.field)
-    return [xp.expand_code(seed_code, basis)]
+    return [seed_code.image]
 
 
 def _puncture_even_lcd(code: LinearCode, aux: Dict) -> List[LinearCode]:

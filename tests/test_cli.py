@@ -61,16 +61,27 @@ class TestAnalyze:
         assert code == 3
 
     def test_extension_field_distance_over_budget(self, tmp_path, capsys):
-        # [12,6] over GF(16): 2^24 codewords, refused before the walk
-        rows = [" ".join("1" if j == i else "0" if j < 6 else
-                         str((i + j) % 16) for j in range(12))
-                for i in range(6)]
-        path = write(tmp_path, "c.extgen1", "12 6 4\n" + "\n".join(rows))
+        # [14,7] over GF(16): m k = 28 > K_FULL, refused before the walk
+        rows = [" ".join("1" if j == i else "0" if j < 7 else
+                         str((i + j) % 16) for j in range(14))
+                for i in range(7)]
+        path = write(tmp_path, "c.extgen1", "14 7 4\n" + "\n".join(rows))
         start = time.perf_counter()
         code, out, err = run(capsys, "analyze", path)
         assert time.perf_counter() - start < 5
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_extension_field_distance_past_the_old_cap(self, tmp_path,
+                                                       capsys):
+        # [12,6] over GF(16): m k = 24, answered on the binary image
+        rows = [" ".join("1" if j == i else "0" if j < 6 else
+                         str((i + j) % 16) for j in range(12))
+                for i in range(6)]
+        path = write(tmp_path, "c.extgen1", "12 6 4\n" + "\n".join(rows))
+        code, out, _ = run(capsys, "analyze", path)
+        assert code == 0
+        assert out.strip() == "12 6 5 hull=0 LCD"
 
 
 class TestCertify:
@@ -362,9 +373,10 @@ def _ledger_mutant(rng, rows):
 
 
 class TestLedgerFuzz:
-    """Mutated ledger rows keep construct's exit-code contract: every
-    malformed field is a FAIL row or a one-line error, never a
-    traceback."""
+    """Mutated ledger rows keep the exit-code contract of construct and
+    of verify-ledger --path: every malformed field is a FAIL row or a
+    one-line error, never a traceback.  The mutants include the inline
+    expand row, so they reach ExtFieldCode's rank check too."""
 
     NON_STRING_ROW = TestConstruct.LEDGER.replace(
         '["111000", "000111"]', "[5]")
@@ -376,17 +388,20 @@ class TestLedgerFuzz:
         assert out.startswith("FAIL extend_even -> [7,2,4] (ValueError")
         assert err == ""
 
-    def test_exit_codes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["construct", "verify-ledger"])
+    def test_exit_codes(self, tmp_path, capsys, command):
         rng = random.Random(2028)
         rows = _ledger_rows()
         path = tmp_path / "ledger.jsonl"
+        argv = [str(path)] if command == "construct" else \
+            ["--path", str(path)]
         codes = set()
         texts = [self.NON_STRING_ROW] + [
             _ledger_mutant(rng, rows) + "\n" for _ in range(600)]
         for text in texts:
             path.write_text(text)
             try:
-                code, _, err = run(capsys, "construct", str(path),
+                code, _, err = run(capsys, command, *argv,
                                    "--budget-ms", "20")
             except Exception as e:  # noqa: BLE001 - report the row
                 pytest.fail(f"{type(e).__name__}: {e} on {text}")

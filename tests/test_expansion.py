@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+import field_oracle as fo
 from lcdkit import expansion as xp
-from lcdkit.codes import EngineBudgetError, LinearCode, ParseError
+from lcdkit.codes import K_FULL, EngineBudgetError, LinearCode, ParseError
 
 F4 = xp.ExtField.of_degree(2)
 W, W2 = 2, 3  # the two primitive elements of GF(4)
@@ -19,6 +20,42 @@ def random_ext_code(rng, field, n, k):
             return xp.ExtFieldCode.from_rows(field, rows, n)
         except ValueError:
             continue
+
+
+def random_rows(rng, field, n, k):
+    """k random rows of length n, some with zero or repeated columns and
+    some dependent."""
+    rows = [[rng.randrange(field.order) for _ in range(n)]
+            for _ in range(k)]
+    if n > 1 and rng.random() < 0.3:  # a zero column
+        j = rng.randrange(n)
+        for r in rows:
+            r[j] = 0
+    if n > 1 and rng.random() < 0.3:  # a repeated column
+        i, j = rng.sample(range(n), 2)
+        for r in rows:
+            r[j] = r[i]
+    if k > 1 and rng.random() < 0.1:  # a dependent row
+        c = rng.randrange(field.order)
+        rows[-1] = [field.mul(c, v) for v in rows[0]]
+    return rows
+
+
+def random_oracle_codes(seed, count):
+    """(field, basis, code) triples for m = 1..4 with m k <= 12, small
+    enough for the field oracle's q^k walk."""
+    rng = random.Random(seed)
+    for m in (1, 2, 3, 4):
+        F = xp.ExtField.of_degree(m)
+        basis = xp.find_self_dual_basis(F)
+        made = 0
+        while made < count:
+            n = rng.randrange(1, 10)
+            k = rng.randrange(1, min(n, 12 // m) + 1)
+            rows = random_rows(rng, F, n, k)
+            if fo.rank(F, rows, n) == k:
+                made += 1
+                yield F, basis, xp.ExtFieldCode.from_rows(F, rows, n)
 
 
 class TestExtField:
@@ -36,10 +73,13 @@ class TestExtField:
                         assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
 
     def test_inverse(self):
-        for m in (2, 3, 4):
+        # the oracle's elimination divides by the inverse it searches for
+        for m in (1, 2, 3, 4):
             F = xp.ExtField.of_degree(m)
             for a in range(1, F.order):
-                assert F.mul(a, F.inv(a)) == 1
+                assert F.mul(a, fo.inv(F, a)) == 1
+        with pytest.raises(ZeroDivisionError):
+            fo.inv(F4, 0)
 
     def test_trace_values_f4(self):
         assert F4.trace(0) == 0
@@ -135,7 +175,7 @@ class TestExpandCode:
         assert (out.n, out.k) == (4, 2)
         words = {c for c in out.codewords()}
         expect = {xp.expand_vector(self.basis, w).bits
-                  for w in C.codewords()}
+                  for w in fo.codewords(C)}
         assert words == expect
 
     def test_zero_dimensional(self):
@@ -144,24 +184,19 @@ class TestExpandCode:
         assert (out.n, out.k) == (6, 0)
 
     def test_hull_commutes(self):
-        rng = random.Random(53)
-        for _ in range(150):
-            n = rng.randrange(1, 9)
-            k = rng.randrange(1, n + 1)
-            C = random_ext_code(rng, F4, n, k)
-            out = xp.expand_code(C, self.basis)
-            assert out.hull() == xp.expand_code(C.hull(), self.basis)
-            assert out.is_lcd() == C.is_lcd()
-            assert out.hull_dimension() == 2 * C.hull_dimension()
+        for F, basis, C in random_oracle_codes(53, 60):
+            out = xp.expand_code(C, basis)
+            h = fo.hull_dimension(C)
+            assert out.hull() == xp.expand_code(fo.hull(C), basis)
+            assert out.hull_dimension() == F.m * h
+            assert C.hull_dimension() == h, C
+            assert out.is_lcd() == C.is_lcd() == (h == 0)
 
     def test_distance_preserved(self):
-        rng = random.Random(54)
-        for _ in range(60):
-            n = rng.randrange(1, 7)
-            k = rng.randrange(1, n + 1)
-            C = random_ext_code(rng, F4, n, k)
-            out = xp.expand_code(C, self.basis)
-            assert out.min_distance() >= C.min_distance()
+        for F, basis, C in random_oracle_codes(54, 40):
+            d = fo.min_distance(C)
+            assert C.min_distance() == d, C
+            assert xp.expand_code(C, basis).min_distance() >= d
 
     def test_self_orthogonal_transfer(self):
         # (1,1) over GF(4) spans a self-dual [2,1] code
@@ -196,7 +231,7 @@ class TestExpansionBound:
 
 class TestExtFieldCode:
     def test_rank_check(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="full row rank"):
             xp.ExtFieldCode.from_rows(F4, [[1, W], [W, W2]], 2)
 
     def test_min_distance(self):
@@ -204,15 +239,44 @@ class TestExtFieldCode:
         assert C.min_distance() == 2
 
     def test_min_distance_budget(self):
-        # m k = 22 > MK_MAX: refused before any codeword is walked
-        rows = [[int(i == j) for j in range(11)] for i in range(11)]
+        # m k = 28 > K_FULL: refused before any codeword is walked
+        rows = [[int(i == j) for j in range(14)] for i in range(14)]
+        assert 2 * 14 > K_FULL
         with pytest.raises(EngineBudgetError):
-            xp.ExtFieldCode.from_rows(F4, rows, 11).min_distance()
+            xp.ExtFieldCode.from_rows(F4, rows, 14).min_distance()
+
+    def test_zero_code(self):
+        C = xp.ExtFieldCode.from_rows(F4, [], 3)
+        assert (C.k, C.hull_dimension(), C.is_lcd()) == (0, 0, True)
+        with pytest.raises(ValueError, match="zero code"):
+            C.min_distance()
+
+    def test_image(self):
+        C = xp.ExtFieldCode.from_rows(F4, [[1, W]], 2)
+        assert C.image == xp.expand_code(C, xp.find_self_dual_basis(F4))
+        assert C == xp.ExtFieldCode.from_rows(F4, [[1, W]], 2)
+
+    def test_rank_check_matches_field_oracle(self):
+        rng = random.Random(56)
+        outcomes = set()
+        for _ in range(200):
+            F = xp.ExtField.of_degree(rng.randrange(1, 5))
+            n = rng.randrange(1, 8)
+            k = rng.randrange(1, n + 2)
+            rows = random_rows(rng, F, n, k)
+            full = fo.rank(F, rows, n) == k
+            outcomes.add(full)
+            if full:
+                assert xp.ExtFieldCode.from_rows(F, rows, n).k == k
+            else:
+                with pytest.raises(ValueError, match="full row rank"):
+                    xp.ExtFieldCode.from_rows(F, rows, n)
+        assert outcomes == {True, False}
 
     def test_gram_symmetric(self):
         rng = random.Random(55)
         C = random_ext_code(rng, F4, 5, 3)
-        g = C.gram()
+        g = fo.gram(C)
         assert g == [list(r) for r in zip(*g)]
 
 
