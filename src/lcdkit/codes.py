@@ -4,14 +4,15 @@ A LinearCode wraps a full-row-rank generator matrix.  The matrix is kept
 exactly as supplied (several basis-sensitive procedures depend on the
 stored shape); analyses are cached lazily on the immutable object, and
 ``with_generator`` swaps in a new basis as a fresh object so stale caches
-cannot leak.  The constructor's rank check is a ``gf2.eliminate`` whose
-echelon basis the code keeps: ``rref()`` back-substitutes it, ``dual()``
-reads the null space off that RREF, and ``contains`` reduces a vector
-against it, so none of them eliminates the generator again.  The
-low-weight engine's parity-check columns are read off that RREF too,
-with no dual code built.  The hull dimension comes from the smaller of
-the two Gram matrices, G Gᵀ or H Hᵀ, when those columns are already
-cached, and from G Gᵀ otherwise.
+cannot leak.  The constructor's rank check is ``gf2.eliminate`` below
+``BZ_MIN_K`` rows and ``gf2.echelon`` from there on, and the code keeps
+its (pivot, row) pairs: ``contains`` reduces a vector against them, and
+from ``BZ_MIN_K`` rows on they are the RREF itself, so ``rref()`` costs
+no second elimination; below, ``rref()`` runs ``gf2.echelon`` once.
+``dual()`` reads the null space off that RREF, and so do the low-weight
+engine's parity-check columns, with no dual code built.  The hull
+dimension comes from the smaller of the two Gram matrices, G Gᵀ or
+H Hᵀ, when those columns are already cached, and from G Gᵀ otherwise.
 
 Coordinates are 1-indexed at the API surface and 0-indexed internally.
 
@@ -27,15 +28,15 @@ the Brouwer-Zimmermann algorithm over disjoint information sets from
 there on, its w-row combinations read off half-subset XOR tables; both
 paths keep the same ``stop`` contract.  ``_gray_walk`` is
 the plain enumerator behind ``codewords()`` and the tests' oracle.
-GF(2) elimination lives in ``gf2.eliminate``.
+GF(2) elimination lives in ``gf2.eliminate`` and ``gf2.echelon``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import (chain, combinations, compress, islice, product,
-                       repeat, starmap)
+from itertools import (chain, combinations, islice, product, repeat,
+                       starmap)
 from math import comb
 from operator import or_, xor
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -101,26 +102,32 @@ class ParityClass:
 class LinearCode:
     """An [n,k] binary code held by a fixed generator matrix.
 
-    The echelon basis from the constructor's elimination backs
-    ``rref``, ``dual``, ``contains``, ``contains_all_one`` and the
-    low-weight engine's parity-check columns; the Gram matrix backs
-    ``hull``, and ``hull_dimension`` and ``is_lcd`` read the smaller of
-    the two Gram matrices when those columns are already cached.  Each
-    result is cached on first use.
+    The (pivot, row) pairs from the constructor's rank check back
+    ``contains`` and ``contains_all_one``; the RREF, which is those
+    pairs from ``BZ_MIN_K`` rows on and one ``gf2.echelon`` call below,
+    backs ``rref``, ``dual`` and the low-weight engine's parity-check
+    columns.  The Gram matrix backs ``hull``, and ``hull_dimension`` and
+    ``is_lcd`` read the smaller of the two Gram matrices when those
+    columns are already cached.  Each result is cached on first use.
     """
 
     __slots__ = ("gen", "n", "k", "_cache")
 
     def __init__(self, gen: BitMatrix):
-        basis, _ = gf2.eliminate(gen.rows)
+        # k > n needs no check of its own: the rank is at most n < k
+        if gen.nrows < BZ_MIN_K:
+            basis, _ = gf2.eliminate(gen.rows)
+            cache = {"basis": basis}
+        else:
+            R, pivots = gf2.echelon(gen.rows, gen.cols)
+            basis = list(zip(pivots, R))
+            cache = {"basis": basis, "echelon": (R, pivots)}
         if len(basis) != gen.nrows:
             raise ValueError("generator matrix does not have full row rank")
-        if gen.nrows > gen.cols:
-            raise ValueError("dimension exceeds length")
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "n", gen.cols)
         object.__setattr__(self, "k", gen.nrows)
-        object.__setattr__(self, "_cache", {"basis": basis})
+        object.__setattr__(self, "_cache", cache)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
@@ -156,9 +163,9 @@ class LinearCode:
         return self._cache[key]
 
     def _echelon(self) -> tuple:
-        """RREF rows and pivot columns, back-substituted from the basis."""
+        """RREF rows and pivot columns, as ``gf2.echelon`` gives them."""
         return self._cached(
-            "echelon", lambda: gf2._back_substitute(self._cache["basis"]))
+            "echelon", lambda: gf2.echelon(self.gen.rows, self.n))
 
     def rref(self) -> BitMatrix:
         return self._cached(
@@ -179,19 +186,19 @@ class LinearCode:
 
         The hull of C is also the hull of C⊥, so when the parity-check
         columns are already cached (the low-weight engine reads them)
-        and H has fewer rows, its smaller Gram matrix gives the answer:
-        H Hᵀ is the sum of hⱼ hⱼᵀ over the columns, so its row at bit f
-        is the XOR of the columns with bit f set.  The columns are not
-        built for this alone.
+        and H has fewer rows, its smaller Gram matrix gives the answer.
+        With the columns packed as lanes, one shift and one AND read
+        H's row at bit f: bit f of every lane, at that lane's bit 0.
+        The columns are not built for this alone.
         """
         def build():
             cols = self._cache.get("parity_columns")
             if cols is None or 2 * self.k <= self.n:
                 return self.k - gf2.rank(self.gram())
+            packed, rep = gf2.pack_lanes(cols, self.n + 1)
             h_rows = reduce(or_, cols, 0)  # the bits that H's rows sit at
-            return self.n - self.k - gf2.rank_of_rows([
-                reduce(xor, compress(cols, map(e.__and__, cols)))
-                for e in (1 << f for f in range(self.n) if h_rows >> f & 1)])
+            return self.n - self.k - gf2.rank_of_rows(gf2.gram_rows([
+                packed >> f & rep for f in range(self.n) if h_rows >> f & 1]))
         return self._cached("hull_dim", build)
 
     def hull(self) -> "LinearCode":
@@ -350,7 +357,8 @@ def min_weight(rows: Sequence[int], stop: int = 1) -> int:
     not yet met weighs at least sum_j max(0, w + 1 - (k - r_j)) on the
     disjoint pivot sets.  A partial set (r_j < k) adds nothing to that
     bound before round k - r_j, so it is first walked then, through
-    every combination size up to it.  A combination is the XOR of two
+    every combination size up to it, and it is not built before the
+    rounds can reach that.  A combination is the XOR of two
     entries of the generator halves' subset-XOR tables, which grow one
     size at a time as the rounds reach it.  The search ends when the
     lightest word met weighs <= stop or no more than that bound.
@@ -454,29 +462,28 @@ class WeightTable:
         return bound
 
 
-def _information_sets(rows: Sequence[int]) -> List[Tuple[tuple, int]]:
+def _information_sets(rows: Sequence[int]) -> Iterator[Tuple[tuple, int]]:
     """Bases of the rows' span, systematic on disjoint pivot sets.
 
-    Returns one (gamma, r) pair per set, built greedily from the columns
-    no earlier set used: gamma is a basis of the span, r of its words
-    unit vectors on the set's r pivot columns and the rest zero on
-    those columns.  The last sets may be partial (r < len(gamma)).
+    Yields one (gamma, r) pair per set, built greedily from the columns
+    no earlier set used, and only when asked for: gamma is a basis of
+    the span, r of its words unit vectors on the set's r pivot columns
+    and the rest zero on those columns.  The last sets may be partial
+    (r < len(gamma)); a set's r is at most the number of columns that
+    the sets before it left.
     """
     support = reduce(or_, rows)
     n = support.bit_length()
-    sets = []
     free = support
     while free:
         # Each row masked to the free columns carries the whole row in
         # the bits above them, so every reduced row is a codeword on top;
         # one whose mask part cancels is zero on every free column.
-        R, pivots = gf2._back_substitute(gf2.eliminate(
-            (r & free) | r << n for r in rows)[0])
+        R, pivots = gf2.echelon([(r & free) | r << n for r in rows], 2 * n)
         r = sum(p < n for p in pivots)
-        sets.append((tuple(w >> n for w in R), r))
+        yield tuple(w >> n for w in R), r
         for p in pivots[:r]:
             free &= ~(1 << p)
-    return sets
 
 
 def _subset_xors(sizes: List[list], s: int) -> None:
@@ -498,23 +505,33 @@ def _subset_xors(sizes: List[list], s: int) -> None:
 def _brouwer_zimmermann(rows: Sequence[int], stop: int) -> int:
     """``min_weight`` by rounds over the disjoint information sets.
 
-    A w-row combination of a set's basis is the XOR of an i-subset of
-    its first half with a (w - i)-subset of the other half.
+    A set of rank r first contributes in round k - r, and its rank is
+    at most the number of columns left after the sets before it, so a
+    set is built only when the rounds reach k minus that number.  A
+    w-row combination of a set's basis is the XOR of an i-subset of its
+    first half with a (w - i)-subset of the other half.
     """
+    k = len(rows)
     sets = _information_sets(rows)
-    k = len(sets[0][0]) if sets else 0
-    if k < len(rows):
+    first = next(sets, ((), 0))
+    if len(first[0]) < k:
         return 0  # dependent rows: some nonempty combination is zero
+    sets = chain([first], sets)
+    left = reduce(or_, rows).bit_count()  # the columns in no set yet
     upper = max(rows).bit_length() + 1  # above every possible weight
-    tables = [([[0], list(gamma[:k // 2])], [[0], list(gamma[k // 2:])])
-              for gamma, _ in sets]
-    gains = [0] * len(sets)  # each set's share of the lower bound
+    tables = []  # per set built: its halves' subset-XOR tables and rank
+    gains = []  # each set's share of the lower bound
     for w in range(1, k + 1):
-        for j, (_, r) in enumerate(sets):
+        while left and w >= k - left:
+            gamma, r = next(sets)
+            left -= r
+            tables.append(([[0], list(gamma[:k // 2])],
+                           [[0], list(gamma[k // 2:])], r))
+            gains.append(0)
+        for j, (lo, hi, r) in enumerate(tables):
             start = max(1, k - r)  # the set's first contributing round
             if w < start:
                 continue
-            lo, hi = tables[j]
             _subset_xors(lo, w)
             _subset_xors(hi, w)
             words = chain.from_iterable(

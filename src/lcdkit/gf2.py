@@ -4,14 +4,15 @@ Vectors and matrix rows are stored as Python ints (bit i = coordinate i),
 so every row operation is a single XOR and inner products are one AND plus
 a popcount.  All values are immutable once constructed.
 
-``eliminate`` is the library's only GF(2) forward elimination: rank,
-RREF (and through it ``inverse``), ``solve``, row selection for
-puncturing, the exhaustive tables' LCD test, basis extension in the
-normal forms and the ``LinearCode`` constructor's rank check all go
-through it.  ``rref`` and ``nullspace`` finish its basis with
-``_back_substitute`` and ``_free_column_basis``; ``LinearCode`` keeps
-the basis from its constructor and calls the same two steps, so a
-code's RREF and dual cost no second elimination.
+The library has two elimination kernels.  ``eliminate``, a forward
+elimination, serves rank, row selection for puncturing, ``solve``, the
+exhaustive tables' LCD test, basis extension in the normal forms and
+the ``LinearCode`` constructor's rank check on few rows.  ``echelon``, a
+Gauss-Jordan elimination on rows packed as lanes of one int, serves
+every reduced row echelon form: ``rref`` (and through it ``inverse``
+and ``nullspace``), a code's RREF and dual, its information sets, and
+the constructor's rank check from ``codes.BZ_MIN_K`` rows on, which
+then yields the code's RREF in the same pass.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def rank(M: BitMatrix) -> int:
 
 
 def eliminate(rows: Iterable[int]) -> tuple:
-    """Forward elimination over GF(2), the one elimination kernel.
+    """Forward elimination over GF(2), one row against the rows before it.
 
     Returns (basis, kept): basis holds one (pivot column, reduced row)
     pair per independent row, the pivot being the reduced row's lowest
@@ -180,45 +181,78 @@ def rank_of_rows(rows: Iterable[int]) -> int:
     return len(eliminate(rows)[0])
 
 
+def pack_lanes(rows: Sequence[int], stride: int) -> tuple:
+    """(M, rep): row i placed at bit i * stride of M, and a 1 there in rep.
+
+    Each row must fit in stride bits.
+    """
+    M = 0
+    for r in reversed(rows):
+        M = M << stride | r
+    return M, ((1 << len(rows) * stride) - 1) // ((1 << stride) - 1)
+
+
+def echelon(rows: Sequence[int], width: int) -> tuple:
+    """Reduced row echelon form by Gauss-Jordan on lane-packed rows.
+
+    Row i is lane i of one int M, the width + 1 bits from i (width + 1)
+    on.  Row i's turn reads its lane, as reduced so far; when nonzero,
+    its lowest set bit p is its pivot.  (M >> p) & rep holds the bit p
+    of every lane at that lane's bit 0, so XORing the row into every
+    other lane with bit p set is one step,
+    M ^= ((M >> p & rep) ^ (1 << shift)) * row,
+    a multiple of the row placed in disjoint lanes.  A pivot row never
+    gains a bit below its pivot: a later pivot row it meets has all its
+    bits above that later pivot, which is above this one.
+
+    Returns (R, pivots): the nonzero reduced rows as a tuple ordered by
+    pivot, and the pivot columns as an increasing list.  Rows must fit
+    in width bits.
+    """
+    stride = width + 1
+    M, rep = pack_lanes(rows, stride)
+    mask = (1 << width) - 1
+    lanes = {}  # pivot -> its row's shift
+    shift = 0
+    for _ in rows:
+        row = M >> shift & mask
+        if row:
+            p = (row & -row).bit_length() - 1
+            M ^= ((M >> p & rep) ^ (1 << shift)) * row
+            lanes[p] = shift
+        shift += stride
+    pivots = sorted(lanes)
+    return tuple([M >> lanes[p] & mask for p in pivots]), pivots
+
+
 def rref(M: BitMatrix) -> tuple:
     """Reduced row echelon form.
 
     Returns (R, pivot_cols) with zero rows dropped and pivot columns in
     increasing order.
     """
-    rows, pivots = _back_substitute(eliminate(M.rows)[0])
+    rows, pivots = echelon(M.rows, M.cols)
     return BitMatrix(rows, M.cols), pivots
 
 
-def _back_substitute(basis: Sequence[tuple]) -> tuple:
-    """RREF rows and pivot columns of an ``eliminate`` basis.
-
-    Sorts the (pivot, row) pairs by pivot and clears each pivot column
-    from the rows above it; a row's pivot stays its lowest set bit.
-    """
-    basis = sorted(basis)
-    work = [w for _, w in basis]
-    for i, (low, w) in enumerate(basis):
-        for j in range(i):
-            if (work[j] >> low) & 1:
-                work[j] ^= w
-    return tuple(work), [col for col, _ in basis]
-
-
 def gram(G: BitMatrix) -> BitMatrix:
-    """G * G^T: the Gram matrix of the rows of G.
+    """G * G^T: the Gram matrix of the rows of G."""
+    return BitMatrix(gram_rows(G.rows), G.nrows)
+
+
+def gram_rows(rows: Sequence[int]) -> tuple:
+    """The rows of the Gram matrix of rows, each packed into an int.
 
     The matrix is symmetric, so each inner product is taken once, for
     j <= i, and set in both rows.
     """
-    rows = G.rows
     out = [0] * len(rows)
     for i, ri in enumerate(rows):
         for j in range(i + 1):
             if (ri & rows[j]).bit_count() & 1:
                 out[i] |= 1 << j
                 out[j] |= 1 << i
-    return BitMatrix(tuple(out), len(rows))
+    return tuple(out)
 
 
 def is_nonsingular(M: BitMatrix) -> bool:

@@ -3,10 +3,11 @@
 import itertools
 import random
 from functools import reduce
-from operator import xor
+from operator import or_, xor
 
 import pytest
 
+import gf2_oracle as oracle
 from lcdkit import codes, gf2
 from lcdkit.codes import (BZ_MIN_K, EngineBudgetError, LinearCode,
                           ParseError, WeightTable, _gray_walk,
@@ -28,6 +29,15 @@ def C(*lines):
     return LinearCode.from_strings(lines)
 
 
+def log_echelon(monkeypatch):
+    """Wraps gf2.echelon; returns the list that gets each call's row count."""
+    echelon = gf2.echelon
+    log = []
+    monkeypatch.setattr(gf2, "echelon", lambda rows, width: (
+        log.append(len(rows)), echelon(rows, width))[1])
+    return log
+
+
 def table_lanes(table):
     """The lanes of a WeightTable's weights, message 0 first."""
     mask = (1 << table.width) - 1
@@ -39,6 +49,13 @@ class TestConstruction:
     def test_rejects_rank_deficient(self):
         with pytest.raises(ValueError):
             C("110", "110")
+
+    @pytest.mark.parametrize("k, n", [(3, 2), (BZ_MIN_K + 1, 5)])
+    def test_more_rows_than_columns(self, k, n):
+        # the rank is at most n < k, so the full-row-rank check refuses
+        # the matrix, on both sides of the rank check's BZ_MIN_K switch
+        with pytest.raises(ValueError, match="full row rank"):
+            LinearCode.from_rows(range(1, k + 1), n)
 
     def test_generator_kept_verbatim(self):
         code = C("110", "011")
@@ -157,6 +174,70 @@ class TestKeptBasis:
             HAMMING_7_4.contains(BitVector.ones(6))
         with pytest.raises(ValueError):
             LinearCode.zero_code(3).contains(BitVector.zero(4))
+
+
+class TestEchelonGate:
+    """Below BZ_MIN_K rows the constructor's rank check is a forward
+    elimination, and from there on it is gf2.echelon, whose RREF the
+    code keeps.  On both sides, two generators of one code give the
+    reference's rref, dual, membership and parity-check columns."""
+
+    @staticmethod
+    def _pairs():
+        rng = random.Random(30)
+        for k in (BZ_MIN_K - 1, BZ_MIN_K):
+            for case in range(24):
+                n = k + (0, 1, 2, rng.randrange(3, 40))[case % 4]
+                gen = random_code(rng, n, k).gen
+                if case % 3 == 0 and n > k + 1:
+                    # a zero column and a repeated one
+                    cols = list(gen.transpose().rows)
+                    cols[rng.randrange(n)] = 0
+                    cols[rng.randrange(n)] = cols[rng.randrange(n)]
+                    rows = BitMatrix(tuple(cols), k).transpose().rows
+                    if oracle.rank(rows, n) == k:
+                        gen = BitMatrix(rows, n)
+                while True:  # another basis of the same code
+                    mix = [rng.getrandbits(k) for _ in range(k)]
+                    if oracle.rank(mix, k) == k:
+                        break
+                other = tuple(reduce(xor, (r for j, r in enumerate(gen.rows)
+                                           if m >> j & 1), 0) for m in mix)
+                yield gen, BitMatrix(other, n)
+
+    def test_against_reference(self):
+        rng = random.Random(31)
+        for gen, other in self._pairs():
+            n, k = gen.cols, gen.nrows
+            R, pivots = oracle.rref(gen.rows, n)
+            H = tuple(oracle.nullspace(gen.rows, n))
+            cols = oracle.parity_columns(gen.rows, n)
+            words = [rng.getrandbits(n) for _ in range(6)] + [
+                reduce(xor, (r for r in gen.rows if rng.random() < 0.5), 0)
+                for _ in range(4)] + [(1 << n) - 1]
+            a, b = LinearCode(gen), LinearCode(other)
+            for code in (a, b):
+                assert code.rref() == BitMatrix(R, n), (n, k)
+                assert code.dual().gen.rows == H, (n, k)
+                assert _parity_columns(code) == cols, (n, k)
+                for v in words:
+                    assert code.contains(BitVector(n, v)) == \
+                        oracle.in_span(gen.rows, v, n), (n, k)
+            assert a == b and hash(a) == hash(b)
+
+    def test_rref_from_rank_check(self, monkeypatch):
+        # from BZ_MIN_K rows on, the one echelon call of the constructor
+        # also answers rref; below, rref makes its own
+        calls = log_echelon(monkeypatch)
+        for gen, _ in self._pairs():
+            calls.clear()
+            code = LinearCode(gen)
+            built = list(calls)
+            code.rref()
+            if gen.nrows >= BZ_MIN_K:
+                assert built == calls == [gen.nrows]
+            else:
+                assert built == [] and calls == [gen.nrows]
 
 
 class TestHullPaths:
@@ -364,11 +445,13 @@ class TestKernels:
     def test_brouwer_zimmermann_partial_sets(self, monkeypatch):
         # a partial set of rank r is first walked in round k - r, before,
         # at or after the round where the search ends, which the walked
-        # table sizes record
+        # table sizes record; each set is built (one echelon call) only
+        # once the rounds reach its due round
         grow = codes._subset_xors
         walked = []
         monkeypatch.setattr(codes, "_subset_xors", lambda sizes, s: (
             walked.append((tuple(sizes[1]), s)), grow(sizes, s)))
+        built = log_echelon(monkeypatch)
         joins = set()
         for n, rows in self._partial_set_rows():
             k = len(rows)
@@ -378,16 +461,21 @@ class TestKernels:
             starts = {gamma[:k // 2]: k - rank
                       for gamma, rank in _information_sets(rows)
                       if rank < len(gamma)}
+            due = self._due_rounds(rows)
             for stop in range(n + 1):
                 walked.clear()
+                built.clear()
                 got = min_weight(rows, stop)
                 if true_min > stop:
                     assert got == true_min, (k, n, stop)
                 else:
                     assert true_min <= got <= stop, (k, n, stop)
                 if not walked:  # dependent rows
+                    assert len(built) == 1, (k, n, stop)
                     continue
                 end = walked[-1][1]
+                assert len(built) == sum(w <= end for w in due), \
+                    (k, n, stop)
                 for part, start in starts.items():
                     first = min((w for half, w in walked if half == part),
                                 default=None)
@@ -395,6 +483,51 @@ class TestKernels:
                     joins.add("after" if first is None else
                               "at" if first == end else "before")
         assert joins == {"before", "at", "after"}
+
+    @staticmethod
+    def _due_rounds(rows):
+        """The round in which each information set is built: k minus the
+        columns the sets before it left, and at least 1."""
+        k = len(rows)
+        left = reduce(or_, rows).bit_count()
+        due = []
+        for _, rank in _information_sets(rows):
+            due.append(max(1, k - left))
+            left -= rank
+        return due
+
+    def test_information_sets_built_lazily(self, monkeypatch):
+        # a [32, 16] code whose sets have ranks 16, 15 and 1: columns
+        # 16-30 are independent and column 31 is the sum of two of them,
+        # so the last set would join only in round 15, past every stop's
+        # end, and is never built
+        rng = random.Random(32)
+        k, n = 16, 32
+        while True:
+            tail = [rng.getrandbits(k) for _ in range(15)]
+            if oracle.rank(tail, k) == 15:
+                break
+        cols = [1 << i for i in range(k)] + tail + [tail[0] ^ tail[1]]
+        rows = BitMatrix(tuple(cols), k).transpose().rows
+        assert [rank for _, rank in _information_sets(rows)] == [16, 15, 1]
+        due = self._due_rounds(rows)
+        true_min = min(map(int.bit_count, itertools.islice(
+            _gray_walk(rows), 1, None)))
+        built = log_echelon(monkeypatch)
+        grow = codes._subset_xors
+        rounds = []
+        monkeypatch.setattr(codes, "_subset_xors", lambda sizes, s: (
+            rounds.append(s), grow(sizes, s)))
+        for stop in range(n + 1):
+            built.clear()
+            rounds.clear()
+            got = min_weight(rows, stop)
+            if true_min > stop:
+                assert got == true_min, stop
+            else:
+                assert true_min <= got <= stop, stop
+            assert rounds[-1] < k - 2
+            assert len(built) == 2 == sum(w <= rounds[-1] for w in due)
 
     def test_coset_walk_stop(self):
         # the coset t + span(others) of one row t is the set of messages

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import gf2_oracle as oracle
 from lcdkit import gf2
 from lcdkit.gf2 import BitMatrix, BitVector
 
@@ -113,6 +114,54 @@ class TestEliminate:
         assert [col for col, _ in basis] == [1, 0, 2]
         for col, w in basis:
             assert (w & -w).bit_length() - 1 == col
+
+
+class TestEchelon:
+    """gf2.echelon against the textbook reduction in gf2_oracle."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(29)
+        yield [], 0
+        yield [], 5  # no rows
+        yield [0], 1
+        yield [1], 1
+        yield [0, 0, 0], 4  # only zero rows
+        for width in (1, 2, 63, 64, 65):
+            # a lane int of m (width + 1) bits: 63 and 65 rows of width 63
+            # put it on both sides of 512 bytes
+            for m in (1, 2, 5, 17, 63, 65, 90):
+                rows = [rng.getrandbits(width) for _ in range(m)]
+                yield rows, width
+                sparse = [r & rng.getrandbits(width) & rng.getrandbits(width)
+                          for r in rows]
+                yield sparse, width
+                if m >= 3:
+                    mixed = list(rows)
+                    mixed[rng.randrange(m)] = 0  # a zero row
+                    mixed[rng.randrange(m)] = mixed[rng.randrange(m)]
+                    mixed[-1] = mixed[0] ^ mixed[1]  # a dependent row
+                    yield mixed, width
+                    # rank at most 3
+                    yield [rows[i % 3] ^ (rows[(i + 1) % 3] if i % 2 else 0)
+                           for i in range(m)], width
+        for _ in range(200):  # tagged rows, as for information sets
+            n = rng.randrange(1, 40)
+            k = rng.randrange(1, 20)
+            free = rng.getrandbits(n)
+            rows = [rng.getrandbits(n) for _ in range(k)]
+            yield [(r & free) | r << n for r in rows], 2 * n
+
+    def test_against_reference(self):
+        sides = set()
+        for rows, width in self._cases():
+            R, pivots = gf2.echelon(rows, width)
+            assert (R, pivots) == oracle.rref(rows, width), (rows, width)
+            assert isinstance(R, tuple) and isinstance(pivots, list)
+            assert gf2.rref(BitMatrix(tuple(rows), width)) == \
+                (BitMatrix(R, width), pivots)
+            sides.add(len(rows) * (width + 1) > 512 * 8)
+        assert sides == {False, True}
 
 
 class TestGram:
