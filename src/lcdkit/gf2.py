@@ -20,6 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+# the kinds of the nonsingular block A of a Gram normal form diag(0_s, A)
+ORTHONORMAL = "orthonormal"
+SYMPLECTIC = "symplectic"
+ABSENT = "absent"
+
 
 @dataclass(frozen=True)
 class BitVector:
@@ -143,9 +148,6 @@ class BitMatrix:
                 rr &= rr - 1
             out.append(acc)
         return BitMatrix(tuple(out), other.cols)
-
-    def is_symmetric(self) -> bool:
-        return self.nrows == self.cols and self == self.transpose()
 
     def __str__(self) -> str:
         return "\n".join(str(self.row(i)) for i in range(self.nrows))
@@ -327,43 +329,36 @@ def _free_column_basis(R: Sequence[int], pivot_cols: Sequence[int],
     return tuple(out)
 
 
-def congruent_normal_form(S: BitMatrix) -> tuple:
-    """Normal form of a symmetric matrix under congruence P S P^T.
+def congruent_normal_form(G: BitMatrix) -> tuple:
+    """Gram normal form of the rows of G under change of basis.
 
-    Returns (P, N, s) with P invertible, N = P S P^T = diag(0_s, A) where
-    A is diag(J_2, ..., J_2) when S has zero diagonal (alternating case)
-    and an identity block otherwise; s = nrows - rank(S).
+    Returns (B, s, kind): B = P G for an invertible P, so B's rows span
+    G's row space, and gram(B) = diag(0_s, A) with s = nrows - rank(G G^T).
+    ``kind`` names A: ORTHONORMAL (an identity block) when some row of G
+    has odd weight, SYMPLECTIC (a direct sum of J_2 blocks) when every
+    row is even but not every row lies in the radical, ABSENT when
+    s = nrows.
 
-    Pivoting is greedy: first a diagonal 1, else a coupled pair, else the
+    Inner products are taken between rows, one popcount each.  Pivoting
+    is greedy: first a row of odd weight, else a coupled pair, else the
     row lies in the radical; ties break to the lowest index.
     """
-    if not S.is_symmetric():
-        raise ValueError("matrix is not symmetric")
-    k = S.nrows
-
-    def form(x: int, y: int) -> int:
-        acc = 0
-        xx = x
-        while xx:
-            i = (xx & -xx).bit_length() - 1
-            acc ^= (S.rows[i] & y).bit_count()
-            xx &= xx - 1
-        return acc & 1
-
-    pending = [1 << i for i in range(k)]
+    pending = list(G.rows)
     ortho = []
     sympl = []
     while pending:
-        di = next((i for i, v in enumerate(pending) if form(v, v)), None)
+        di = next((i for i, v in enumerate(pending) if v.bit_count() & 1),
+                  None)
         if di is not None:
             w = pending.pop(di)
-            pending = [v ^ w if form(v, w) else v for v in pending]
+            pending = [v ^ w if (v & w).bit_count() & 1 else v
+                       for v in pending]
             ortho.append(w)
             continue
         pair = None
         for i in range(len(pending)):
             for j in range(i + 1, len(pending)):
-                if form(pending[i], pending[j]):
+                if (pending[i] & pending[j]).bit_count() & 1:
                     pair = (i, j)
                     break
             if pair:
@@ -373,7 +368,8 @@ def congruent_normal_form(S: BitMatrix) -> tuple:
         i, j = pair
         u, v = pending[i], pending[j]
         del pending[j], pending[i]
-        pending = [x ^ (u if form(x, v) else 0) ^ (v if form(x, u) else 0)
+        pending = [x ^ (u if (x & v).bit_count() & 1 else 0)
+                   ^ (v if (x & u).bit_count() & 1 else 0)
                    for x in pending]
         sympl.append((u, v))
     radical = pending
@@ -385,10 +381,10 @@ def congruent_normal_form(S: BitMatrix) -> tuple:
         sympl = []
     rows = list(radical)
     if sympl:
+        kind = SYMPLECTIC
         for u, v in sympl:
             rows.extend([u, v])
     else:
+        kind = ORTHONORMAL if ortho else ABSENT
         rows.extend(ortho)
-    P = BitMatrix(tuple(rows), k)
-    N = P.mul(S).mul(P.transpose())
-    return P, N, len(radical)
+    return BitMatrix(tuple(rows), G.cols), len(radical), kind

@@ -20,12 +20,8 @@ from dataclasses import dataclass
 from typing import List
 
 from . import gf2
-from .gf2 import BitMatrix, BitVector
+from .gf2 import ABSENT, ORTHONORMAL, SYMPLECTIC, BitMatrix
 from .codes import LinearCode
-
-ORTHONORMAL = "orthonormal"
-SYMPLECTIC = "symplectic"
-ABSENT = "absent"
 
 
 class NormalFormError(AssertionError):
@@ -111,9 +107,6 @@ class NormalFormCertificate:
                 "certificate Gram matrix does not match declared shape:\n"
                 f"expected\n{expected}\ngot\n{actual}")
 
-    def code(self) -> LinearCode:
-        return LinearCode(self.basis)
-
 
 def _checked(basis: BitMatrix, shape: GramShape) -> NormalFormCertificate:
     cert = NormalFormCertificate(basis, shape)
@@ -121,19 +114,14 @@ def _checked(basis: BitMatrix, shape: GramShape) -> NormalFormCertificate:
     return cert
 
 
-def _kind_of_normal_block(N: BitMatrix, s: int) -> str:
-    """Classify the nonsingular block of diag(0_s, A) returned upstream."""
-    if N.nrows == s:
-        return ABSENT
-    return ORTHONORMAL if N.get(s, s) else SYMPLECTIC
-
-
 def hull_normal_basis(C: LinearCode) -> NormalFormCertificate:
-    """Basis whose first s rows span Hull(C), Gram = diag(0_s, A)."""
-    S = C.gram()
-    P, N, s = gf2.congruent_normal_form(S)
-    basis = P.mul(C.gen)
-    kind = _kind_of_normal_block(N, s)
+    """Basis whose first s rows span Hull(C), Gram = diag(0_s, A).
+
+    The generator's own rows are reduced by ``gf2.congruent_normal_form``;
+    A is I when C is odd-like, a direct sum of J_2 blocks otherwise, and
+    empty when C is self-orthogonal.
+    """
+    basis, s, kind = gf2.congruent_normal_form(C.gen)
     shape = GramShape(s=s, k1=C.k, a1_kind=kind, s1=0,
                       a3_kind=ABSENT, t=0, coupled=False)
     return _checked(basis, shape)
@@ -194,21 +182,15 @@ def subcode_normal_form(C: LinearCode,
     if len(ext) != k - k1:
         raise NormalFormError("subcode basis does not extend to a basis of C")
 
-    # Step 1: kill couplings between extension rows and the A_1 block
-    if a1_rows:
-        A1m = gf2.gram(BitMatrix.from_rows(a1_rows, n))
-        for idx, e in enumerate(ext):
-            beta = 0
-            for j, a in enumerate(a1_rows):
-                if _ip(e, a):
-                    beta |= 1 << j
-            lam = gf2.solve(A1m, BitVector(len(a1_rows), beta))
-            if lam is None:
-                raise NormalFormError("A_1 block not invertible")
-            for j in range(len(a1_rows)):
-                if lam.get(j):
-                    e ^= a1_rows[j]
-            ext[idx] = e
+    # Step 1: kill couplings between extension rows and the A_1 block.
+    # A_1 is I or a J_2 sum (D's certificate checked it), its own
+    # inverse, so e's coefficient on row j is e's coupling with row j's
+    # partner: row j itself, or row j ^ 1
+    swap = a1_kind == SYMPLECTIC
+    for idx, e in enumerate(ext):
+        for j, a in enumerate(a1_rows):
+            if _ip(e, a1_rows[j ^ swap]):
+                ext[idx] ^= a
 
     # Step 2: reduce the hull-coupling matrix to [I_s ; 0],
     # lowest-index pivots first
@@ -246,16 +228,14 @@ def subcode_normal_form(C: LinearCode,
 
     # Step 5: bring the trailing block to identity / J_2-sum form
     t = len(t_rows)
+    a3_kind = ABSENT
     if t:
-        Tm = gf2.gram(BitMatrix.from_rows(t_rows, n))
-        Pt, Nt, st = gf2.congruent_normal_form(Tm)
+        T, st, a3_kind = gf2.congruent_normal_form(
+            BitMatrix.from_rows(t_rows, n))
         if st != 0:
             raise NormalFormError(
                 "trailing block must be nonsingular for LCD input")
-        t_rows = list(Pt.mul(BitMatrix.from_rows(t_rows, n)).rows)
-        a3_kind = _kind_of_normal_block(Nt, 0)
-    else:
-        a3_kind = ABSENT
+        t_rows = list(T.rows)
 
     basis = BitMatrix.from_rows(hull_rows + a1_rows + p_rows + t_rows, n)
     shape = GramShape(s=s, k1=k1, a1_kind=a1_kind, s1=s1,

@@ -7,6 +7,7 @@ import pytest
 import gf2_oracle as oracle
 from lcdkit import gf2
 from lcdkit.gf2 import BitMatrix, BitVector
+from lcdkit.search import random_lcd_eo_code, random_lcd_oe_code
 
 
 def M(*lines):
@@ -181,7 +182,8 @@ class TestGram:
             c = rng.randrange(1, 20)
             G = BitMatrix.from_rows(
                 (rng.getrandbits(c) for _ in range(r)), c)
-            assert gf2.gram(G).is_symmetric()
+            S = gf2.gram(G)
+            assert S == S.transpose()
 
     def test_matches_pairwise_definition(self):
         rng = random.Random(6)
@@ -276,29 +278,31 @@ class TestNullspace:
 
 class TestCongruentNormalForm:
     def test_zero_form(self):
-        P, N, s = gf2.congruent_normal_form(BitMatrix.zeros(2, 2))
-        assert s == 2 and N == BitMatrix.zeros(2, 2)
+        G = M("11", "11")
+        assert gf2.congruent_normal_form(G) == (G, 2, gf2.ABSENT)
 
     def test_rank_one_with_diagonal(self):
-        P, N, s = gf2.congruent_normal_form(M("11", "11"))
-        assert s == 1
-        assert N == M("00", "01")
+        B, s, kind = gf2.congruent_normal_form(M("1", "1"))
+        assert (s, kind) == (1, gf2.ORTHONORMAL)
+        assert B == M("0", "1")
+        assert gf2.gram(B) == M("00", "01")
 
     def test_symplectic_block(self):
-        P, N, s = gf2.congruent_normal_form(M("01", "10"))
-        assert s == 0 and N == M("01", "10")
+        G = M("110", "011")
+        assert gf2.congruent_normal_form(G) == (G, 0, gf2.SYMPLECTIC)
 
-    def test_rejects_non_symmetric(self):
-        with pytest.raises(ValueError):
-            gf2.congruent_normal_form(M("01", "00"))
+    def test_no_rows(self):
+        G = BitMatrix.zeros(0, 3)
+        assert gf2.congruent_normal_form(G) == (G, 0, gf2.ABSENT)
 
     @staticmethod
-    def _check_shape(N, s, alternating):
+    def _check_shape(N, s, kind):
         k = N.nrows
         for i in range(s):
             assert N.rows[i] == 0
         body = [(N.rows[i] >> s) for i in range(s, k)]
-        if alternating:
+        assert (kind == gf2.ABSENT) == (s == k)
+        if kind == gf2.SYMPLECTIC:
             assert (k - s) % 2 == 0
             for b in range(0, k - s, 2):
                 assert body[b] == 2 << b
@@ -311,19 +315,72 @@ class TestCongruentNormalForm:
         rng = random.Random(8)
         for _ in range(400):
             k = rng.randrange(1, 11)
-            rows = [rng.getrandbits(k) for _ in range(k)]
-            # symmetrize
-            sym = [0] * k
-            for i in range(k):
-                for j in range(i, k):
-                    bit = (rows[i] >> j) & 1
-                    if bit:
-                        sym[i] |= 1 << j
-                        sym[j] |= 1 << i
-            S = BitMatrix.from_rows(sym, k)
-            P, N, s = gf2.congruent_normal_form(S)
-            assert gf2.rank(P) == k
-            assert P.mul(S).mul(P.transpose()) == N
-            assert s == k - gf2.rank(S)
-            alternating = all((S.rows[i] >> i) & 1 == 0 for i in range(k))
-            self._check_shape(N, s, alternating)
+            n = rng.randrange(1, 17)
+            G = BitMatrix.from_rows((rng.getrandbits(n) for _ in range(k)), n)
+            B, s, kind = gf2.congruent_normal_form(G)
+            assert B.nrows == k and B.cols == n
+            assert gf2.rank_of_rows(B.rows + G.rows) == gf2.rank(B) == \
+                gf2.rank(G)
+            assert s == k - gf2.rank(gf2.gram(G))
+            odd = any(r.bit_count() & 1 for r in G.rows)
+            assert (kind == gf2.ORTHONORMAL) == odd
+            self._check_shape(gf2.gram(B), s, kind)
+
+    @staticmethod
+    def _inputs(rng):
+        """Random generators, k <= 10 and n <= 16, drawn to reach every
+        class the test checks for: k = 1, a zero column, self-orthogonal,
+        LCD with either parity of code and dual, and a hull neither
+        trivial nor whole."""
+        for trial in range(900):
+            n = rng.randrange(1, 17)
+            k = rng.randrange(1, min(n, 10) + 1)
+            way = trial % 4
+            if way == 0:
+                keep = rng.getrandbits(n)  # the zero columns
+                rows = [rng.getrandbits(n) & keep for _ in range(k)]
+            elif way == 1:
+                # each row twice over, so every inner product is even
+                half = max(n // 2, 1)
+                rows = [x | x << half
+                        for x in (rng.getrandbits(half) for _ in range(k))]
+                n = 2 * half
+            else:
+                draw = random_lcd_oe_code if way == 2 else random_lcd_eo_code
+                if way == 3:
+                    k += k % 2
+                if k > n:
+                    continue
+                try:
+                    rows = list(draw(rng, n, k, max_tries=200).gen.rows)
+                except RuntimeError:
+                    continue
+            yield BitMatrix.from_rows(rows, n)
+
+    def test_reduces_rows_as_the_gram_matrix_form_does(self):
+        rng = random.Random(18)
+        seen = set()
+        for G in self._inputs(rng):
+            k, n = G.nrows, G.cols
+            P, N, s = oracle.congruent_normal_form(oracle.gram(G.rows))
+            kind = gf2.ABSENT if s == k else \
+                gf2.ORTHONORMAL if N[s] >> s & 1 else gf2.SYMPLECTIC
+            want = BitMatrix(tuple(oracle.mul(P, G.rows)), n)
+            assert gf2.congruent_normal_form(G) == (want, s, kind)
+
+            seen.add(kind)
+            if k == 1:
+                seen.add("k=1")
+            if 0 in oracle.transpose(G.rows, n):
+                seen.add("zero column")
+            if oracle.rank(G.rows, n) < k:
+                continue
+            if s:
+                seen.add("self-orthogonal" if s == k else "mixed hull")
+                continue
+            odd = any(r.bit_count() & 1 for r in G.rows)
+            dual_even = oracle.in_span(G.rows, (1 << n) - 1, n)
+            seen.add("LCD_" + "eo"[odd] + "oe"[dual_even])
+        assert seen >= {gf2.ORTHONORMAL, gf2.SYMPLECTIC, gf2.ABSENT, "k=1",
+                        "zero column", "self-orthogonal", "mixed hull",
+                        "LCD_oo", "LCD_oe", "LCD_eo"}
