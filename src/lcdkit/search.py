@@ -1,13 +1,14 @@
 """Randomized code generation: test corpora and a seeded LCD hill-climb.
 
 Each hill-climb trial flips one bit of one generator row and is made
-incremental.  LCD-ness (which implies full rank) is decided in O(k) with
-no elimination: a flip changes the Gram matrix G G^T by a rank-2
-symmetric term, so the search keeps (G G^T)^-1 and tests the term's 2x2
-capacitance matrix (Sherman-Morrison-Woodbury over GF(2)), updating the
-inverse in O(k) when a flip is accepted.  Below ``BZ_MIN_K`` rows the
-distance test reads ``codes.WeightTable``, the weights of all 2^k
-messages kept as lanes of one int: a flip changes one column, so the
+incremental.  A rejected trial costs O(1), with no elimination: a flip
+changes the Gram matrix G G^T by a rank-2 symmetric term, so the search
+keeps A = (G G^T)^-1 and its diagonal, and the term's 2x2 capacitance
+matrix (Sherman-Morrison-Woodbury over GF(2)) is read off one row of A
+and the diagonal; that decides LCD-ness, which implies full rank.  Only
+an accepted flip computes A c and updates A in O(k).  Below ``BZ_MIN_K``
+rows the distance test reads ``codes.WeightTable``, the weights of all
+2^k messages kept as lanes of one int: a flip changes one column, so the
 trial's weights are one subtraction and one addition away, and the
 verdict is one add and one AND.  No codeword is walked.
 """
@@ -25,26 +26,20 @@ from .codes import BZ_MIN_K, LinearCode, WeightTable, min_weight
 DEFAULT_SEED = 20240801
 
 
-def random_full_rank_matrix(rng: random.Random, k: int, n: int) -> BitMatrix:
-    """A uniformly random k×n matrix conditioned on full row rank."""
-    if k > n:
-        raise ValueError("k exceeds n")
-    while True:
-        rows = tuple(rng.getrandbits(n) for _ in range(k))
-        if gf2.rank_of_rows(rows) == k:
-            return BitMatrix.from_rows(rows, n)
-
-
-def random_code(rng: random.Random, n: int, k: int) -> LinearCode:
-    return LinearCode(random_full_rank_matrix(rng, k, n))
-
-
 def random_lcd_code(rng: random.Random, n: int, k: int,
                     max_tries: int = 10000) -> LinearCode:
+    """A uniformly random [n, k] LCD code, drawn at most max_tries times.
+
+    Each draw is k random rows, kept when their Gram matrix is
+    nonsingular: that also makes the rows independent, so a draw needs
+    no rank test of its own and the one code built is the one returned.
+    """
+    if k > n:
+        raise ValueError("k exceeds n")
     for _ in range(max_tries):
-        C = random_code(rng, n, k)
-        if C.is_lcd():
-            return C
+        rows = tuple(rng.getrandbits(n) for _ in range(k))
+        if gf2.rank_of_rows(gf2.gram_rows(rows)) == k:
+            return LinearCode(BitMatrix.from_rows(rows, n))
     raise RuntimeError(f"no LCD [{n},{k}] code found in {max_tries} tries")
 
 
@@ -90,18 +85,31 @@ def random_lcd_eo_code(rng: random.Random, n: int, k: int,
     raise RuntimeError(f"no LCD_eo [{n},{k}] code found in {max_tries} tries")
 
 
-def _flip_update(a: List[int], c: int, i: int) -> Optional[tuple]:
-    """Whether flipping bit j of generator row i keeps the code LCD, in O(k).
+def _stays_lcd(ai: int, diag: int, c: int, i: int) -> bool:
+    """Whether flipping bit j of generator row i keeps the code LCD, in O(1).
 
-    a holds the rows of A = (G G^T)^-1 as k-bit ints (A is symmetric)
-    and c is column j of G.  The flip changes the Gram matrix M to
-    M + U V^T with U = [e_i, c] and V = [c + e_i, e_i], so the new Gram
-    matrix is nonsingular iff the capacitance matrix
-    K = I + V^T A U = [[1+p+q, r+p], [q, 1+p]] is, where p is bit i of
-    A c, q is bit i of A e_i and r = c^T A c; det K = 1 + p + q (1 + r).
-    Returns None when the trial is not LCD, else the rank-2 update
-    (x, z, y, w) with (M + U V^T)^-1 = A + x z^T + y w^T (Woodbury):
-    [x y] = [A e_i, A c] K^-1, z = A (c + e_i) and w = A e_i.
+    ai is row i of A = (G G^T)^-1, diag holds A's diagonal and c is
+    column j of G.  The flip changes the Gram matrix M to M + U V^T with
+    U = [e_i, c] and V = [c + e_i, e_i], so the new Gram matrix is
+    nonsingular iff the capacitance matrix K = I + V^T A U =
+    [[1+p+q, r+p], [q, 1+p]] is, where p = (A c)_i, q = A_ii and
+    r = c^T A c; det K = 1 + p + q (1 + r).  A is symmetric, so p is the
+    parity of ai & c, and the off-diagonal terms of c^T A c cancel in
+    pairs, so r is the parity of diag & c.
+    """
+    p = (ai & c).bit_count() & 1
+    r = (diag & c).bit_count() & 1
+    return p == ai >> i & (r ^ 1)
+
+
+def _flip_update(a: List[int], diag: int, c: int, i: int) -> int:
+    """Applies a flip that ``_stays_lcd`` passed to A in place; returns
+    A's new diagonal.
+
+    By Woodbury, (M + U V^T)^-1 = A + x z^T + y w^T with
+    [x y] = [A e_i, A c] K^-1, z = A (c + e_i) and w = A e_i, where
+    K^-1 = [[1+p, r+p], [q, 1+p+q]] since det K = 1.  A c is the one
+    O(k) step, so only an accepted flip takes it.
     """
     ai = a[i]
     ac = 0
@@ -110,25 +118,17 @@ def _flip_update(a: List[int], c: int, i: int) -> Optional[tuple]:
         low = bits & -bits
         ac ^= a[low.bit_length() - 1]
         bits ^= low
-    p = ac >> i & 1
     q = ai >> i & 1
-    r = (ac & c).bit_count() & 1
-    if p != q & (r ^ 1):
-        return None
-    # K^-1 = [[1+p, r+p], [q, 1+p+q]] since det K = 1; with p = q (1 + r)
-    # the columns of [A e_i, A c] K^-1 reduce to these three cases
+    r = (diag & c).bit_count() & 1
+    # with p = q (1 + r) the columns of [A e_i, A c] K^-1 reduce to
+    # these three cases
     if not q:
         x, y = ai, (ai if r else 0) ^ ac
-    elif p:
+    elif not r:
         x, y = ac, ai ^ ac
     else:
         x, y = ai ^ ac, ai
-    return x, ac ^ ai, y, ai
-
-
-def _apply_update(a: List[int], update: tuple) -> None:
-    """Adds the rank-2 update x z^T + y w^T of ``_flip_update`` to a."""
-    x, z, y, w = update
+    z, w = ac ^ ai, ai
     bits = x | y
     while bits:
         low = bits & -bits
@@ -138,6 +138,13 @@ def _apply_update(a: List[int], update: tuple) -> None:
         if y & low:
             a[l] ^= w
         bits ^= low
+    return diag ^ (x & z) ^ (y & w)
+
+
+def _griesmer_length(k: int, d: int) -> int:
+    """The least length of a binary [n, k, d] code by the Griesmer bound,
+    the sum of ceil(d / 2^i) over i < k."""
+    return sum(-(-d >> i) for i in range(k))
 
 
 def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
@@ -147,26 +154,30 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
     Moves flip one bit of one generator row and are rejected unless the
     matrix stays LCD (a nonsingular Gram matrix also means full rank)
     and its minimum distance does not drop.  Returns the first code
-    reaching the distance target, or None when the time budget runs out.
+    reaching the distance target, or None when the time budget runs out,
+    and None at once when the Griesmer bound rules the target out.
     Fully deterministic for a fixed seed and budget outcome.
 
-    A trial's LCD test costs O(k) and no elimination: the inverse
-    (G G^T)^-1 and the generator's columns are kept beside the rows, a
-    flip changes G G^T by a rank-2 symmetric term, and ``_flip_update``
-    decides nonsingularity from its 2x2 capacitance matrix; an accepted
-    flip updates the kept inverse in place by Woodbury.  With k = 1 every
-    flip changes the one row's weight parity and so makes the 1x1 Gram
-    matrix singular, so each restart only checks its drawn code.  Below
-    ``BZ_MIN_K`` rows each restart builds a ``codes.WeightTable`` from
-    the columns and reads its starting distance off it.  Flipping bit j
-    of row i turns column j from c to c ^ e_i, whose pattern is the old
-    one XOR ``units[i]``; the swapped table is rejected unless every
-    nonzero message weighs at least the current distance, an accepted
+    A rejected trial costs O(1) and no elimination: the inverse
+    A = (G G^T)^-1, its diagonal and the generator's columns are kept
+    beside the rows, a flip changes G G^T by a rank-2 symmetric term,
+    and ``_stays_lcd`` decides nonsingularity from its 2x2 capacitance
+    matrix, read off one row of A and the diagonal.  Only a flip that
+    also passes the distance test takes ``_flip_update``'s O(k) step,
+    which updates the kept inverse in place by Woodbury.  With k = 1
+    every flip changes the one row's weight parity and so makes the 1x1
+    Gram matrix singular, so each restart only checks its drawn code.
+    Below ``BZ_MIN_K`` rows each restart builds a ``codes.WeightTable``
+    from the columns and reads its starting distance off it.  Flipping
+    bit j of row i turns column j from c to c ^ e_i, whose pattern is
+    the old one XOR ``units[i]``; the swapped table is rejected unless
+    every nonzero message weighs at least the current distance, one add
+    of a kept floor and one AND against the guard bits, an accepted
     trial steps that bound up to its exact distance, and only an
-    accepted trial is kept.  From ``BZ_MIN_K`` rows on, the whole trial
-    goes to ``min_weight``.
+    accepted trial is kept.  From ``BZ_MIN_K`` rows on, the whole
+    distance test goes to ``min_weight``.
     """
-    if d_target <= 0 or k < 1 or k > n:
+    if d_target <= 0 or k < 1 or k > n or _griesmer_length(k, d_target) > n:
         return None
     rng = random.Random(seed)
     # randrange(k) and randrange(n) inlined: CPython's getrandbits
@@ -177,13 +188,18 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
     while time.monotonic() < deadline:
         C = random_lcd_code(rng, n, k)
         rows = list(C.gen.rows)
-        # Gram cached by the LCD test: a restart's code never has its dual
-        # built, so is_lcd read the k x k Gram matrix, not the dual's
         a = list(gf2.inverse(C.gram()).rows)
+        diag = sum(al & 1 << l for l, al in enumerate(a))
         cols = list(C.gen.transpose().rows)
         if k < BZ_MIN_K:
             table = WeightTable(cols, k)
+            patterns, units = table.patterns, table.units
+            guards, nonzero = table.guards, table.nonzero
+            top = 1 << table.width - 1
             current = table.minimum(table.weights)
+            # (weights + floor) & guards == guards iff every nonzero
+            # message weighs at least current (WeightTable.at_least)
+            floor = (top - current) * nonzero
         else:
             current = min_weight(rows)
         stale = 0
@@ -195,31 +211,34 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
             j = getrandbits(n_bits)
             while j >= n:
                 j = getrandbits(n_bits)
-            update = _flip_update(a, cols[j], i)
-            if update is None:
+            c = cols[j]
+            if not _stays_lcd(a[i], diag, c, i):
                 stale += 1
                 continue
             t = rows[i] ^ 1 << j
-            if k >= BZ_MIN_K:
+            if k < BZ_MIN_K:
+                # column j turns from c to c ^ e_i
+                f = patterns[j] ^ units[i]
+                weights = table.swap(j, f)
+                if (weights + floor) & guards != guards:
+                    stale += 1
+                    continue
+                d2 = table.minimum(weights, known=current)
+                table.keep(j, f, weights)
+            else:
                 # a trial below current is rejected whatever its exact value
                 d2 = min_weight(rows[:i] + [t] + rows[i + 1:], current - 1)
-            else:
-                # column j turns from c to c ^ e_i; as above, a trial
-                # below current reads as current - 1 with no exact value
-                f = table.patterns[j] ^ table.units[i]
-                weights = table.swap(j, f)
-                d2 = table.minimum(weights, known=current - 1)
-            if d2 >= current:
-                if d2 > current:
-                    stale = 0
-                rows[i] = t
-                _apply_update(a, update)
-                cols[j] ^= 1 << i
-                if k < BZ_MIN_K:
-                    table.keep(j, f, weights)
+                if d2 < current:
+                    stale += 1
+                    continue
+            if d2 > current:
+                stale = 0
                 current = d2
-            else:
-                stale += 1
+                if k < BZ_MIN_K:
+                    floor = (top - current) * nonzero
+            rows[i] = t
+            cols[j] = c ^ 1 << i
+            diag = _flip_update(a, diag, c, i)
         if current >= d_target:
             return LinearCode(BitMatrix.from_rows(rows, n))
     return None

@@ -11,7 +11,8 @@ from lcdkit import cli, conjecture, tables
 from lcdkit.codes import (W_MAX, EngineBudgetError, LinearCode, ParseError,
                           format_gen1, min_weight, parse_gen1)
 from lcdkit.expansion import ExtFieldCode, parse_extgen1
-from lcdkit.search import random_code, random_lcd_eo_code
+from lcdkit.search import random_lcd_eo_code
+from random_codes import random_code
 
 
 def write(tmp_path, name, text):

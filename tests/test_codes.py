@@ -15,7 +15,7 @@ from lcdkit.codes import (BZ_MIN_K, EngineBudgetError, LinearCode,
                           _parity_columns,
                           format_gen1, min_weight, parse_gen1)
 from lcdkit.gf2 import BitMatrix, BitVector
-from lcdkit.search import random_code
+from random_codes import random_code
 
 HAMMING_7_4 = LinearCode.from_strings([
     "1101000",

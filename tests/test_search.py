@@ -1,14 +1,18 @@
 """lcd_search: the incremental hill-climb against the plain per-trial loop."""
 
 import random
+import time
+from functools import reduce
+from operator import or_
 
 import pytest
 
-from lcdkit import gf2
-from lcdkit.codes import BZ_MIN_K, min_weight
+from lcdkit import gf2, search
+from lcdkit.codes import BZ_MIN_K, WeightTable, min_weight
 from lcdkit.gf2 import BitMatrix
-from lcdkit.search import (_apply_update, _flip_update, lcd_search,
+from lcdkit.search import (_flip_update, _stays_lcd, lcd_search,
                            random_lcd_code)
+from random_codes import random_code
 
 BUDGET_MS = 10000
 
@@ -71,6 +75,44 @@ class TestAgainstReference:
         assert got.is_lcd() and got.min_distance() >= d
 
 
+def draw_lcd_code(rng, n, k):
+    """random_lcd_code the plain way: full-rank draws until one is LCD."""
+    while True:
+        C = random_code(rng, n, k)
+        if C.is_lcd():
+            return C
+
+
+class TestRandomLcdCode:
+    def test_same_draws_as_full_rank_then_lcd(self):
+        # the Gram test alone accepts exactly the full-rank LCD draws,
+        # so the code and the generator's state after it are the same
+        rng = random.Random(33)
+        shapes = set()
+        for _ in range(240):
+            seed = rng.getrandbits(32)
+            n = rng.randrange(1, 17)
+            k = rng.choice([1, n, rng.randrange(1, n + 1)])
+            shapes.add("k = 1" if k == 1 else "k = n" if k == n else "k < n")
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = random_lcd_code(got_rng, n, k)
+            want = draw_lcd_code(want_rng, n, k)
+            assert got.gen.rows == want.gen.rows
+            assert got_rng.getstate() == want_rng.getstate()
+        assert shapes == {"k = 1", "k = n", "k < n"}
+
+    def test_rejects_k_above_n(self):
+        with pytest.raises(ValueError):
+            random_lcd_code(random.Random(1), 3, 4)
+
+    def test_gives_up_after_max_tries(self):
+        # a square generator is LCD iff it is invertible: rarely in one try
+        rng = random.Random(34)
+        with pytest.raises(RuntimeError):
+            for _ in range(100):
+                random_lcd_code(rng, 8, 8, max_tries=1)
+
+
 class TestNoSearch:
     def test_zero_budget(self):
         assert lcd_search(8, 3, 4, seed=1, budget_ms=0) is None
@@ -80,34 +122,64 @@ class TestNoSearch:
     def test_invalid_request(self, n, k, d):
         assert lcd_search(n, k, d, seed=1, budget_ms=BUDGET_MS) is None
 
+    @pytest.mark.parametrize("n, k, d", [(6, 3, 5), (4, 2, 3), (3, 1, 4),
+                                         (7, 4, 4)])
+    def test_below_griesmer_length(self, n, k, d):
+        # sum of ceil(d / 2^i) over i < k exceeds n: no [n, k, d] code
+        # exists, so the budget is not spent looking for one
+        assert sum(-(-d // 2 ** i) for i in range(k)) > n
+        start = time.monotonic()
+        assert lcd_search(n, k, d, seed=1, budget_ms=30000) is None
+        assert time.monotonic() - start < 1.0
+
+
+def lcd_codes(rng, count, shapes):
+    """count random LCD generators as (rows, n, k), some with zero
+    columns; shapes collects which of "k = 1" and "zero column" it saw."""
+    out = []
+    while len(out) < count:
+        n = rng.randrange(1, 13)
+        k = rng.randrange(1, min(n, 9) + 1)
+        mask = (1 << n) - 1
+        if rng.random() < 0.3:
+            mask ^= 1 << rng.randrange(n)
+        rows = [rng.getrandbits(n) & mask for _ in range(k)]
+        if not gf2.is_nonsingular(gf2.gram(BitMatrix.from_rows(rows, n))):
+            continue
+        if k == 1:
+            shapes.add("k = 1")
+        if reduce(or_, rows) != (1 << n) - 1:
+            shapes.add("zero column")
+        out.append((rows, n, k))
+    return out
+
+
+def inverse_and_diagonal(rows, n):
+    a = list(gf2.inverse(gf2.gram(BitMatrix.from_rows(rows, n))).rows)
+    return a, sum(al & 1 << l for l, al in enumerate(a))
+
 
 class TestFlipUpdate:
     def test_matches_full_gram(self):
-        # a is reused for every i, j, so an update in place also fails
+        # every (i, j) of each code; an accepted flip is applied to a
+        # copy and checked to give the flipped Gram matrix's inverse
         rng = random.Random(31)
-        checked = 0
-        while checked < 60:
-            n = rng.randrange(1, 13)
-            k = rng.randrange(1, min(n, 9) + 1)
-            rows = [rng.getrandbits(n) for _ in range(k)]
-            G = BitMatrix.from_rows(rows, n)
-            if not gf2.is_nonsingular(gf2.gram(G)):
-                continue
-            checked += 1
-            a = list(gf2.inverse(gf2.gram(G)).rows)
-            cols = G.transpose().rows
+        shapes = set()
+        for rows, n, k in lcd_codes(rng, 80, shapes):
+            a, diag = inverse_and_diagonal(rows, n)
+            cols = BitMatrix.from_rows(rows, n).transpose().rows
             for i in range(k):
                 for j in range(n):
                     flipped = rows.copy()
                     flipped[i] ^= 1 << j
                     M = gf2.gram(BitMatrix.from_rows(flipped, n))
-                    update = _flip_update(a, cols[j], i)
-                    assert (update is not None) == gf2.is_nonsingular(M)
-                    if update is not None:
+                    stays = _stays_lcd(a[i], diag, cols[j], i)
+                    assert stays == gf2.is_nonsingular(M)
+                    if stays:
                         a2 = a.copy()
-                        _apply_update(a2, update)
-                        assert BitMatrix.from_rows(a2, k).mul(M) == \
-                            BitMatrix.identity(k)
+                        diag2 = _flip_update(a2, diag, cols[j], i)
+                        assert (a2, diag2) == inverse_and_diagonal(flipped, n)
+        assert shapes == {"k = 1", "zero column"}
 
     def test_accepted_walk_keeps_inverse(self):
         # a long walk of accepted flips, each from the updated inverse
@@ -116,21 +188,44 @@ class TestFlipUpdate:
             n = rng.randrange(2, 13)
             k = rng.randrange(2, min(n, 9) + 1)
             rows = list(random_lcd_code(rng, n, k).gen.rows)
-            a = list(gf2.inverse(gf2.gram(BitMatrix.from_rows(rows, n))).rows)
+            a, diag = inverse_and_diagonal(rows, n)
+            accepted = 0
             for _ in range(50):
                 i = rng.randrange(k)
                 j = rng.randrange(n)
                 c = sum((r >> j & 1) << l for l, r in enumerate(rows))
-                update = _flip_update(a, c, i)
-                if update is None:
+                if not _stays_lcd(a[i], diag, c, i):
                     continue
-                _apply_update(a, update)
+                diag = _flip_update(a, diag, c, i)
                 rows[i] ^= 1 << j
-                M = gf2.gram(BitMatrix.from_rows(rows, n))
-                assert BitMatrix.from_rows(a, k).mul(M) == \
-                    BitMatrix.identity(k)
+                accepted += 1
+                assert (a, diag) == inverse_and_diagonal(rows, n)
+            assert accepted
 
     def test_one_row_never_stays_lcd(self):
         # [[1]] is its own inverse; c is 0 or 1 and both flips fail
-        assert _flip_update([1], 0, 0) is None
-        assert _flip_update([1], 1, 0) is None
+        assert not _stays_lcd(1, 1, 0, 0)
+        assert not _stays_lcd(1, 1, 1, 0)
+
+    def test_update_only_for_accepted_flips(self, monkeypatch):
+        # below BZ_MIN_K an accepted flip is the one kept table swap, so
+        # A c and Woodbury run exactly once per kept swap, and rejected
+        # trials (the most) take neither
+        calls = {"verdict": 0, "update": 0, "keep": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(search, "_stays_lcd",
+                            counted("verdict", _stays_lcd))
+        monkeypatch.setattr(search, "_flip_update",
+                            counted("update", _flip_update))
+        monkeypatch.setattr(WeightTable, "keep",
+                            counted("keep", WeightTable.keep))
+        got = lcd_search(20, 6, 7, seed=3, budget_ms=BUDGET_MS)
+        assert got is not None
+        assert calls["update"] == calls["keep"] > 0
+        assert calls["verdict"] > 2 * calls["update"]
