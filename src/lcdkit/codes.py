@@ -272,11 +272,6 @@ class LinearCode:
                 f"cannot enumerate weight-{w} words with k > {K_FULL}")
         return _low_weight_words(self, w)
 
-    def codeword_span(self, w: int) -> "LinearCode":
-        """The subcode spanned by all weight-w codewords."""
-        words = self.weight_words(w)
-        return LinearCode(gf2.rref(BitMatrix.from_rows(words, self.n))[0])
-
     # ------------------------------------------------------------------
     # puncture / shorten
 

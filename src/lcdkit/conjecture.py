@@ -8,10 +8,10 @@ hull that appears after puncturing a single coordinate:
 
   * route "padded-puncture": some doubly-punctured code is already LCD
     with minimum distance >= d-1; append an all-zero column.
-  * route "extension": find a pair whose doubly-punctured code is LCD
-    and whose span of weight-(d-2) words misses the all-one vector,
-    then append a column that lifts every weight-(d-2) word to weight
-    d-1 while keeping the code LCD.
+  * route "extension": find a pair whose doubly-punctured code C^{u,v}
+    is LCD and takes a column lifting every weight-(d-2) word to weight
+    d-1 while keeping the code LCD; that column is one linear solve
+    (``lift_column``).
 
 Everything is read off the input's orthonormal basis B (Gram I_k),
 with columns c_1 .. c_{n+1}; B, a ``codes.WeightTable`` over the
@@ -31,6 +31,14 @@ without c_u's and c_v's patterns (``min_weight`` of B's punctured rows
 from ``BZ_MIN_K`` rows on).  A witness builds C^{u,v} only when read,
 and checks then that it is LCD, so a certification builds the code of
 the pair it uses and of the pairs the extension route scans before it.
+
+The extension column: C^{u,v} contains 1 because C does.  A column
+y = M zeta, with M the Gram matrix of C^{u,v}'s generator G and
+z = zeta G, gives each codeword a the trailing bit a . z, and
+det(M + y y^T) = det M (1 + z . z).  So the column lifts every
+weight-(d-2) word a and keeps the code LCD exactly when z . a = 1 for
+each such a and z . 1 = 0; a pair whose system has no solution is
+skipped.
 
 Every certificate re-verifies its output independently.
 """
@@ -192,85 +200,26 @@ def good_puncture_pairs(C: LinearCode, u: int) -> List[PunctureWitness]:
     return witnesses
 
 
-def column_append_odd(C: LinearCode, y_prefix: BitVector) -> LinearCode:
-    """Append a column completing y_prefix so the result stays LCD.
+def lift_column(P: LinearCode, words: List[int]) -> Optional[int]:
+    """A column lifting every word of ``words`` while P stays LCD.
 
-    Requires the stored generator's last row to be orthogonal to all
-    other rows.  The final entry is chosen by the subcode parity rule:
-    zero when the leading rows span an even-like code, otherwise the
-    bit making the total column weight even; the choice is verified
-    and the alternative is used if verification fails.
+    P is LCD and contains the all-one vector.  Solves z . a = 1 for
+    each word a and z . 1 = 0 for z = zeta G in P (module docstring)
+    and returns y = M zeta, with M P's Gram matrix and y_i = g_i . z,
+    the entry of generator row g_i, as bit i; None when the system has
+    no solution.
     """
-    if not C.is_lcd() or C.is_even_like():
-        raise ValueError("code must be odd-like LCD")
-    k = C.k
-    if y_prefix.length != k - 1:
-        raise ValueError(f"prefix must have length {k - 1}")
-    last = C.gen.rows[-1]
-    for r in C.gen.rows[:-1]:
-        if (last & r).bit_count() & 1:
-            raise ValueError(
-                "last generator row must be orthogonal to the others")
-    leading_even = all(r.bit_count() % 2 == 0 for r in C.gen.rows[:-1])
-    predicted = 0 if leading_even else y_prefix.weight() % 2
-    for y_k in (predicted, 1 - predicted):
-        bits = y_prefix.bits | (y_k << (k - 1))
-        rows = [r | (((bits >> i) & 1) << C.n)
-                for i, r in enumerate(C.gen.rows)]
-        out = LinearCode.from_rows(rows, C.n + 1)
-        if out.is_lcd():
-            return out
-    raise ConjectureError("no completing entry keeps the code LCD")
-
-
-def extend_after_puncture(
-        W: PunctureWitness,
-        span_d2: LinearCode) -> Tuple[LinearCode, Dict]:
-    """Extension route: append a column lifting every minimum-weight word.
-
-    span_d2 is the nonzero span of C^{u,v}'s weight-(d-2) words.  Finds
-    an odd-weight codeword c of C^{u,v} outside span_d2 and orthogonal
-    to it, solves for prefix entries so each spanning word gains a
-    trailing 1, then completes the column keeping LCD.  Returns the
-    [n, k, d-1] LCD code and the trace entry's data: c and the appended
-    column y.
-    """
-    P = W.punctured
-    npunc, k = P.n, P.k
-    if span_d2.contains(BitVector.ones(npunc)):
-        raise ValueError("all-one vector lies in the minimum-weight span")
-
-    cert = nf.subcode_normal_form(P, span_d2)
-    sh = cert.shape
-    if sh.a3_kind != nf.ORTHONORMAL or sh.t < 1:
-        raise ConjectureError(
-            "no odd-weight codeword orthogonal to the span: "
-            "the all-one vector should then lie in the span")
-    basis = cert.basis
-    Dmat = BitMatrix.from_rows(basis.rows[:sh.k1], npunc)
-    w = span_d2.min_distance()
-    words = span_d2.weight_words(w)
-    lam_rows = []
-    for a in words:
-        lam = gf2.solve(Dmat, BitVector(npunc, a))
-        if lam is None:
-            raise ConjectureError("spanning word outside leading rows")
-        lam_rows.append(lam.bits)
-    L = BitMatrix.from_rows(lam_rows, sh.k1)
-    ysol = gf2.solve(L.transpose(),
-                     BitVector(len(words), (1 << len(words)) - 1))
-    if ysol is None:
-        raise ConjectureError("lift containment system unsolvable")
-    base = LinearCode(basis)
-    y_prefix = BitVector(k - 1, ysol.bits)
-
-    out = column_append_odd(base, y_prefix)
-    y_full = "".join(str(out.gen.get(i, npunc)) for i in range(k))
-    info = {
-        "c": str(basis.row(k - 1)),
-        "y": y_full,
-    }
-    return out, info
+    m = len(words)
+    # row i of the system's transpose: g_i . a for each word a, then
+    # g_i . 1, the parity of |g_i|
+    system = BitMatrix.from_rows(
+        [sum(((g & a).bit_count() & 1) << j for j, a in enumerate(words))
+         | (g.bit_count() & 1) << m for g in P.gen.rows], m + 1)
+    zeta = gf2.solve(system, BitVector(m + 1, (1 << m) - 1))
+    if zeta is None:
+        return None
+    return sum(((r & zeta.bits).bit_count() & 1) << i
+               for i, r in enumerate(P.gram().rows))
 
 
 def certify_step_down(C: LinearCode) -> ConjectureCertificate:
@@ -278,11 +227,11 @@ def certify_step_down(C: LinearCode) -> ConjectureCertificate:
 
     Scans pairs (u, v) with u ascending and v in hull-support order,
     preferring the padded-puncture route; falls back to the extension
-    route on the first pair whose minimum-weight span misses the
-    all-one vector.  An input outside the step-down's hypotheses raises
-    ValueError naming the failed precondition.  The guarantee is
-    constructive: failure to find a route signals an implementation bug
-    and raises RuntimeError.
+    route on the first pair for which ``lift_column`` finds a column.
+    An input outside the step-down's hypotheses raises ValueError
+    naming the failed precondition.  The guarantee is constructive:
+    failure to find a route signals an implementation bug and raises
+    RuntimeError.
     """
     d = _step_down_basis(C)[0]
     n1, k = C.n, C.k
@@ -305,17 +254,20 @@ def certify_step_down(C: LinearCode) -> ConjectureCertificate:
                 return cert
 
     for W in all_witnesses:
-        # every witness here has dmin == d - 2, so the span is nonzero
-        span = W.punctured.codeword_span(d - 2)
-        if span.contains(BitVector.ones(span.n)):
+        # every witness here has dmin == d - 2, so it has such words
+        P = W.punctured
+        words = P.weight_words(d - 2)
+        y = lift_column(P, words)
+        if y is None:
             continue
-        out, info = extend_after_puncture(W, span)
+        out = LinearCode.from_rows(
+            [r | ((y >> i) & 1) << P.n for i, r in enumerate(P.gen.rows)],
+            P.n + 1)
         trace = (
             {"op": "puncture_pair", "u": W.u, "v": W.v,
              "lcd": True, "dmin": W.dmin},
-            {"op": "min_weight_span", "weight": d - 2, "dim": span.k,
-             "contains_all_one": False},
-            {"op": "extend_after_puncture", **info},
+            {"op": "lift_column", "weight": d - 2, "words": len(words),
+             "y": "".join(str((y >> i) & 1) for i in range(k))},
         )
         cert = ConjectureCertificate(
             (n1, k, d), ROUTE_EXTENSION, out, trace)
@@ -323,5 +275,5 @@ def certify_step_down(C: LinearCode) -> ConjectureCertificate:
         return cert
 
     raise RuntimeError(
-        "no certified step-down found: every pair's minimum-weight span "
-        "contains the all-one vector, which should be impossible")
+        "no certified step-down found: no pair's weight-(d-2) words "
+        "take a lifting column, which should be impossible")

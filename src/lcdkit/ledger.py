@@ -163,6 +163,10 @@ def _expand(seed_code: xp.ExtFieldCode, aux: Dict) -> List[LinearCode]:
         if len(transform) != seed_code.n:
             raise _ReplayFailure("diagonal length must equal n")
         F = seed_code.field
+        if not all(type(t) is int and 0 < t < F.order for t in transform):
+            raise _ReplayFailure(
+                f"diagonal entries must be nonzero elements of "
+                f"GF({F.order})")
         rows = [[F.mul(t, v) for t, v in zip(transform, row)]
                 for row in seed_code.gen]
         seed_code = xp.ExtFieldCode.from_rows(F, rows, seed_code.n)

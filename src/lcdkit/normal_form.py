@@ -160,7 +160,8 @@ def subcode_normal_form(C: LinearCode,
     """Five-step congruent reduction relative to a distinguished subcode.
 
     Returns a basis of C whose first k_1 rows span D and whose Gram
-    matrix takes the coupled block form in the module docstring.
+    matrix takes the coupled block form in the module docstring.  No
+    library code calls it; the benchmark's trace hooks name it.
     """
     if not C.is_lcd() or C.is_even_like():
         raise ValueError("code must be odd-like LCD")

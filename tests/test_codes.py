@@ -707,20 +707,7 @@ class TestShorten:
             assert code.shorten(T) == code.dual().puncture(T).dual()
 
 
-class TestCodewordSpan:
-    def test_repetition(self):
-        code = C("111")
-        assert code.codeword_span(3) == code
-
-    def test_weight_one(self):
-        assert C("1000", "0111").codeword_span(1) == C("1000")
-
-    def test_identity_weight_two(self):
-        assert C("10", "01").codeword_span(2) == C("11")
-
-    def test_empty_span(self):
-        assert C("111").codeword_span(2).k == 0
-
+class TestWeightWords:
     def test_weight_words_match_enumeration(self):
         rng = random.Random(20)
         for _ in range(60):

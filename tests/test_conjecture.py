@@ -1,4 +1,4 @@
-"""Distance step-down engine: puncture pairs, column appends, certificates."""
+"""Distance step-down engine: puncture pairs, lifting column, certificates."""
 
 import json
 import random
@@ -8,7 +8,7 @@ import pytest
 from lcdkit import conjecture as cj
 from lcdkit import gf2, tables
 from lcdkit import normal_form as nf
-from lcdkit.codes import BZ_MIN_K, LinearCode
+from lcdkit.codes import BZ_MIN_K, LinearCode, _drop_bits
 from lcdkit.gf2 import BitMatrix, BitVector
 from lcdkit.search import random_lcd_oe_code
 
@@ -100,76 +100,6 @@ class TestGoodPuncturePairs:
                 assert code.puncture([u]).hull_dimension() == 1
 
 
-class TestMinWeightSpanPunctured:
-    """The span of C^{u,v}'s weight-(d-2) words, which the extension
-    route lifts."""
-
-    def test_worked_instance(self):
-        W = cj.good_puncture_pairs(WORKED, 1)[0]
-        span = W.punctured.codeword_span(1)
-        assert span == C("1000")
-
-    def test_second_pair_by_enumeration(self):
-        W = cj.good_puncture_pairs(WORKED, 1)[1]
-        span = W.punctured.codeword_span(1)
-        words = [c for c in W.punctured.codewords()
-                 if c and c.bit_count() == 1]
-        expect = gf2.rref(BitMatrix.from_rows(words, W.punctured.n))[0]
-        assert span.rref() == expect
-
-
-class TestColumnAppendOdd:
-    def test_worked_instance(self):
-        out = cj.column_append_odd(C("1000", "0111"),
-                                   BitVector.from_string("1"))
-        assert out == C("10001", "01111")
-        assert out.is_lcd()
-
-    def test_zero_prefix(self):
-        out = cj.column_append_odd(C("1000", "0111"),
-                                   BitVector.from_string("0"))
-        assert out == C("10000", "01110")
-        assert out.is_lcd()
-
-    def test_identity_code(self):
-        out = cj.column_append_odd(C("100", "010", "001"),
-                                   BitVector.from_string("11"))
-        assert out == C("1001", "0101", "0010")
-        assert out.is_lcd()
-
-    def test_rejects_bad_orthogonality(self):
-        # last row not orthogonal to the first
-        with pytest.raises(ValueError):
-            cj.column_append_odd(C("110", "011"), BitVector(1, 0))
-
-    def test_always_lcd_on_corpus(self):
-        rng = random.Random(43)
-        for code in oe_corpus(44, 15):
-            basis = nf.orthonormal_basis(code)
-            base = code.with_generator(basis)
-            for _ in range(8):
-                y = BitVector(code.k - 1, rng.randrange(1 << (code.k - 1)))
-                assert cj.column_append_odd(base, y).is_lcd()
-
-
-class TestExtendAfterPuncture:
-    def test_worked_instance(self):
-        W = cj.good_puncture_pairs(WORKED, 1)[0]
-        span = W.punctured.codeword_span(1)
-        out, info = cj.extend_after_puncture(W, span)
-        assert out == C("10001", "01111")
-        assert out.is_lcd() and out.min_distance() == 2
-        assert info == {"c": "0111", "y": "11"}
-
-    def test_rejects_all_one_in_span(self):
-        W = cj.PunctureWitness(source=C("001000", "000111"), u=1, v=2,
-                               dmin=1)
-        span = LinearCode(gf2.rref(BitMatrix.from_strings(
-            ["1000", "0111"]))[0])
-        with pytest.raises(ValueError):
-            cj.extend_after_puncture(W, span)
-
-
 class TestCertifyStepDown:
     def test_worked_instance(self):
         cert = cj.certify_step_down(WORKED)
@@ -178,6 +108,10 @@ class TestCertifyStepDown:
         assert cert.output.n == 5 and cert.output.k == 2
         assert cert.output.is_lcd()
         assert cert.output.min_distance() >= 2
+        assert cert.route == cj.ROUTE_EXTENSION
+        assert cert.output == C("10001", "01111")
+        assert cert.trace[1] == {"op": "lift_column", "weight": 1,
+                                 "words": 1, "y": "11"}
 
     def test_rejects_low_dimension(self):
         with pytest.raises(ValueError):
@@ -252,16 +186,16 @@ class TestPunctureLiftProperties:
             d = code.min_distance()
             wits = cj.good_puncture_pairs(code, 1)
             W = wits[0]
-            n = code.n
+            P = W.punctured
             # the all-one vector of the punctured code lifts to 1_n
-            assert W.punctured.contains(BitVector.ones(W.punctured.n))
+            assert P.contains(BitVector.ones(P.n))
             if W.dmin > d - 2:
                 continue
-            span = W.punctured.codeword_span(d - 2)
+            span = LinearCode(gf2.rref(BitMatrix.from_rows(
+                P.weight_words(d - 2), P.n))[0])
             bits_u, bits_v = W.u - 1, W.v - 1
             for c in code.codewords():
                 if ((c >> bits_u) & 1) != ((c >> bits_v) & 1):
-                    from lcdkit.codes import _drop_bits
                     proj = _drop_bits(c, (W.u, W.v))
                     assert not span.contains(BitVector(span.n, proj))
 
@@ -274,14 +208,6 @@ class TestConjectureError:
         assert issubclass(cj.ConjectureError, AssertionError)
 
 
-    def test_no_completing_entry(self, monkeypatch):
-        # the length-4 input stays LCD, every length-5 completion is not
-        monkeypatch.setattr(LinearCode, "is_lcd", lambda self: self.n == 4)
-        with pytest.raises(cj.ConjectureError, match="no completing entry"):
-            cj.column_append_odd(C("1000", "0111"),
-                                 BitVector.from_string("1"))
-
-
 def _plain_rank(rows):
     pivots = {}
     for r in rows:
@@ -292,6 +218,11 @@ def _plain_rank(rows):
                 break
             r ^= pivots[top]
     return len(pivots)
+
+
+def _plain_gram(rows):
+    return [sum((bin(a & b).count("1") & 1) << j for j, b in enumerate(rows))
+            for a in rows]
 
 
 def _plain_min_weight(rows):
@@ -322,10 +253,14 @@ def _check_step_down(rows, n1, cert):
     trimmed = [r & ((1 << (n - 1)) - 1) for r in out]
     assert _plain_rank(punctured) == _plain_rank(trimmed) == k
     assert _plain_rank(punctured + trimmed) == k
-    gram = [sum((bin(a & b).count("1") & 1) << j for j, b in enumerate(out))
-            for a in out]
-    assert _plain_rank(gram) == k
+    assert _plain_rank(_plain_gram(out)) == k
     assert _plain_min_weight(out) >= d - 1
+    column = "".join(str(r >> (n - 1)) for r in out)
+    if cert.route == cj.ROUTE_EXTENSION:
+        (lift,) = cert.trace[1:]
+        assert lift["op"] == "lift_column" and lift["y"] == column
+    else:
+        assert column == "0" * k
 
 
 class TestCertificateAgainstInput:
@@ -355,3 +290,66 @@ class TestCertificateAgainstInput:
                 count += 1
         assert count == 87
         assert routes == {cj.ROUTE_PADDED, cj.ROUTE_EXTENSION}
+
+
+def _random_lcd_with_all_one(rng, n, k):
+    """Plain-int rows of a random [n, k] LCD code containing 1_n, or None
+    after 100 draws (there is no [3, 2] one, for instance)."""
+    ones = (1 << n) - 1
+    for _ in range(100):
+        rows = [ones] + [rng.getrandbits(n) for _ in range(k - 1)]
+        if _plain_rank(rows) == k and _plain_rank(_plain_gram(rows)) == k:
+            for _ in range(2 * k):
+                i, j = rng.sample(range(k), 2)
+                rows[i] ^= rows[j]
+            return rows
+
+
+def _lifting_columns(rows, n, w):
+    """Every column y, brute force over all 2^k, that gives each
+    weight-w word a trailing 1 and keeps the code LCD."""
+    k = len(rows)
+    lifted = []  # the messages of the weight-w words
+    for msg in range(1, 1 << k):
+        word = 0
+        for i, r in enumerate(rows):
+            if (msg >> i) & 1:
+                word ^= r
+        if bin(word).count("1") == w:
+            lifted.append(msg)
+    out = []
+    for y in range(1 << k):
+        ext = [r | ((y >> i) & 1) << n for i, r in enumerate(rows)]
+        if (all(bin(msg & y).count("1") & 1 for msg in lifted)
+                and _plain_rank(_plain_gram(ext)) == k):
+            out.append(y)
+    return out
+
+
+class TestLiftColumn:
+    def test_worked_instance(self):
+        P = cj.good_puncture_pairs(WORKED, 1)[0].punctured
+        assert P == C("1000", "0111")
+        assert cj.lift_column(P, P.weight_words(1)) == 0b11
+
+    def test_against_brute_force(self):
+        rng = random.Random(50)
+        lifted = missed = 0
+        for _ in range(80):
+            n = rng.randrange(3, 10)
+            k = rng.randrange(2, min(n, 6) + 1)
+            rows = _random_lcd_with_all_one(rng, n, k)
+            if rows is None:
+                continue
+            P = LinearCode.from_rows(rows, n)
+            for w in range(1, n + 1):
+                words = P.weight_words(w)
+                good = _lifting_columns(rows, n, w)
+                y = cj.lift_column(P, words)
+                if y is None:
+                    assert good == []
+                    missed += 1
+                else:
+                    assert y in good
+                    lifted += 1
+        assert lifted and missed

@@ -143,6 +143,19 @@ class TestReplayInline:
         assert plain.output.min_distance() == scaled.output.min_distance()
         assert plain.output != scaled.output  # the scaling is not trivial
 
+    @pytest.mark.parametrize("entry", [0, 4, 5, 7])
+    def test_expand_diagonal_outside_field_fails(self, entry):
+        # GF(4) has the elements 0..3; multiplying by 7 or 0 would zero a
+        # column, and 5 or 4 would act as 2 or 3 after reduction
+        base = {"source": "inline", "format": "extgen1", "m": 2, "n": 3,
+                "rows": [[1, 2, 0], [0, 1, 3]]}
+        res = replay_record(ConstructionRecord(
+            "expand", base, {"transformation": [entry, 1, 1]},
+            (6, 4, None)))
+        assert res.status == FAIL
+        assert res.message == ("diagonal entries must be nonzero elements "
+                               "of GF(4)")
+
 
 class TestDistanceOverBudget:
     @pytest.fixture(autouse=True)
