@@ -115,7 +115,7 @@ def _cmd_analyze(args) -> int:
         label = "LCD" if code.is_lcd() else "NotLCD"
         print(f"{code.n} {code.k} {d} hull={code.hull_dimension()} {label}")
         return EXIT_PASS
-    d = code.min_distance(args.engine)
+    d = code.min_distance(args.engine) if code.k else 0
     label = code.parity_class().label
     print(f"{code.n} {code.k} {d} hull={code.hull_dimension()} {label}")
     return EXIT_PASS
@@ -170,6 +170,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_dlcd_table(args) -> int:
+    if args.n_max < 1:
+        print("error: n_max must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     table = tables.dlcd_table(args.n_max)
     tables.check_step_property(table)
     for n in range(1, args.n_max + 1):

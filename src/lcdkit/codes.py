@@ -215,6 +215,20 @@ class LinearCode:
     def is_lcd(self) -> bool:
         return self.hull_dimension() == 0
 
+    def projector(self) -> BitMatrix:
+        """Π = Gᵀ (G Gᵀ)⁻¹ G, the orthogonal projector onto an LCD code.
+
+        Symmetric and the same for every generator, its rows codewords;
+        ValueError when C is not LCD.  Puncturing T without losing
+        dimension keeps C LCD exactly when I + Π[T,T] is nonsingular,
+        and shortening one coordinate j with a nonzero column exactly
+        when Π_jj = 1 (row j of Π is zero when column j of G is).
+        """
+        if not self.is_lcd():
+            raise ValueError("code is not LCD: it has no projector")
+        return self._cached("projector", lambda: self.gen.transpose().mul(
+            gf2.inverse(self.gram()).mul(self.gen)))
+
     def is_even_like(self) -> bool:
         return all(r.bit_count() % 2 == 0 for r in self.gen.rows)
 

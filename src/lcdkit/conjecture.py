@@ -13,24 +13,20 @@ hull that appears after puncturing a single coordinate:
     d-1 while keeping the code LCD; that column is one linear solve
     (``lift_column``).
 
-Everything is read off the input's orthonormal basis B (Gram I_k),
-with columns c_1 .. c_{n+1}; B, a ``codes.WeightTable`` over the
-columns and the input checks are made once per code and kept in its
-cache.  Puncturing u keeps k (d >= 3), so C^u has Gram matrix
-I + c_u c_u^T over B's punctured rows, of rank k - 1 when |c_u| is odd.
-Its one-dimensional hull is spanned by z = c_u^T B, the sum of the rows
-supported at u, punctured at u: that z is orthogonal to every punctured
-row.  These hull checks are read from B; C^u is never built.
-
-The pair lemma: with |c_u| odd, I + c_u c_u^T + c_v c_v^T is
-nonsingular exactly when c_u . c_v = 1, which is bit v of z (it is as
-singular as I_2 + U^T U with U = [c_u c_v], of determinant
-(c_u . c_v)^2).  So C^{u,v} is LCD for exactly the v in z's support,
-and no pair needs a rank.  Its distance is the least lane of the table
-without c_u's and c_v's patterns (``min_weight`` of B's punctured rows
-from ``BZ_MIN_K`` rows on).  A witness builds C^{u,v} only when read,
-and checks then that it is LCD, so a certification builds the code of
-the pair it uses and of the pairs the extension route scans before it.
+Everything is read off the input's projector Pi = G^T (G G^T)^-1 G
+(``LinearCode.projector``), kept with a ``codes.WeightTable`` over G's
+columns and the input checks in the code's cache.  Puncturing u keeps
+k (d >= 3) and leaves a one-dimensional hull exactly when Pi_uu = 1.
+That hull is spanned by z, row u of Pi punctured at u (Pi G^T = G^T
+gives z . r = r_u for each row r of G, and z_u = 1 cancels it), so
+C^u is never built.  The pair lemma: C^{u,v} is then LCD exactly when
+I + Pi[{u,v},{u,v}], of determinant Pi_uv, is nonsingular, that is
+for the v in z's support.  Its distance is the least lane of the table
+without columns u's and v's patterns (``min_weight`` of G's punctured
+rows from ``BZ_MIN_K`` rows on).  A witness builds C^{u,v} only when
+read, and checks then that it is LCD, so a certification builds the
+code of the pair it uses and of the pairs the extension route scans
+before it.
 
 The extension column: C^{u,v} contains 1 because C does.  A column
 y = M zeta, with M the Gram matrix of C^{u,v}'s generator G and
@@ -51,7 +47,6 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from . import gf2
-from . import normal_form as nf
 from .codes import (BZ_MIN_K, LinearCode, WeightTable, check_coords,
                     min_weight, _drop_bits)
 from .gf2 import BitMatrix, BitVector
@@ -118,11 +113,10 @@ class ConjectureCertificate:
 
 
 def _step_down_basis(
-        C: LinearCode
-) -> Tuple[int, BitMatrix, List[int], Optional[WeightTable]]:
-    """C's distance d, its orthonormal basis B, B's columns and, below
-    ``BZ_MIN_K`` rows, the weight table over them; checked and built
-    once per code, kept in its cache.
+        C: LinearCode) -> Tuple[int, Tuple[int, ...], Optional[WeightTable]]:
+    """C's distance d, the rows of its projector Pi and, below
+    ``BZ_MIN_K`` rows, the weight table over G's columns; checked and
+    built once per code, kept in its cache.
 
     Raises ValueError on an input the step-down does not take; each
     message starts with the name of the first failed precondition.
@@ -140,44 +134,32 @@ def _step_down_basis(
         d = C.min_distance()
         if d < 3:
             raise ValueError("d<3: minimum distance must be at least 3")
-        B = nf.orthonormal_basis(C)
-        cols = list(B.transpose().rows)
-        table = WeightTable(cols, C.k) if C.k < BZ_MIN_K else None
-        return d, B, cols, table
+        table = (WeightTable(C.gen.transpose().rows, C.k)
+                 if C.k < BZ_MIN_K else None)
+        return d, C.projector().rows, table
     return C._cached("step_down_basis", build)
 
 
 def good_puncture_pairs(C: LinearCode, u: int) -> List[PunctureWitness]:
     """All v for which C^{u,v} is LCD, read off the hull of C^u.
 
-    Over the orthonormal basis B with columns c_j, puncturing u leaves
-    a one-dimensional hull spanned by z, the sum of the rows supported
-    at u, punctured at u; these hull checks are read from B, without
-    building C^u.  By the pair lemma (module docstring), C^{u,v} is LCD
-    exactly when c_u . c_v = 1, that is for the v in z's support and
-    no other.  Returns these at least d-1 witnesses in ascending v
-    order, each with its distance from the weight table; a witness
-    builds C^{u,v} when its ``punctured`` is read.
+    With Pi_uu = 1, puncturing u leaves a hull spanned by z, row u of
+    the projector Pi punctured at u, checked from Pi and G without
+    building C^u; by the pair lemma (module docstring), C^{u,v} is LCD
+    exactly for the v in z's support.  Returns these at least d-1
+    witnesses in ascending v order, each with its distance from the
+    weight table; a witness builds C^{u,v} when its ``punctured`` is read.
     """
-    d, B, cols, table = _step_down_basis(C)
+    d, proj, table = _step_down_basis(C)
     (u,) = check_coords([u], C.n)
     bit = u - 1
-    cu = cols[bit]
-    # z = c_u^T B; its bit j is c_u . c_j
-    z = 0
-    for r in B.rows:
-        if (r >> bit) & 1:
-            z ^= r
+    z = proj[bit]
     if not (z >> bit) & 1:
-        raise ConjectureError("column at u must meet an odd number of rows")
-
-    k = C.k
-    gram_u = [(1 << i) ^ (cu if (cu >> i) & 1 else 0) for i in range(k)]
-    if gf2.rank_of_rows(gram_u) != k - 1:
         raise ConjectureError("single puncture must leave hull dim 1")
     keep = ~(1 << bit)
-    if any((z & r & keep).bit_count() & 1 for r in B.rows):
-        raise ConjectureError("row sum must span the punctured hull")
+    rows = C.gen.rows
+    if any((z & r & keep).bit_count() & 1 for r in rows):
+        raise ConjectureError("projector row must span the punctured hull")
     if (z & keep).bit_count() < d - 1:
         raise ConjectureError("punctured hull vector lighter than d - 1")
 
@@ -192,7 +174,7 @@ def good_puncture_pairs(C: LinearCode, u: int) -> List[PunctureWitness]:
                 d - 3)
         else:
             drop = (u, v) if u < v else (v, u)
-            dmin = min_weight([_drop_bits(r, drop) for r in B.rows], d - 3)
+            dmin = min_weight([_drop_bits(r, drop) for r in rows], d - 3)
         if dmin < d - 2:
             raise ConjectureError(
                 f"punctured code at ({u},{v}) has distance below d - 2")

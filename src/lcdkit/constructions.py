@@ -103,7 +103,9 @@ def shorten_odd_lcd(C: LinearCode,
 
     When the all-one vector lies in C any coordinate works (default: 1).
     Otherwise i is ignored and the code is shortened at the first
-    coordinate whose shortening is LCD; the paper guarantees one.
+    coordinate j whose shortening is LCD: a zero column or Π_jj = 1
+    (``LinearCode.projector``).  One exists: diag Π is the codeword s
+    with s . c = |c| mod 2 on C, nonzero on an odd-like code.
     """
     _require_lcd(C)
     if C.is_even_like():
@@ -112,12 +114,8 @@ def shorten_odd_lcd(C: LinearCode,
         coord = 1 if i is None else i
         check_coords([coord], C.n)
     else:
-        coord = next((c for c in range(1, C.n + 1)
-                      if C.shorten([c]).is_lcd()), None)
-        if coord is None:
-            raise ConstructionSearchError(
-                "no LCD shortening coordinate found "
-                "(contradicts the guarantee; likely an input bug)")
+        coord = next(j + 1 for j, row in enumerate(C.projector().rows)
+                     if not row or (row >> j) & 1)
     out = C.shorten([coord])
     if not out.is_lcd():
         raise ConstructionError("output is not LCD")

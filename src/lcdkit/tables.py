@@ -210,6 +210,8 @@ def dlcd_value_oracle(n: int, k: int) -> int:
 
 def dlcd_table(n_max: int) -> Dict[Tuple[int, int], int]:
     """Exact d_lcd(n, k) for all 1 <= k <= n <= n_max."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     if n_max > N_MAX:
         raise EngineBudgetError(f"table search capped at n <= {N_MAX}")
     table = {}

@@ -52,6 +52,13 @@ class TestAnalyze:
         assert code == 0
         assert out.strip() == "2 1 2 hull=0 LCD"
 
+    @pytest.mark.parametrize("engine", ["auto", "full", "lowweight"])
+    def test_zero_dimensional_code(self, tmp_path, capsys, engine):
+        # d = 0 for k = 0, as the EXTGEN1 branch prints it
+        path = write(tmp_path, "c.gen1", "4 0\n")
+        code, out, err = run(capsys, "analyze", path, "--engine", engine)
+        assert (code, out, err) == (0, "4 0 0 hull=0 LCD_eo\n", "")
+
     def test_engine_flag_after_subcommand(self, tmp_path, capsys):
         path = write(tmp_path, "c.gen1", "6 2\n111000\n000111\n")
         code, out, _ = run(capsys, "analyze", path, "--engine", "full")
@@ -150,6 +157,13 @@ class TestDlcdTable:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[5] == "6: 5 3 2 2 1 1"
+
+    @pytest.mark.parametrize("n_max", ["0", "-2"])
+    def test_empty_table_is_usage_error(self, capsys, n_max):
+        code, out, err = run(capsys, "dlcd-table", "--", n_max)
+        assert code == 3
+        assert out == ""
+        assert err == "error: n_max must be at least 1\n"
 
     def test_budget(self, capsys):
         code, _, err = run(capsys, "dlcd-table", "13")

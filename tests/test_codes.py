@@ -123,6 +123,76 @@ class TestHull:
                 assert code.contains(v) and code.dual().contains(v)
 
 
+def _random_lcd_rows(rng, n):
+    """Rows of a random [n, k] LCD code, k in 1..n; a third of them
+    have a zeroed column and a third a repeated one."""
+    while True:
+        k = rng.randrange(1, n + 1)
+        rows = [rng.getrandbits(n) for _ in range(k)]
+        a, b = rng.sample(range(n), 2)
+        shape = rng.randrange(3)
+        if shape == 1:
+            rows = [r & ~(1 << a) for r in rows]
+        elif shape == 2:
+            rows = [r & ~(1 << b) | (r >> a & 1) << b for r in rows]
+        if oracle.rank(rows, n) == k == oracle.rank(oracle.gram(rows), k):
+            return rows
+
+
+class TestProjector:
+    def test_worked_example(self):
+        P = C("111000", "000111").projector()
+        assert P.rows == (0b111,) * 3 + (0b111000,) * 3
+
+    def test_rejects_code_that_is_not_lcd(self):
+        with pytest.raises(ValueError, match="not LCD"):
+            C("11").projector()
+        with pytest.raises(ValueError, match="not LCD"):
+            HAMMING_7_4.projector()
+
+    def test_oracle_random(self):
+        """Pi against its defining properties and against the built
+        punctured and shortened codes' own LCD tests."""
+        rng = random.Random(21)
+        punctures = shortenings = 0
+        for _ in range(150):
+            n = rng.randrange(3, 14)
+            rows = _random_lcd_rows(rng, n)
+            k = len(rows)
+            code = LinearCode.from_rows(rows, n)
+            P = list(code.projector().rows)
+            assert P == oracle.transpose(P, n)
+            assert oracle.mul(P, P) == P
+            assert all(oracle.in_span(rows, r, n) for r in P)
+            mixed = list(rows)
+            for _ in range(2 * k if k > 1 else 0):
+                i, j = rng.sample(range(k), 2)
+                mixed[i] ^= mixed[j]
+            assert LinearCode.from_rows(mixed, n).projector().rows == \
+                tuple(P)
+            cols = oracle.transpose(rows, n)
+            for size in (1, 2, 3):
+                for T in itertools.combinations(range(n), size):
+                    if size == n:
+                        continue
+                    punctured = code.puncture([t + 1 for t in T])
+                    if punctured.k != k:
+                        continue
+                    sub = [sum(((P[s] >> t & 1) ^ (s == t)) << i
+                               for i, t in enumerate(T)) for s in T]
+                    assert (oracle.rank(sub, size) == size) == \
+                        punctured.is_lcd(), (rows, T)
+                    punctures += 1
+            for j in range(n):
+                if cols[j]:
+                    assert (P[j] >> j & 1) == \
+                        code.shorten([j + 1]).is_lcd(), (rows, j)
+                    shortenings += 1
+                else:
+                    assert P[j] == 0
+        assert punctures > 5000 and shortenings > 500
+
+
 def _intersection_dim(A: LinearCode, B: LinearCode) -> int:
     # dim(A) + dim(B) - dim(A + B)
     return A.k + B.k - gf2.rank_of_rows(A.gen.rows + B.gen.rows)

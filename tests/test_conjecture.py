@@ -162,21 +162,25 @@ class TestCertifyStepDown:
             assert built == [(u, pair["v"])]
         assert padded
 
-    def test_one_orthonormal_basis_per_code(self, monkeypatch):
-        calls = []
-        basis = nf.orthonormal_basis
+    def test_one_projector_per_code(self, monkeypatch):
+        # the projector's one inverse is the certification's only one,
+        # and the step-down builds no orthonormal basis
+        inverses, bases = [], []
+        inverse = gf2.inverse
 
-        def counting(code):
-            calls.append(code)
-            return basis(code)
+        def counting(M):
+            inverses.append(M)
+            return inverse(M)
 
-        monkeypatch.setattr(nf, "orthonormal_basis", counting)
+        monkeypatch.setattr(gf2, "inverse", counting)
+        monkeypatch.setattr(nf, "orthonormal_basis", bases.append)
         routes = set()
         for code in tables.all_one_lcd_codes(9):
-            calls.clear()
+            inverses.clear()
             fresh = LinearCode.from_rows(code.gen.rows, code.n)
             routes.add(cj.certify_step_down(fresh).route)
-            assert calls == [fresh]
+            assert inverses == [fresh.gram()]
+        assert bases == []
         assert routes == {cj.ROUTE_PADDED, cj.ROUTE_EXTENSION}
 
 

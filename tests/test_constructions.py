@@ -164,6 +164,33 @@ class TestShortenOddLcd:
         assert any(code.puncture([j]).is_lcd()
                    for j in range(1, code.n + 1))
 
+    def test_first_lcd_shortening_without_all_one(self):
+        # the oracle is the search by built codes: the first coordinate
+        # whose shortening is LCD
+        rng = random.Random(46)
+        done = zero_columns = 0
+        while done < 500:
+            n = rng.randrange(3, 13)
+            k = rng.randrange(1, n + 1)
+            rows = [rng.getrandbits(n) for _ in range(k)]
+            if rng.randrange(3) == 0:
+                j = rng.randrange(n)
+                rows = [r & ~(1 << j) for r in rows]
+            try:
+                code = LinearCode.from_rows(rows, n)
+            except ValueError:
+                continue
+            if (not code.is_lcd() or code.is_even_like()
+                    or code.contains_all_one()):
+                continue
+            coord = next(c for c in range(1, n + 1)
+                         if code.shorten([c]).is_lcd())
+            out = cx.shorten_odd_lcd(code)
+            assert out.gen == code.shorten([coord]).gen, rows
+            zero_columns += not any(r >> (coord - 1) & 1 for r in rows)
+            done += 1
+        assert zero_columns
+
     def test_all_coordinates_when_all_one_present(self):
         rng = random.Random(44)
         from lcdkit.search import random_lcd_oe_code

@@ -131,6 +131,11 @@ class TestDlcdValues:
         with pytest.raises(EngineBudgetError):
             tables.dlcd_table(13)
 
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_table_needs_a_row(self, n_max):
+        with pytest.raises(ValueError, match="n_max"):
+            tables.dlcd_table(n_max)
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             tables.dlcd_value(3, 4)
