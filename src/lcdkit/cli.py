@@ -2,7 +2,9 @@
 
 Subcommands: analyze, construct, expand, certify, dlcd-table, search,
 verify-ledger.  Exit codes: 0 pass, 1 fail (including a failed internal
-check, reported on one line), 2 skipped-only, 3 usage or parse error.
+check, reported on one line), 2 skipped-only, 3 usage or parse error
+(a file that cannot be read or written, or input that is not UTF-8,
+included).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .search import DEFAULT_SEED, lcd_search
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
-EXIT_SKIPPED = 2
 EXIT_USAGE = 3
 
 
@@ -235,10 +236,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as e:
+    except (ParseError, UnicodeDecodeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, EngineBudgetError) as e:

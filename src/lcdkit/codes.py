@@ -2,11 +2,10 @@
 
 A LinearCode wraps a full-row-rank generator matrix.  The matrix is kept
 exactly as supplied (several basis-sensitive procedures depend on the
-stored shape); analyses are cached lazily on the immutable object, and
-``with_generator`` swaps in a new basis as a fresh object so stale caches
-cannot leak.  The constructor's rank check is ``gf2.eliminate`` below
-``BZ_MIN_K`` rows and ``gf2.echelon`` from there on, and the code keeps
-its (pivot, row) pairs: ``contains`` reduces a vector against them, and
+stored shape); analyses are cached lazily on the immutable object.
+The constructor's rank check is ``gf2.eliminate`` below ``BZ_MIN_K``
+rows and ``gf2.echelon`` from there on, and the code keeps its (pivot,
+row) pairs: ``contains`` reduces a vector against them, and
 from ``BZ_MIN_K`` rows on they are the RREF itself, so ``rref()`` costs
 no second elimination; below, ``rref()`` runs ``gf2.echelon`` once.
 ``dual()`` reads the null space off that RREF, and so do the low-weight
@@ -146,13 +145,6 @@ class LinearCode:
     @classmethod
     def zero_code(cls, n: int) -> "LinearCode":
         return cls(BitMatrix.zeros(0, n))
-
-    def with_generator(self, gen: BitMatrix) -> "LinearCode":
-        """Same codeword set expected, new stored basis, fresh caches."""
-        out = LinearCode(gen)
-        if out.n != self.n or out.k != self.k or out.rref() != self.rref():
-            raise ValueError("replacement basis spans a different code")
-        return out
 
     # ------------------------------------------------------------------
     # basic analysis

@@ -5,6 +5,11 @@ parity-style row extensions from an orthonormal basis, systematic
 leading-column extension with an exact LCD verdict, hull-dropping
 row/column extensions, and the multi-output two-column extension.
 
+The hull ops and the systematic extension read their LCD witness off
+the code: the hull's greedy information set is the coordinate set to
+remove, and diag Π (``LinearCode.projector``) decides the extension,
+for any stored generator.
+
 Every operator returns the LinearCode it builds, so its output can be
 the next construction's input.  extend_systematic returns None when its
 verdict is "not LCD", and extend_two_multi returns a list of codes.
@@ -12,22 +17,12 @@ verdict is "not LCD", and extend_two_multi returns a list of codes.
 
 from __future__ import annotations
 
-import itertools
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import gf2
 from .gf2 import BitMatrix, BitVector
 from .codes import LinearCode, check_coords
 from . import normal_form as nf
-
-# exhaustive coordinate-subset fallback is allowed up to this length
-EXHAUSTIVE_N = 20
-# cap on candidate subsets tried by the hull-guided searches
-SEARCH_BUDGET = 200_000
-
-
-class ConstructionSearchError(RuntimeError):
-    """A guaranteed-to-exist witness was not found within budget."""
 
 
 class ConstructionError(AssertionError):
@@ -122,24 +117,27 @@ def shorten_odd_lcd(C: LinearCode,
     return out
 
 
-def _first_hull_subset(C: LinearCode, l: int, build, k: int,
-                       what: str) -> LinearCode:
-    """build(T) for the first l-subset T whose build is an LCD
-    [n - l, k] code, over coordinates sorted by hull support, most first.
-    Gives up past SEARCH_BUDGET subsets unless n <= EXHAUSTIVE_N."""
-    hull = C.hull().gen.rows
-    order = sorted(range(1, C.n + 1),
-                   key=lambda c: (-sum((r >> (c - 1)) & 1 for r in hull), c))
-    tried = 0
-    for combo in itertools.combinations(order, l):
-        tried += 1
-        if tried > SEARCH_BUDGET and C.n > EXHAUSTIVE_N:
-            break
-        out = build(tuple(sorted(combo)))
-        if out.k == k and out.is_lcd():
-            return out
-    raise ConstructionSearchError(
-        f"no size-{l} {what} set found within budget ({tried} tried)")
+def _hull_information_set(C: LinearCode) -> Tuple[int, ...]:
+    """The greedy information set of the hull, over coordinates sorted
+    by hull support, most first, then by coordinate.
+
+    Shortening T gives an LCD [n - l, k - l] code exactly when T is an
+    information set of the l-dimensional hull: a hull word zero on T
+    would lie in the hull of the result.  Puncturing T gives an LCD
+    [n - l, k] code exactly then too, since (C^T)⊥ = (C⊥)_T and C⊥ has
+    the same hull.  The greedy set is the lexicographically first
+    basis, so it is the first l-subset, in that order, that works.
+    """
+    cols = C.hull().gen.transpose().rows  # cols[c]: the hull's column c
+    order = sorted(range(C.n), key=lambda c: (-cols[c].bit_count(), c))
+    _, kept = gf2.eliminate([cols[c] for c in order])
+    return tuple(sorted(order[i] + 1 for i in kept))
+
+
+def _checked_lcd(out: LinearCode, k: int) -> LinearCode:
+    if out.k != k or not out.is_lcd():
+        raise ConstructionError(f"output is not an LCD code of dimension {k}")
+    return out
 
 
 def hull_shorten(C: LinearCode) -> LinearCode:
@@ -149,7 +147,7 @@ def hull_shorten(C: LinearCode) -> LinearCode:
         raise ValueError("hull is already trivial")
     if l == C.k:
         raise ValueError("hull equals the code; shortening would be empty")
-    return _first_hull_subset(C, l, C.shorten, C.k - l, "shortening")
+    return _checked_lcd(C.shorten(_hull_information_set(C)), C.k - l)
 
 
 def hull_puncture(C: LinearCode) -> LinearCode:
@@ -159,7 +157,7 @@ def hull_puncture(C: LinearCode) -> LinearCode:
         raise ValueError("hull is already trivial")
     if l >= C.min_distance():
         raise ValueError("hull dimension must be below the distance")
-    return _first_hull_subset(C, l, C.puncture, C.k, "puncturing")
+    return _checked_lcd(C.puncture(_hull_information_set(C)), C.k)
 
 
 def extend_row_dual(C: LinearCode, x: BitVector) -> LinearCode:
@@ -167,7 +165,7 @@ def extend_row_dual(C: LinearCode, x: BitVector) -> LinearCode:
     _require_lcd(C)
     if x.length != C.n:
         raise ValueError("x has wrong length")
-    if not C.dual().contains(x):
+    if any((x.bits & r).bit_count() & 1 for r in C.gen.rows):
         raise ValueError("x is not in the dual code")
     if x.weight() % 2:
         raise ValueError("x must have even weight")
@@ -178,55 +176,29 @@ def extend_row_dual(C: LinearCode, x: BitVector) -> LinearCode:
     return out
 
 
-def _stored_gram_kind(C: LinearCode) -> Optional[str]:
-    """Identify the stored generator's Gram as identity / J_2-sum."""
-    G = C.gram()
-    if G == BitMatrix.identity(C.k):
-        return nf.ORTHONORMAL
-    try:
-        expect = nf.GramShape(0, C.k, nf.SYMPLECTIC, 0, nf.ABSENT, 0,
-                              False).expected_gram(C.k)
-    except ValueError:
-        return None
-    if G == expect:
-        return nf.SYMPLECTIC
-    return None
-
-
 def extend_systematic(C: LinearCode, x: BitVector) -> Optional[LinearCode]:
     """Leading-column extension [n+1,k+1] with an exact LCD verdict.
 
-    The stored generator must already be orthonormal or symplectic with
-    its first k columns independent.  x ranges over the last n-k
-    coordinates and is padded to x~ = (0,...,0,x); the candidate code has
-    generator [[1, x~], [0, G]].  The verdict is computed from the parity
-    rule and always cross-checked against Gram nonsingularity; the code
-    is returned when the verdict is LCD, None otherwise.
+    x ranges over the last n-k coordinates and is padded to
+    x~ = (0,...,0,x); the candidate code has generator [[1, x~], [0, G]]
+    for the stored G, whatever basis it is.  By the Schur complement its
+    Gram determinant is det(G Gᵀ)(1 + |x~| + x~ Π x~ᵀ), and
+    x~ Π x~ᵀ = |x~ & s| with s = diag Π, so the candidate is LCD exactly
+    when |x~ & ~s| is even.  The code is returned on that verdict, None
+    otherwise.
     """
     _require_lcd(C)
     if x.length != C.n - C.k:
         raise ValueError("x must cover the last n-k coordinates")
-    kind = _stored_gram_kind(C)
-    if kind is None:
-        raise ValueError(
-            "stored generator is not in orthonormal/symplectic form")
-    lead = BitMatrix.from_rows(
-        [r & ((1 << C.k) - 1) for r in C.gen.rows], C.k)
-    if gf2.rank(lead) != C.k:
-        raise ValueError("first k columns are not linearly independent")
+    s = sum(row & (1 << j) for j, row in enumerate(C.projector().rows))
     xt = x.bits << C.k
-    if kind == nf.SYMPLECTIC:
-        verdict = x.weight() % 2 == 0
-    else:
-        touched = sum(1 for r in C.gen.rows
-                      if (r & xt).bit_count() & 1)
-        verdict = (x.weight() + touched) % 2 == 0
+    if (xt & ~s).bit_count() % 2:
+        return None
     rows = [(xt << 1) | 1] + [r << 1 for r in C.gen.rows]
-    M = BitMatrix.from_rows(rows, C.n + 1)
-    actual = gf2.is_nonsingular(gf2.gram(M))
-    if actual != verdict:
-        raise ConstructionError("parity verdict disagrees with Gram test")
-    return LinearCode(M) if verdict else None
+    out = LinearCode(BitMatrix.from_rows(rows, C.n + 1))
+    if not out.is_lcd():
+        raise ConstructionError("output is not LCD")
+    return out
 
 
 def _hull_drop(C: LinearCode, x: BitVector,

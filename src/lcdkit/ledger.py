@@ -209,10 +209,10 @@ class _Op(NamedTuple):
     lcd: bool = True  # every output must be LCD
 
 
-# Operations a ledger record may name.  The hull-guided ops search
-# internally, so any coordinates in their aux are provenance only.  The
-# hull-drop ops promise only a hull one smaller than the input's, and
-# check that themselves.
+# Operations a ledger record may name.  The hull-guided ops pick their
+# coordinates from the hull, so any coordinates in their aux are
+# provenance only.  The hull-drop ops promise only a hull one smaller
+# than the input's, and check that themselves.
 REGISTERED_OPS: Dict[str, _Op] = {
     "extend_even": _Op(_one(cons.extend_even)),
     "extend_odd_two": _Op(_one(cons.extend_odd_two)),
@@ -301,8 +301,7 @@ def replay_record(rec: ConstructionRecord,
     # a malformed record field surfaces from the code that reads it: a
     # ValueError for a bit string that is not a 0/1 str ("rows": [5]), a
     # TypeError or LookupError for a field of the wrong shape ("rows": 5)
-    except (ValueError, TypeError, LookupError,
-            cons.ConstructionSearchError) as e:
+    except (ValueError, TypeError, LookupError) as e:
         return ReplayResult(rec, FAIL, f"{type(e).__name__}: {e}")
 
 

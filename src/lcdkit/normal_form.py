@@ -12,6 +12,11 @@ either diag(0_s, A) for a code alone, or the coupled block form
 for a distinguished subcode spanned by the first k_1 rows.  Every
 certificate is checked bit-exactly against its declared shape before it
 is returned.
+
+For an LCD code the hull-normal basis has s = 0: it is orthonormal when
+the code is odd-like (``orthonormal_basis``) and a J_2 sum when it is
+even-like.  No construction needs its input's stored generator in
+either form.
 """
 
 from __future__ import annotations
@@ -128,30 +133,17 @@ def hull_normal_basis(C: LinearCode) -> NormalFormCertificate:
 
 
 def orthonormal_basis(C: LinearCode) -> BitMatrix:
-    """Basis with Gram = I_k; exists exactly for odd-like LCD codes."""
-    return _lcd_basis(C, ORTHONORMAL)
+    """Basis with Gram = I_k; exists exactly for odd-like LCD codes.
 
-
-def symplectic_basis(C: LinearCode) -> BitMatrix:
-    """Basis with Gram = diag(J_2,...); exists for even-like LCD codes.
-
-    ``extend_systematic`` accepts an even-like input only with its
-    stored generator in this form, so this is how a caller prepares one.
+    It is the hull-normal basis, whose block is I for an odd-like code.
     """
-    return _lcd_basis(C, SYMPLECTIC)
-
-
-def _lcd_basis(C: LinearCode, kind: str) -> BitMatrix:
-    """The hull-normal basis of an LCD code, whose parity fixes its kind."""
     if not C.is_lcd():
         raise ValueError("code is not LCD")
-    even = C.is_even_like()
-    parity = "even-like" if even else "odd-like"
-    if even != (kind == SYMPLECTIC):
-        raise ValueError(f"{parity} code has no {kind} basis")
+    if C.is_even_like():
+        raise ValueError("even-like code has no orthonormal basis")
     cert = hull_normal_basis(C)
-    if cert.shape.s != 0 or cert.shape.a1_kind != kind:
-        raise NormalFormError(f"{parity} LCD reduction failed")
+    if cert.shape.s != 0 or cert.shape.a1_kind != ORTHONORMAL:
+        raise NormalFormError("odd-like LCD reduction failed")
     return cert.basis
 
 

@@ -10,7 +10,7 @@ import time
 
 import field_oracle as fo
 from lcdkit import conjecture, constructions as cons, expansion as xp
-from lcdkit import gf2, ledger, normal_form as nf, tables
+from lcdkit import gf2, ledger, tables
 from lcdkit.codes import EngineBudgetError
 from lcdkit.codes import _min_distance_low_weight, min_weight
 from lcdkit.gf2 import BitVector
@@ -149,9 +149,9 @@ def test_criterion_4_expansion_clauses():
 
 
 def test_criterion_5_systematic_extension_iff():
-    """For LCD codes with n−k <= 10, the extension verdict returned for
-    every x agrees with nonsingularity of the extended Gram matrix, in
-    both directions."""
+    """For LCD codes with n−k <= 10, given by any generator, the
+    extension verdict returned for every x agrees with nonsingularity of
+    the extended Gram matrix, in both directions."""
     rng = random.Random(1005)
     checked = 0
     while checked < 1000:
@@ -160,12 +160,6 @@ def test_criterion_5_systematic_extension_iff():
         if n - k > 10:
             continue
         C = random_lcd_code(rng, n, k)
-        basis = (nf.symplectic_basis(C) if C.is_even_like()
-                 else nf.orthonormal_basis(C))
-        C = C.with_generator(basis)
-        lead_mask = (1 << k) - 1
-        if _int_rank([r & lead_mask for r in C.gen.rows]) != k:
-            continue  # the op requires independent leading columns
         for bits in range(1 << (n - k)):
             x = BitVector(n - k, bits)
             out = cons.extend_systematic(C, x)

@@ -68,6 +68,18 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(tmp_path / "nope.gen1"))
         assert code == 3
 
+    def test_directory_is_one_line_error(self, tmp_path, capsys):
+        code, out, err = run(capsys, "analyze", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_non_utf8_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "c.gen1"
+        path.write_bytes(b"2 1\n1\xff\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("parse error:")
+
     def test_extension_field_distance_over_budget(self, tmp_path, capsys):
         # [14,7] over GF(16): m k = 28 > K_FULL, refused before the walk
         rows = [" ".join("1" if j == i else "0" if j < 7 else
@@ -223,6 +235,20 @@ class TestConstruct:
         assert out.startswith("PASS extend_even -> [7,2,4]")
         built = parse_gen1((out_dir / "row000.gen1").read_text())
         assert (built.n, built.k) == (7, 2)
+
+    def test_out_dir_is_a_file(self, tmp_path, capsys):
+        path = write(tmp_path, "ledger.jsonl", self.LEDGER)
+        taken = write(tmp_path, "taken", "")
+        code, _, err = run(capsys, "construct", path, "--out-dir", taken)
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_non_utf8_ledger_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        path.write_bytes(self.LEDGER.encode() + b"\xff\n")
+        code, out, err = run(capsys, "construct", str(path))
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("parse error:")
 
     def test_outputs_are_deterministic(self, tmp_path, capsys):
         path = write(tmp_path, "ledger.jsonl", self.LEDGER)

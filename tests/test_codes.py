@@ -61,12 +61,6 @@ class TestConstruction:
         code = C("110", "011")
         assert code.gen == BitMatrix.from_strings(["110", "011"])
 
-    def test_with_generator_checks_row_space(self):
-        code = C("110", "011")
-        swapped = code.with_generator(BitMatrix.from_strings(["011", "101"]))
-        assert swapped == code
-        with pytest.raises(ValueError):
-            code.with_generator(BitMatrix.from_strings(["100", "010"]))
 
 
 class TestDual:

@@ -1,5 +1,6 @@
 """Construction operators: extensions, hull-guided puncture/shorten."""
 
+import itertools
 import random
 
 import pytest
@@ -24,6 +25,81 @@ def C(*lines):
 
 def V(s):
     return BitVector.from_string(s)
+
+
+def _hull_code(rng, m, h, extra, r):
+    """An h-dimensional (v|v) part on 2m coordinates, self-orthogonal, plus
+    r random rows orthogonal to it, on 2m + extra shuffled coordinates;
+    the hull contains the (v|v) part.  None when the rows are dependent."""
+    n = 2 * m + extra
+    hull = [v | v << m for v in (rng.getrandbits(m) for _ in range(h))]
+    rows = list(hull)
+    while len(rows) < h + r:
+        w = rng.getrandbits(n)
+        if all((w & u).bit_count() % 2 == 0 for u in hull):
+            rows.append(w)
+    perm = rng.sample(range(n), n)
+    rows = [sum((x >> i & 1) << perm[i] for i in range(n)) for x in rows]
+    try:
+        return LinearCode.from_rows(rows, n)
+    except ValueError:
+        return None
+
+
+def _hull_corpus(rng, per_dim, dims=range(1, 7)):
+    """Seeded random and (v|v)-built codes, per_dim of each hull dimension."""
+    counts = dict.fromkeys(dims, 0)
+    while min(counts.values()) < per_dim:
+        if rng.randrange(2):
+            n = rng.randrange(4, 15)
+            code = random_code(rng, n, rng.randrange(1, n))
+        else:
+            m = rng.randrange(2, 9)
+            code = _hull_code(rng, m, rng.randrange(1, min(m, 6) + 1),
+                              rng.randrange(0, 5), rng.randrange(1, 5))
+        if code is None:
+            continue
+        l = code.hull_dimension()
+        if counts.get(l, per_dim) < per_dim:
+            counts[l] += 1
+            yield code
+
+
+def _first_lcd_subset(code, build, k):
+    """The search the hull ops replaced: over coordinates sorted by hull
+    support, most first, the first l-subset whose build is an LCD code
+    of dimension k."""
+    hull = code.hull().gen.rows
+    order = sorted(range(1, code.n + 1),
+                   key=lambda c: (-sum(r >> (c - 1) & 1 for r in hull), c))
+    for combo in itertools.combinations(order, len(hull)):
+        out = build(sorted(combo))
+        if out.k == k and out.is_lcd():
+            return tuple(sorted(combo)), out
+    raise AssertionError("no LCD subset")
+
+
+class TestHullInformationSet:
+    def test_first_lcd_subset(self):
+        # the greedy information set of the hull is the first subset the
+        # brute-force search accepts, for shortening and for puncturing,
+        # and the hull ops build exactly the search's codes
+        rng = random.Random(53)
+        punctured = 0
+        for code in _hull_corpus(rng, 20):
+            T = cx._hull_information_set(code)
+            k, l = code.k, code.hull_dimension()
+            rows = (code.n, code.gen.rows)
+            first, out = _first_lcd_subset(code, code.puncture, k)
+            assert first == T, rows
+            if l < code.min_distance():
+                assert cx.hull_puncture(code).gen == out.gen, rows
+                punctured += 1
+            if l < k:
+                first, out = _first_lcd_subset(code, code.shorten, k - l)
+                assert first == T, rows
+                assert cx.hull_shorten(code).gen == out.gen, rows
+        assert punctured >= 20
 
 
 def _lcd_corpus(rng, count, n_range=(2, 12), k_cap=8):
@@ -305,13 +381,28 @@ class TestExtendSystematic:
         out = cx.extend_systematic(C("1100", "0110"), V("01"))
         assert out is None
 
-    def test_rejects_unnormalized_generator(self):
-        with pytest.raises(ValueError):
-            cx.extend_systematic(C("100", "110"), V("0"))
+    def test_unnormalized_generator(self):
+        # Gram [[1,1],[1,0]] is neither I nor J_2; diag Π = 011
+        code = C("100", "110")
+        assert cx.extend_systematic(code, V("0")) == \
+            C("1000", "0100", "0110")
+        assert cx.extend_systematic(code, V("1")) is None
+
+    def test_dependent_leading_columns(self):
+        # the first k columns need not be independent
+        code = C("11010", "00100")
+        assert code.is_lcd()
+        assert cx.extend_systematic(code, V("110")) == \
+            C("100110", "011010", "000100")
+        assert cx.extend_systematic(code, V("001")) is None
+
+    def test_rejects_non_lcd(self):
+        with pytest.raises(ValueError, match="not LCD"):
+            cx.extend_systematic(C("1100", "0011"), V("10"))
 
     def test_iff_exhaustive(self):
-        # both directions of the verdict against the Gram test, all x
-        from lcdkit import gf2, normal_form as nf
+        # both directions of the verdict against the Gram test, all x,
+        # on the random generator as drawn
         rng = random.Random(49)
         done = 0
         while done < 60:
@@ -323,22 +414,32 @@ class TestExtendSystematic:
                 code = random_lcd_code(rng, n, k, max_tries=300)
             except RuntimeError:
                 continue
-            basis = (nf.symplectic_basis(code) if code.is_even_like()
-                     else nf.orthonormal_basis(code))
-            lead = [r & ((1 << k) - 1) for r in basis.rows]
-            if gf2.rank_of_rows(lead) != k:
-                continue
-            normalized = code.with_generator(basis)
             for xv in range(1 << (n - k)):
-                out = cx.extend_systematic(normalized,
-                                           BitVector(n - k, xv))
-                rows = [(xv << k << 1) | 1] + [r << 1
-                                               for r in normalized.gen.rows]
+                out = cx.extend_systematic(code, BitVector(n - k, xv))
+                rows = [(xv << k << 1) | 1] + [r << 1 for r in code.gen.rows]
                 candidate = LinearCode.from_rows(rows, n + 1)
                 assert (out is not None) == candidate.is_lcd()
                 if out is not None:
-                    assert out == candidate
+                    assert out.gen == candidate.gen
             done += 1
+
+    def test_random_basis_matches_hull_normal_basis(self):
+        # the verdict and the code are those of the normalised basis
+        # the operator once required, on the same coordinates
+        from lcdkit import normal_form as nf
+        rng = random.Random(55)
+        for code in _lcd_corpus(rng, 60, (2, 12)):
+            n, k = code.n, code.k
+            if n - k > 6:
+                continue
+            normal = LinearCode(nf.hull_normal_basis(code).basis)
+            for xv in range(1 << (n - k)):
+                x = BitVector(n - k, xv)
+                out = cx.extend_systematic(code, x)
+                ref = cx.extend_systematic(normal, x)
+                assert (out is None) == (ref is None)
+                if out is not None:
+                    assert out == ref
 
 
 class TestExtendHullDrop:

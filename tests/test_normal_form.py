@@ -97,19 +97,28 @@ class TestOrthonormalBasis:
 
 
 class TestSymplecticBasis:
+    """An even-like LCD code's hull-normal basis is symplectic."""
+
+    @staticmethod
+    def basis(code):
+        cert = nf.hull_normal_basis(code)
+        assert (cert.shape.s, cert.shape.a1_kind) == (0, gf2.SYMPLECTIC)
+        return cert.basis
+
     def test_two_dim(self):
-        B = nf.symplectic_basis(C("1100", "0110"))
+        B = self.basis(C("1100", "0110"))
         assert gf2.gram(B) == BitMatrix.from_strings(["01", "10"])
 
     def test_direct_sum(self):
         code = C("11000000", "01100000", "00001100", "00000110")
-        B = nf.symplectic_basis(code)
+        B = self.basis(code)
         assert gf2.gram(B) == BitMatrix.from_strings(
             ["0100", "1000", "0001", "0010"])
 
-    def test_rejects_non_lcd(self):
-        with pytest.raises(ValueError):
-            nf.symplectic_basis(C("11"))
+    def test_non_lcd_has_hull_rows(self):
+        # the hull row comes first, so no basis of [11] is symplectic
+        cert = nf.hull_normal_basis(C("11"))
+        assert (cert.shape.s, cert.shape.a1_kind) == (1, gf2.ABSENT)
 
     def test_random(self):
         rng = random.Random(33)
@@ -120,7 +129,7 @@ class TestSymplecticBasis:
                 code = random_lcd_eo_code(rng, n, k, max_tries=4000)
             except RuntimeError:
                 continue
-            B = nf.symplectic_basis(code)
+            B = self.basis(code)
             G = gf2.gram(B)
             for b in range(0, k, 2):
                 assert G.rows[b] == 2 << b

@@ -12,6 +12,11 @@ be read as an attribute (``.name``) somewhere in ``src/lcdkit``, its own
 class's methods included, or in ``perfbench/``, under the same
 ``ALLOWED`` rule.  A field only tests read is data its producer computes
 for no one.
+
+Every module-level UPPER_CASE constant of ``src/lcdkit`` must be read
+(loaded by name or attribute) somewhere in ``src/lcdkit``, or named in
+``perfbench/``, under the same ``ALLOWED`` rule: a knob that nothing
+reads tunes nothing.
 """
 
 import ast
@@ -24,12 +29,12 @@ PERFBENCH = ROOT / "perfbench"
 
 # qualified name -> why it stays although only tests call it
 ALLOWED = {
-    "normal_form.symplectic_basis":
-        "puts an even-like LCD code's generator into the symplectic form "
-        "that constructions.extend_systematic requires",
-    "codes.LinearCode.with_generator":
-        "swaps such a normalized basis into a code, checked to span the "
-        "same code; acceptance criterion 5 builds its inputs with the two",
+    "codes.LinearCode.dual":
+        "the dual code C⊥ of the documented code API; the hull and "
+        "acceptance tests check hulls and duality against it",
+    "gf2.BitMatrix.identity":
+        "the identity matrix, the Gram matrix of an orthonormal basis and "
+        "the product of a matrix with its inverse in the tests",
     "expansion.expansion_indices":
         "the extension-field parameters of the paper's lower bound on "
         "d_LCD(n, k) by expanded codes",
@@ -134,6 +139,33 @@ def _unread_fields():
     return {q for q, name in _record_fields().items() if name not in read}
 
 
+def _constants():
+    """Qualified name -> name of each module-level UPPER_CASE constant."""
+    consts = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            for t in targets:
+                if isinstance(t, ast.Name) and \
+                        re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id):
+                    consts[f"{path.stem}.{t.id}"] = t.id
+    return consts
+
+
+def _names_loaded_in_src():
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for path in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _unread_constants():
+    read = _names_loaded_in_src() | _names_in_perfbench()
+    return {q for q, name in _constants().items() if name not in read}
+
+
 def test_no_unreached_public_name():
     extra = sorted(_unreached() - ALLOWED.keys())
     assert not extra, (
@@ -148,7 +180,15 @@ def test_no_unread_field():
         f"{extra}")
 
 
+def test_no_unread_constant():
+    extra = sorted(_unread_constants() - ALLOWED.keys())
+    assert not extra, (
+        "module constants nothing reads; use, delete or allow them: "
+        f"{extra}")
+
+
 def test_allowlist_is_current():
     # an allowed name that is gone, or now reached, leaves the list
-    stale = sorted(ALLOWED.keys() - _unreached() - _unread_fields())
+    stale = sorted(ALLOWED.keys() - _unreached() - _unread_fields()
+                   - _unread_constants())
     assert not stale, f"stale ALLOWED entries: {stale}"
