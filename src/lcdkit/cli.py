@@ -3,8 +3,9 @@
 Subcommands: analyze, construct, expand, certify, dlcd-table, search,
 verify-ledger.  Exit codes: 0 pass, 1 fail (including a failed internal
 check, reported on one line), 2 skipped-only, 3 usage or parse error
-(a file that cannot be read or written, or input that is not UTF-8,
-included).
+(a search target with k outside 1..n or d_target < 1, a negative
+--budget-ms, a file that cannot be read or written, or input that is
+not UTF-8, included).
 """
 
 from __future__ import annotations
@@ -31,6 +32,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _budget_ms(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="lcdkit",
                 description="Workbench for binary LCD codes.")
@@ -44,7 +52,7 @@ def _build_parser() -> _Parser:
                 help="seed for randomized operations")
     engine = flag("--engine", choices=("auto", "full", "lowweight"),
                   default="auto", help="minimum-distance engine")
-    budget = flag("--budget-ms", type=int, default=2000,
+    budget = flag("--budget-ms", type=_budget_ms, default=2000,
                   help="time budget for randomized search")
     fmt = flag("--format", choices=("gen1", "extgen1"), default=None,
                help="input format (default: detect from header)")
@@ -124,13 +132,13 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_construct(args) -> int:
     records = ledger.parse_records(Path(args.path).read_text())
+    out_dir = None if args.out_dir is None else Path(args.out_dir)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
     results = ledger.replay_ledger(records, seed_dir=args.seed_dir,
                                    seed=args.seed,
                                    budget_ms=args.budget_ms,
                                    engine=args.engine)
-    out_dir = None if args.out_dir is None else Path(args.out_dir)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
     for i, res in enumerate(results):
         n, k, d = res.record.expect
         tag = f"{res.record.op} -> [{n},{k}" + \
@@ -183,6 +191,9 @@ def _cmd_dlcd_table(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if not 1 <= args.k <= args.n or args.d_target < 1:
+        print("error: need 1 <= k <= n and d_target >= 1", file=sys.stderr)
+        return EXIT_USAGE
     code = lcd_search(args.n, args.k, args.d_target, seed=args.seed,
                       budget_ms=args.budget_ms)
     if code is None:

@@ -1,17 +1,19 @@
 """Binary linear codes: duals, hulls, parity classes, distance engines.
 
-A LinearCode wraps a full-row-rank generator matrix.  The matrix is kept
-exactly as supplied (several basis-sensitive procedures depend on the
-stored shape); analyses are cached lazily on the immutable object.
+A LinearCode(rows, n) holds a full-row-rank generator matrix, the int
+rows of a ``gf2.BitMatrix`` record.  The matrix is kept exactly as
+supplied (several basis-sensitive procedures depend on the stored
+shape); analyses are cached lazily on the immutable object.
 The constructor's rank check is ``gf2.eliminate`` below ``BZ_MIN_K``
-rows and ``gf2.echelon`` from there on, and the code keeps its (pivot,
+rows and ``gf2.rref`` from there on, and the code keeps its (pivot,
 row) pairs: ``contains`` reduces a vector against them, and
 from ``BZ_MIN_K`` rows on they are the RREF itself, so ``rref()`` costs
-no second elimination; below, ``rref()`` runs ``gf2.echelon`` once.
+no second elimination; below, ``rref()`` runs ``gf2.rref`` once.
 ``dual()`` reads the null space off that RREF, and so do the low-weight
 engine's parity-check columns, with no dual code built.  The hull
 dimension comes from the smaller of the two Gram matrices, G Gᵀ or
 H Hᵀ, when those columns are already cached, and from G Gᵀ otherwise.
+``rref()``, ``gram()`` and ``projector()`` return tuples of int rows.
 
 Coordinates are 1-indexed at the API surface and 0-indexed internally.
 
@@ -27,7 +29,7 @@ the Brouwer-Zimmermann algorithm over disjoint information sets from
 there on, its w-row combinations read off half-subset XOR tables; both
 paths keep the same ``stop`` contract.  ``_gray_walk`` is
 the plain enumerator behind ``codewords()`` and the tests' oracle.
-GF(2) elimination lives in ``gf2.eliminate`` and ``gf2.echelon``.
+GF(2) elimination lives in ``gf2.eliminate`` and ``gf2.rref``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from operator import or_, xor
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix
 
 # Engine A finds the exact minimum weight; cap on the dimension.
 K_FULL = 26
@@ -72,12 +74,13 @@ class ParseError(ValueError):
 def check_coords(T: Iterable[int], n: int) -> Tuple[int, ...]:
     """Validate a 1-indexed coordinate set; returns it sorted."""
     T = list(T)
+    for i in T:
+        # type(): a JSON true is an int to isinstance
+        if type(i) is not int or not 1 <= i <= n:
+            raise ValueError(f"coordinate {i!r} out of range 1..{n}")
     idx = sorted(set(T))
-    if idx != sorted(T):
+    if len(idx) != len(T):
         raise ValueError("coordinates must be distinct")
-    for i in idx:
-        if not isinstance(i, int) or not 1 <= i <= n:
-            raise ValueError(f"coordinate {i} out of range 1..{n}")
     return tuple(idx)
 
 
@@ -103,7 +106,7 @@ class LinearCode:
 
     The (pivot, row) pairs from the constructor's rank check back
     ``contains`` and ``contains_all_one``; the RREF, which is those
-    pairs from ``BZ_MIN_K`` rows on and one ``gf2.echelon`` call below,
+    pairs from ``BZ_MIN_K`` rows on and one ``gf2.rref`` call below,
     backs ``rref``, ``dual`` and the low-weight engine's parity-check
     columns.  The Gram matrix backs ``hull``, and ``hull_dimension`` and
     ``is_lcd`` read the smaller of the two Gram matrices when those
@@ -112,39 +115,31 @@ class LinearCode:
 
     __slots__ = ("gen", "n", "k", "_cache")
 
-    def __init__(self, gen: BitMatrix):
+    def __init__(self, rows: Iterable[int], n: int):
+        gen = BitMatrix(tuple(rows), n)
+        k = len(gen.rows)
         # k > n needs no check of its own: the rank is at most n < k
-        if gen.nrows < BZ_MIN_K:
+        if k < BZ_MIN_K:
             basis, _ = gf2.eliminate(gen.rows)
             cache = {"basis": basis}
         else:
-            R, pivots = gf2.echelon(gen.rows, gen.cols)
+            R, pivots = gf2.rref(gen.rows, n)
             basis = list(zip(pivots, R))
-            cache = {"basis": basis, "echelon": (R, pivots)}
-        if len(basis) != gen.nrows:
+            cache = {"basis": basis, "rref": (R, pivots)}
+        if len(basis) != k:
             raise ValueError("generator matrix does not have full row rank")
         object.__setattr__(self, "gen", gen)
-        object.__setattr__(self, "n", gen.cols)
-        object.__setattr__(self, "k", gen.nrows)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "_cache", cache)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
 
-    # ------------------------------------------------------------------
-    # construction helpers
-
     @classmethod
     def from_strings(cls, lines: Sequence[str]) -> "LinearCode":
-        return cls(BitMatrix.from_strings(lines))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[int], n: int) -> "LinearCode":
-        return cls(BitMatrix.from_rows(rows, n))
-
-    @classmethod
-    def zero_code(cls, n: int) -> "LinearCode":
-        return cls(BitMatrix.zeros(0, n))
+        gen = BitMatrix.from_strings(lines)
+        return cls(gen.rows, gen.cols)
 
     # ------------------------------------------------------------------
     # basic analysis
@@ -154,23 +149,21 @@ class LinearCode:
             self._cache[key] = fn()
         return self._cache[key]
 
-    def _echelon(self) -> tuple:
-        """RREF rows and pivot columns, as ``gf2.echelon`` gives them."""
-        return self._cached(
-            "echelon", lambda: gf2.echelon(self.gen.rows, self.n))
+    def _rref(self) -> tuple:
+        """RREF rows and pivot columns, as ``gf2.rref`` gives them."""
+        return self._cached("rref", lambda: gf2.rref(self.gen.rows, self.n))
 
-    def rref(self) -> BitMatrix:
-        return self._cached(
-            "rref", lambda: BitMatrix(self._echelon()[0], self.n))
+    def rref(self) -> tuple:
+        return self._rref()[0]
 
-    def gram(self) -> BitMatrix:
-        return self._cached("gram", lambda: gf2.gram(self.gen))
+    def gram(self) -> tuple:
+        return self._cached("gram", lambda: gf2.gram(self.gen.rows))
 
     def dual(self) -> "LinearCode":
         def build():
-            R, pivots = self._echelon()
-            return LinearCode(BitMatrix(
-                gf2._free_column_basis(R, pivots, self.n), self.n))
+            R, pivots = self._rref()
+            return LinearCode(gf2._free_column_basis(R, pivots, self.n),
+                              self.n)
         return self._cached("dual", build)
 
     def hull_dimension(self) -> int:
@@ -189,7 +182,7 @@ class LinearCode:
                 return self.k - gf2.rank(self.gram())
             packed, rep = gf2.pack_lanes(cols, self.n + 1)
             h_rows = reduce(or_, cols, 0)  # the bits that H's rows sit at
-            return self.n - self.k - gf2.rank_of_rows(gf2.gram_rows([
+            return self.n - self.k - gf2.rank(gf2.gram([
                 packed >> f & rep for f in range(self.n) if h_rows >> f & 1]))
         return self._cached("hull_dim", build)
 
@@ -200,14 +193,15 @@ class LinearCode:
         x is in the null space of the symmetric G·Gᵀ.
         """
         def build():
-            coeffs = gf2.nullspace(self.gram())
-            return LinearCode(gf2.rref(coeffs.mul(self.gen))[0])
+            coeffs = gf2.nullspace(self.gram(), self.k)
+            words = gf2.mul(coeffs, self.gen.rows)
+            return LinearCode(gf2.rref(words, self.n)[0], self.n)
         return self._cached("hull", build)
 
     def is_lcd(self) -> bool:
         return self.hull_dimension() == 0
 
-    def projector(self) -> BitMatrix:
+    def projector(self) -> tuple:
         """Π = Gᵀ (G Gᵀ)⁻¹ G, the orthogonal projector onto an LCD code.
 
         Symmetric and the same for every generator, its rows codewords;
@@ -218,24 +212,25 @@ class LinearCode:
         """
         if not self.is_lcd():
             raise ValueError("code is not LCD: it has no projector")
-        return self._cached("projector", lambda: self.gen.transpose().mul(
-            gf2.inverse(self.gram()).mul(self.gen)))
+        rows = self.gen.rows
+        return self._cached("projector", lambda: gf2.mul(
+            gf2.transpose(rows, self.n),
+            gf2.mul(gf2.inverse(self.gram()), rows)))
 
     def is_even_like(self) -> bool:
         return all(r.bit_count() % 2 == 0 for r in self.gen.rows)
 
-    def contains(self, v: BitVector) -> bool:
+    def contains(self, v: int) -> bool:
         """Whether v is a codeword: v reduces to 0 against the basis."""
-        if v.length != self.n:
+        if v >> self.n:
             raise ValueError("dimension mismatch")
-        acc = v.bits
         for col, w in self._cache["basis"]:
-            if (acc >> col) & 1:
-                acc ^= w
-        return not acc
+            if (v >> col) & 1:
+                v ^= w
+        return not v
 
     def contains_all_one(self) -> bool:
-        return self.contains(BitVector.ones(self.n))
+        return self.contains((1 << self.n) - 1)
 
     def parity_class(self) -> ParityClass:
         self_parity = EVEN_LIKE if self.is_even_like() else ODD_LIKE
@@ -288,8 +283,7 @@ class LinearCode:
         rows = [_drop_bits(r, idx) for r in self.gen.rows]
         # keep a maximal independent subset, earliest rows first
         _, kept = gf2.eliminate(rows)
-        return LinearCode(BitMatrix.from_rows([rows[i] for i in kept],
-                                              self.n - len(idx)))
+        return LinearCode([rows[i] for i in kept], self.n - len(idx))
 
     def shorten(self, T: Iterable[int]) -> "LinearCode":
         idx = check_coords(T, self.n)
@@ -304,7 +298,7 @@ class LinearCode:
             p = rows.pop(pivot)
             rows = [r ^ p if (r >> t) & 1 else r for r in rows]
         kept = [_drop_bits(r, idx) for r in rows]
-        return LinearCode(BitMatrix.from_rows(kept, self.n - len(idx)))
+        return LinearCode(kept, self.n - len(idx))
 
     # ------------------------------------------------------------------
     # identity is the codeword set
@@ -314,7 +308,7 @@ class LinearCode:
                 and self.rref() == other.rref())
 
     def __hash__(self) -> int:
-        return hash((self.n, self.rref().rows))
+        return hash((self.n, self.rref()))
 
     def __repr__(self) -> str:
         return f"LinearCode(n={self.n}, k={self.k})"
@@ -480,7 +474,7 @@ def _information_sets(rows: Sequence[int]) -> Iterator[Tuple[tuple, int]]:
         # Each row masked to the free columns carries the whole row in
         # the bits above them, so every reduced row is a codeword on top;
         # one whose mask part cancels is zero on every free column.
-        R, pivots = gf2.echelon([(r & free) | r << n for r in rows], 2 * n)
+        R, pivots = gf2.rref([(r & free) | r << n for r in rows], 2 * n)
         r = sum(p < n for p in pivots)
         yield tuple(w >> n for w in R), r
         for p in pivots[:r]:
@@ -557,7 +551,7 @@ def _parity_columns(C: LinearCode) -> List[int]:
     Cached on the code, where ``hull_dimension`` reads it.
     """
     def build():
-        R, pivots = C._echelon()
+        R, pivots = C._rref()
         cols = [1 << j for j in range(C.n)]
         free = (1 << C.n) - 1 - sum(1 << p for p in pivots)
         for p, row in zip(pivots, R):
@@ -636,19 +630,23 @@ def parse_gen1(text: str) -> LinearCode:
         n, k = header
         if len(rows) >= k:
             raise ParseError("more rows than declared", lineno)
-        if len(line) != n or line.strip("01"):  # see BitVector.from_string
-            raise ParseError(f"expected {n} characters of 0/1", lineno)
-        rows.append(int(line[::-1], 2))
+        try:
+            if len(line) != n:
+                raise ValueError
+            rows.append(gf2.parse_bits(line))
+        except ValueError:
+            raise ParseError(f"expected {n} characters of 0/1",
+                             lineno) from None
     if header is None:
         raise ParseError("missing header", 1)
     n, k = header
     if len(rows) != k:
         raise ParseError(f"expected {k} rows, found {len(rows)}",
                          len(text.splitlines()) + 1)
-    return LinearCode(BitMatrix.from_rows(rows, n))
+    return LinearCode(rows, n)
 
 
 def format_gen1(C: LinearCode) -> str:
     lines = [f"{C.n} {C.k}"]
-    lines.extend(str(C.gen.row(i)) for i in range(C.k))
+    lines.extend(gf2.format_bits(r, C.n) for r in C.gen.rows)
     return "\n".join(lines) + "\n"

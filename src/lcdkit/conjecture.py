@@ -49,7 +49,6 @@ from typing import Dict, List, Optional, Tuple
 from . import gf2
 from .codes import (BZ_MIN_K, LinearCode, WeightTable, check_coords,
                     min_weight, _drop_bits)
-from .gf2 import BitMatrix, BitVector
 
 ROUTE_PADDED = "padded-puncture"
 ROUTE_EXTENSION = "extension"
@@ -134,9 +133,9 @@ def _step_down_basis(
         d = C.min_distance()
         if d < 3:
             raise ValueError("d<3: minimum distance must be at least 3")
-        table = (WeightTable(C.gen.transpose().rows, C.k)
+        table = (WeightTable(gf2.transpose(C.gen.rows, C.n), C.k)
                  if C.k < BZ_MIN_K else None)
-        return d, C.projector().rows, table
+        return d, C.projector(), table
     return C._cached("step_down_basis", build)
 
 
@@ -194,14 +193,13 @@ def lift_column(P: LinearCode, words: List[int]) -> Optional[int]:
     m = len(words)
     # row i of the system's transpose: g_i . a for each word a, then
     # g_i . 1, the parity of |g_i|
-    system = BitMatrix.from_rows(
-        [sum(((g & a).bit_count() & 1) << j for j, a in enumerate(words))
-         | (g.bit_count() & 1) << m for g in P.gen.rows], m + 1)
-    zeta = gf2.solve(system, BitVector(m + 1, (1 << m) - 1))
+    system = [sum(((g & a).bit_count() & 1) << j for j, a in enumerate(words))
+              | (g.bit_count() & 1) << m for g in P.gen.rows]
+    zeta = gf2.solve(system, (1 << m) - 1, m + 1)
     if zeta is None:
         return None
-    return sum(((r & zeta.bits).bit_count() & 1) << i
-               for i, r in enumerate(P.gram().rows))
+    return sum(((r & zeta).bit_count() & 1) << i
+               for i, r in enumerate(P.gram()))
 
 
 def certify_step_down(C: LinearCode) -> ConjectureCertificate:
@@ -223,8 +221,7 @@ def certify_step_down(C: LinearCode) -> ConjectureCertificate:
         for W in good_puncture_pairs(C, u):
             all_witnesses.append(W)
             if W.dmin >= d - 1:
-                padded = LinearCode.from_rows(
-                    W.punctured.gen.rows, W.punctured.n + 1)
+                padded = LinearCode(W.punctured.gen.rows, W.punctured.n + 1)
                 trace = (
                     {"op": "puncture_pair", "u": W.u, "v": W.v,
                      "lcd": True, "dmin": W.dmin},
@@ -242,14 +239,14 @@ def certify_step_down(C: LinearCode) -> ConjectureCertificate:
         y = lift_column(P, words)
         if y is None:
             continue
-        out = LinearCode.from_rows(
+        out = LinearCode(
             [r | ((y >> i) & 1) << P.n for i, r in enumerate(P.gen.rows)],
             P.n + 1)
         trace = (
             {"op": "puncture_pair", "u": W.u, "v": W.v,
              "lcd": True, "dmin": W.dmin},
             {"op": "lift_column", "weight": d - 2, "words": len(words),
-             "y": "".join(str((y >> i) & 1) for i in range(k))},
+             "y": gf2.format_bits(y, k)},
         )
         cert = ConjectureCertificate(
             (n1, k, d), ROUTE_EXTENSION, out, trace)

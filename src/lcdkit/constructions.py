@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from . import gf2
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitVector
 from .codes import LinearCode, check_coords
 from . import normal_form as nf
 
@@ -54,8 +54,8 @@ def extend_even(C: LinearCode) -> LinearCode:
     if C.k % 2:
         raise ValueError("dimension must be even")
     basis = nf.orthonormal_basis(C)
-    rows = _prepend_bit(list(basis.rows), [1] * C.k)
-    out = LinearCode(BitMatrix.from_rows(rows, C.n + 1))
+    rows = _prepend_bit(basis, [1] * C.k)
+    out = LinearCode(rows, C.n + 1)
     if not (out.is_lcd() and out.is_even_like()):
         raise ConstructionError("extension must be even-like LCD")
     return out
@@ -72,8 +72,8 @@ def extend_odd_two(C: LinearCode) -> LinearCode:
     if C.k % 2 == 0:
         raise ValueError("dimension must be odd")
     basis = nf.orthonormal_basis(C)
-    rows = [(r << 2) | 0b11 for r in basis.rows]
-    out = LinearCode(BitMatrix.from_rows(rows, C.n + 2))
+    rows = [(r << 2) | 0b11 for r in basis]
+    out = LinearCode(rows, C.n + 2)
     if not out.is_lcd() or out.is_even_like():
         raise ConstructionError("extension must be odd-like LCD")
     return out
@@ -109,7 +109,7 @@ def shorten_odd_lcd(C: LinearCode,
         coord = 1 if i is None else i
         check_coords([coord], C.n)
     else:
-        coord = next(j + 1 for j, row in enumerate(C.projector().rows)
+        coord = next(j + 1 for j, row in enumerate(C.projector())
                      if not row or (row >> j) & 1)
     out = C.shorten([coord])
     if not out.is_lcd():
@@ -128,7 +128,7 @@ def _hull_information_set(C: LinearCode) -> Tuple[int, ...]:
     the same hull.  The greedy set is the lexicographically first
     basis, so it is the first l-subset, in that order, that works.
     """
-    cols = C.hull().gen.transpose().rows  # cols[c]: the hull's column c
+    cols = gf2.transpose(C.hull().gen.rows, C.n)  # the hull's columns
     order = sorted(range(C.n), key=lambda c: (-cols[c].bit_count(), c))
     _, kept = gf2.eliminate([cols[c] for c in order])
     return tuple(sorted(order[i] + 1 for i in kept))
@@ -167,10 +167,10 @@ def extend_row_dual(C: LinearCode, x: BitVector) -> LinearCode:
         raise ValueError("x has wrong length")
     if any((x.bits & r).bit_count() & 1 for r in C.gen.rows):
         raise ValueError("x is not in the dual code")
-    if x.weight() % 2:
+    if x.bits.bit_count() % 2:
         raise ValueError("x must have even weight")
     rows = [(x.bits << 1) | 1] + [r << 1 for r in C.gen.rows]
-    out = LinearCode(BitMatrix.from_rows(rows, C.n + 1))
+    out = LinearCode(rows, C.n + 1)
     if not out.is_lcd():
         raise ConstructionError("output is not LCD")
     return out
@@ -190,12 +190,12 @@ def extend_systematic(C: LinearCode, x: BitVector) -> Optional[LinearCode]:
     _require_lcd(C)
     if x.length != C.n - C.k:
         raise ValueError("x must cover the last n-k coordinates")
-    s = sum(row & (1 << j) for j, row in enumerate(C.projector().rows))
+    s = sum(row & (1 << j) for j, row in enumerate(C.projector()))
     xt = x.bits << C.k
     if (xt & ~s).bit_count() % 2:
         return None
     rows = [(xt << 1) | 1] + [r << 1 for r in C.gen.rows]
-    out = LinearCode(BitMatrix.from_rows(rows, C.n + 1))
+    out = LinearCode(rows, C.n + 1)
     if not out.is_lcd():
         raise ConstructionError("output is not LCD")
     return out
@@ -213,7 +213,7 @@ def _hull_drop(C: LinearCode, x: BitVector,
     hull = C.hull()
     if all((x.bits & r).bit_count() % 2 == 0 for r in hull.gen.rows):
         raise ValueError("x is orthogonal to the whole hull")
-    out = LinearCode(BitMatrix.from_rows(rows, C.n + 1))
+    out = LinearCode(rows, C.n + 1)
     if out.hull_dimension() != s - 1:
         raise ConstructionError("hull dimension did not drop by one")
     return out
@@ -235,13 +235,13 @@ def extend_column_hull_drop(C: LinearCode, x: BitVector) -> LinearCode:
     to the hull can work — in particular no codeword of C can.
     """
     y = [(x.bits & r).bit_count() & 1 for r in C.gen.rows]
-    return _hull_drop(C, x, _prepend_bit(list(C.gen.rows), y))
+    return _hull_drop(C, x, _prepend_bit(C.gen.rows, y))
 
 
 def parity_extend(C: LinearCode) -> LinearCode:
     """Append an overall parity coordinate; output is even-like."""
     rows = [r | ((r.bit_count() & 1) << C.n) for r in C.gen.rows]
-    return LinearCode(BitMatrix.from_rows(rows, C.n + 1))
+    return LinearCode(rows, C.n + 1)
 
 
 def extend_two_multi(C: LinearCode) -> List[LinearCode]:
@@ -264,7 +264,7 @@ def extend_two_multi(C: LinearCode) -> List[LinearCode]:
     if Cp.hull_dimension() != 1:
         raise ConstructionError("parity extension must have hull dimension 1")
     cert = nf.hull_normal_basis(Cp)
-    g = list(cert.basis.rows)  # g[0] spans the hull, rest symplectic
+    g = cert.basis  # g[0] spans the hull, rest symplectic
     outputs = []
     seen = set()
     for v in range(1 << (k - 1)):
@@ -272,10 +272,10 @@ def extend_two_multi(C: LinearCode) -> List[LinearCode]:
         for i in range(1, k):
             yi = (v >> (i - 1)) & 1
             rows.append(g[i] ^ (yi * g[0]))
-        out = LinearCode(BitMatrix.from_rows(rows, n + 2))
+        out = LinearCode(rows, n + 2)
         if not out.is_lcd():
             raise ConstructionError("output is not LCD")
-        key = out.rref().rows
+        key = out.rref()
         if key in seen:
             raise ConstructionError("duplicate codeword set")
         seen.add(key)

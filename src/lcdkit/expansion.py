@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional, Sequence, Tuple
 
 from .codes import EngineBudgetError, LinearCode, ParseError
-from .gf2 import BitVector, rank_of_rows
+from .gf2 import rank
 
 
 class ExpansionError(AssertionError):
@@ -109,7 +109,7 @@ class SelfDualBasis:
                 want = 1 if i == j else 0
                 if F.trace(F.mul(a, b)) != want:
                     raise ExpansionError("trace Gram matrix is not identity")
-        if rank_of_rows(self.alphas) != m:
+        if rank(self.alphas) != m:
             raise ExpansionError("basis elements are dependent")
 
 
@@ -123,7 +123,7 @@ def find_self_dual_basis(field: ExtField) -> SelfDualBasis:
 
     def search() -> bool:
         if len(chosen) == m:
-            return rank_of_rows(chosen) == m
+            return rank(chosen) == m
         for a in range(1, field.order):
             if field.trace(field.mul(a, a)) != 1:
                 continue
@@ -143,8 +143,9 @@ def find_self_dual_basis(field: ExtField) -> SelfDualBasis:
     return basis
 
 
-def expand_vector(basis: SelfDualBasis, x: Sequence[int]) -> BitVector:
-    """Replace each field entry by its m trace coordinates."""
+def expand_vector(basis: SelfDualBasis, x: Sequence[int]) -> int:
+    """Replace each field entry by its m trace coordinates: entry i's
+    coordinate j is bit i m + j of the int returned."""
     F = basis.field
     m = F.m
     bits = 0
@@ -153,7 +154,7 @@ def expand_vector(basis: SelfDualBasis, x: Sequence[int]) -> BitVector:
         for j, a in enumerate(basis.alphas):
             if F.trace(F.mul(xi, a)):
                 bits |= 1 << (i * m + j)
-    return BitVector(len(x) * m, bits)
+    return bits
 
 
 def expand_code(C: "ExtFieldCode", basis: SelfDualBasis) -> LinearCode:
@@ -166,10 +167,8 @@ def expand_code(C: "ExtFieldCode", basis: SelfDualBasis) -> LinearCode:
     for g in C.gen:
         for a in basis.alphas:
             scaled = [F.mul(a, x) for x in g]
-            rows.append(expand_vector(basis, scaled).bits)
-    if not rows:
-        return LinearCode.zero_code(m * C.n)
-    return LinearCode.from_rows(rows, m * C.n)
+            rows.append(expand_vector(basis, scaled))
+    return LinearCode(rows, m * C.n)
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,8 @@ class ExtFieldCode:
     symbol distance is read off the image concatenated with the binary
     simplex code [2^m - 1, m, 2^(m-1)]: that code maps each nonzero
     m-bit block, a nonzero symbol, to a block of weight exactly 2^(m-1),
-    so its minimum distance is 2^(m-1) d.
+    so its minimum distance is 2^(m-1) d.  The generator's rows may be
+    any sequences; they are stored as tuples.
     """
 
     field: ExtField
@@ -195,6 +195,7 @@ class ExtFieldCode:
                                         compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "gen", tuple(map(tuple, self.gen)))
         for row in self.gen:
             if len(row) != self.n:
                 raise ValueError("ragged generator matrix")
@@ -202,11 +203,6 @@ class ExtFieldCode:
                 self.field.check(v)
         object.__setattr__(self, "image", expand_code(
             self, find_self_dual_basis(self.field)))
-
-    @classmethod
-    def from_rows(cls, field: ExtField,
-                  rows: Sequence[Sequence[int]], n: int) -> "ExtFieldCode":
-        return cls(field, tuple(tuple(r) for r in rows), n)
 
     @property
     def k(self) -> int:
@@ -231,7 +227,7 @@ class ExtFieldCode:
         rows = [sum(simplex[r >> (i * m) & width] << (i * width)
                     for i in range(self.n))
                 for r in self.image.gen.rows]
-        concatenated = LinearCode.from_rows(rows, width * self.n)
+        concatenated = LinearCode(rows, width * self.n)
         return concatenated.min_distance("full") >> (m - 1)
 
 
@@ -294,7 +290,7 @@ def parse_extgen1(text: str) -> ExtFieldCode:
     if len(rows) != k:
         raise ParseError(f"expected {k} rows, found {len(rows)}",
                          len(text.splitlines()) + 1)
-    return ExtFieldCode.from_rows(field, rows, n)
+    return ExtFieldCode(field, rows, n)
 
 
 def format_extgen1(C: ExtFieldCode) -> str:

@@ -26,7 +26,7 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 
 from . import constructions as cons
 from . import expansion as xp
-from .codes import EngineBudgetError, LinearCode, parse_gen1
+from .codes import EngineBudgetError, LinearCode, check_coords, parse_gen1
 from .gf2 import BitVector
 from .search import DEFAULT_SEED, lcd_search
 
@@ -125,8 +125,7 @@ def _resolve_input(rec: ConstructionRecord, seed_dir: Optional[Path],
             return LinearCode.from_strings(inputs["rows"]), None
         if fmt == "extgen1":
             field_ = xp.ExtField.of_degree(inputs["m"])
-            return xp.ExtFieldCode.from_rows(
-                field_, inputs["rows"], inputs["n"]), None
+            return xp.ExtFieldCode(field_, inputs["rows"], inputs["n"]), None
         raise _ReplayFailure(f"unknown inline format {fmt!r}")
     if source == "search":
         code = lcd_search(inputs["n"], inputs["k"], inputs["d"],
@@ -169,14 +168,14 @@ def _expand(seed_code: xp.ExtFieldCode, aux: Dict) -> List[LinearCode]:
                 f"GF({F.order})")
         rows = [[F.mul(t, v) for t, v in zip(transform, row)]
                 for row in seed_code.gen]
-        seed_code = xp.ExtFieldCode.from_rows(F, rows, seed_code.n)
+        seed_code = xp.ExtFieldCode(F, rows, seed_code.n)
     return [seed_code.image]
 
 
 def _puncture_even_lcd(code: LinearCode, aux: Dict) -> List[LinearCode]:
     # puncture highest coordinates first so the recorded positions keep
     # referring to the original code
-    for i in sorted(aux["coordinates"], reverse=True):
+    for i in reversed(check_coords(aux["coordinates"], code.n)):
         code = cons.puncture_even_lcd(code, i)
     return [code]
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import List
 
 from . import gf2
-from .gf2 import ABSENT, ORTHONORMAL, SYMPLECTIC, BitMatrix
+from .gf2 import ABSENT, ORTHONORMAL, SYMPLECTIC
 from .codes import LinearCode
 
 
@@ -73,7 +73,7 @@ class GramShape:
     t: int
     coupled: bool
 
-    def expected_gram(self, k: int) -> BitMatrix:
+    def expected_gram(self, k: int) -> tuple:
         if self.coupled:
             rows = [0] * k
             s, k1, t = self.s, self.k1, self.t
@@ -89,31 +89,35 @@ class GramShape:
                 rows[k1 + i] |= 1 << (k1 + i)
             for i, r in enumerate(_block_rows(self.a3_kind, t, k1 + s)):
                 rows[k1 + s + i] |= r
-            return BitMatrix.from_rows(rows, k)
+            return tuple(rows)
         rows = [0] * self.s
         rows.extend(_block_rows(self.a1_kind, k - self.s, self.s))
-        return BitMatrix.from_rows(rows, k)
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
 class NormalFormCertificate:
-    basis: BitMatrix
+    """A basis, as int rows, and the shape its Gram matrix must take."""
+
+    basis: tuple
     shape: GramShape
 
     @property
     def k(self) -> int:
-        return self.basis.nrows
+        return len(self.basis)
 
     def verify(self) -> None:
         actual = gf2.gram(self.basis)
         expected = self.shape.expected_gram(self.k)
         if actual != expected:
+            def show(rows):
+                return "\n".join(gf2.format_bits(r, self.k) for r in rows)
             raise NormalFormError(
                 "certificate Gram matrix does not match declared shape:\n"
-                f"expected\n{expected}\ngot\n{actual}")
+                f"expected\n{show(expected)}\ngot\n{show(actual)}")
 
 
-def _checked(basis: BitMatrix, shape: GramShape) -> NormalFormCertificate:
+def _checked(basis: tuple, shape: GramShape) -> NormalFormCertificate:
     cert = NormalFormCertificate(basis, shape)
     cert.verify()
     return cert
@@ -126,13 +130,13 @@ def hull_normal_basis(C: LinearCode) -> NormalFormCertificate:
     A is I when C is odd-like, a direct sum of J_2 blocks otherwise, and
     empty when C is self-orthogonal.
     """
-    basis, s, kind = gf2.congruent_normal_form(C.gen)
+    basis, s, kind = gf2.congruent_normal_form(C.gen.rows)
     shape = GramShape(s=s, k1=C.k, a1_kind=kind, s1=0,
                       a3_kind=ABSENT, t=0, coupled=False)
     return _checked(basis, shape)
 
 
-def orthonormal_basis(C: LinearCode) -> BitMatrix:
+def orthonormal_basis(C: LinearCode) -> tuple:
     """Basis with Gram = I_k; exists exactly for odd-like LCD codes.
 
     It is the hull-normal basis, whose block is I for an odd-like code.
@@ -159,15 +163,15 @@ def subcode_normal_form(C: LinearCode,
         raise ValueError("code must be odd-like LCD")
     if D.n != C.n or D.k >= C.k:
         raise ValueError("subcode must have strictly smaller dimension")
-    if gf2.rank_of_rows(list(C.gen.rows) + list(D.gen.rows)) != C.k:
+    if gf2.rank(C.gen.rows + D.gen.rows) != C.k:
         raise ValueError("D is not a subcode of C")
     k, n, k1 = C.k, C.n, D.k
 
     dcert = hull_normal_basis(D)
     s = dcert.shape.s
     a1_kind = dcert.shape.a1_kind
-    hull_rows = list(dcert.basis.rows[:s])
-    a1_rows = list(dcert.basis.rows[s:])
+    hull_rows = list(dcert.basis[:s])
+    a1_rows = list(dcert.basis[s:])
 
     # extend the subcode basis to a basis of C
     cand = hull_rows + a1_rows + list(C.gen.rows)
@@ -223,22 +227,20 @@ def subcode_normal_form(C: LinearCode,
     t = len(t_rows)
     a3_kind = ABSENT
     if t:
-        T, st, a3_kind = gf2.congruent_normal_form(
-            BitMatrix.from_rows(t_rows, n))
+        T, st, a3_kind = gf2.congruent_normal_form(t_rows)
         if st != 0:
             raise NormalFormError(
                 "trailing block must be nonsingular for LCD input")
-        t_rows = list(T.rows)
+        t_rows = list(T)
 
-    basis = BitMatrix.from_rows(hull_rows + a1_rows + p_rows + t_rows, n)
+    basis = tuple(hull_rows + a1_rows + p_rows + t_rows)
     shape = GramShape(s=s, k1=k1, a1_kind=a1_kind, s1=s1,
                       a3_kind=a3_kind, t=t, coupled=True)
     cert = _checked(basis, shape)
     # first k1 rows span D, all rows span C
-    if gf2.rref(BitMatrix.from_rows(basis.rows[:k1], n))[0] != \
-            gf2.rref(D.gen)[0]:
+    if gf2.rref(basis[:k1], n)[0] != D.rref():
         raise NormalFormError("leading rows do not span the subcode")
-    if gf2.rref(basis)[0] != C.rref():
+    if gf2.rref(basis, n)[0] != C.rref():
         raise NormalFormError("basis does not span the code")
     return cert
 

@@ -20,7 +20,6 @@ import time
 from typing import List, Optional
 
 from . import gf2
-from .gf2 import BitMatrix
 from .codes import BZ_MIN_K, LinearCode, WeightTable, min_weight
 
 DEFAULT_SEED = 20240801
@@ -38,8 +37,8 @@ def random_lcd_code(rng: random.Random, n: int, k: int,
         raise ValueError("k exceeds n")
     for _ in range(max_tries):
         rows = tuple(rng.getrandbits(n) for _ in range(k))
-        if gf2.rank_of_rows(gf2.gram_rows(rows)) == k:
-            return LinearCode(BitMatrix.from_rows(rows, n))
+        if gf2.rank(gf2.gram(rows)) == k:
+            return LinearCode(rows, n)
     raise RuntimeError(f"no LCD [{n},{k}] code found in {max_tries} tries")
 
 
@@ -57,9 +56,9 @@ def random_lcd_oe_code(rng: random.Random, n: int, k: int,
         for r in rows:
             first ^= r
         rows = [first] + rows
-        if gf2.rank_of_rows(rows) != k:
+        if gf2.rank(rows) != k:
             continue
-        C = LinearCode(BitMatrix.from_rows(rows, n))
+        C = LinearCode(rows, n)
         if C.is_lcd() and not C.is_even_like():
             return C
     raise RuntimeError(f"no LCD_oe [{n},{k}] code found in {max_tries} tries")
@@ -77,9 +76,9 @@ def random_lcd_eo_code(rng: random.Random, n: int, k: int,
             if r.bit_count() % 2:
                 r ^= 1 << rng.randrange(n)
             rows.append(r)
-        if gf2.rank_of_rows(rows) != k:
+        if gf2.rank(rows) != k:
             continue
-        C = LinearCode(BitMatrix.from_rows(rows, n))
+        C = LinearCode(rows, n)
         if C.is_lcd():
             return C
     raise RuntimeError(f"no LCD_eo [{n},{k}] code found in {max_tries} tries")
@@ -188,9 +187,9 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
     while time.monotonic() < deadline:
         C = random_lcd_code(rng, n, k)
         rows = list(C.gen.rows)
-        a = list(gf2.inverse(C.gram()).rows)
+        a = list(gf2.inverse(C.gram()))
         diag = sum(al & 1 << l for l, al in enumerate(a))
-        cols = list(C.gen.transpose().rows)
+        cols = list(gf2.transpose(rows, n))
         if k < BZ_MIN_K:
             table = WeightTable(cols, k)
             patterns, units = table.patterns, table.units
@@ -240,5 +239,5 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
             cols[j] = c ^ 1 << i
             diag = _flip_update(a, diag, c, i)
         if current >= d_target:
-            return LinearCode(BitMatrix.from_rows(rows, n))
+            return LinearCode(rows, n)
     return None

@@ -116,11 +116,8 @@ def canonical_b_matrices(
             else:
                 d = table.minimum(w, f)
             if d > f:
-                rows = [0] * r
-                for t, c in enumerate(cols):
-                    for i in range(r):
-                        rows[i] |= (c >> (r - 1 - i) & 1) << t
-                yield tuple(rows), d
+                # column values are read top row first: bit r-1 is row 0
+                yield gf2.transpose(cols, r)[::-1], d
             return
         left = m - j - 1  # columns still to place after this one
         candidates = range(start, len(values))
@@ -154,26 +151,14 @@ def _systematic_rows(n: int, k: int, b_rows: Tuple[int, ...]) -> List[int]:
         # [I_k | B], B is k x c
         return [(1 << i) | (b_rows[i] << k) for i in range(k)]
     # [B^T | I_k], B is c x k
-    out = []
-    for i in range(k):
-        col = 0
-        for j in range(c):
-            col |= ((b_rows[j] >> i) & 1) << j
-        out.append(col | (1 << (c + i)))
-    return out
+    return [col | (1 << (c + i))
+            for i, col in enumerate(gf2.transpose(b_rows, k))]
 
 
 def _gram_nonsingular(b_rows: Tuple[int, ...]) -> bool:
     """Whether I + B B^T is nonsingular (LCD test on the small side)."""
-    r = len(b_rows)
-    g = []
-    for i in range(r):
-        row = 1 << i
-        for j in range(r):
-            if (b_rows[i] & b_rows[j]).bit_count() & 1:
-                row ^= 1 << j
-        g.append(row)
-    return gf2.rank_of_rows(g) == r
+    g = [row ^ 1 << i for i, row in enumerate(gf2.gram(b_rows))]
+    return gf2.rank(g) == len(b_rows)
 
 
 def dlcd_value(n: int, k: int) -> int:
@@ -259,6 +244,6 @@ def all_one_lcd_codes(length: int) -> Iterator[LinearCode]:
         for b, d in canonical_b_matrices(r, m, floor=lambda: 2,
                                          all_one=True, transposed=k > c):
             if _gram_nonsingular(b):
-                code = LinearCode.from_rows(_systematic_rows(n, k, b), n)
+                code = LinearCode(_systematic_rows(n, k, b), n)
                 code._cache["dmin_value"] = d
                 yield code

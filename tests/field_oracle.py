@@ -83,7 +83,7 @@ def hull(C):
             if xi:
                 row = [r ^ F.mul(xi, gi) for r, gi in zip(row, g)]
         rows.append(row)
-    return xp.ExtFieldCode.from_rows(F, rref(F, rows, C.n)[0], C.n)
+    return xp.ExtFieldCode(F, rref(F, rows, C.n)[0], C.n)
 
 
 def codewords(C):

@@ -5,7 +5,6 @@ equally likely.  The rank comes from ``gf2_oracle``, not from lcdkit.
 
 import gf2_oracle as oracle
 from lcdkit.codes import LinearCode
-from lcdkit.gf2 import BitMatrix
 
 
 def random_code(rng, n, k):
@@ -15,4 +14,4 @@ def random_code(rng, n, k):
     while True:
         rows = tuple(rng.getrandbits(n) for _ in range(k))
         if len(oracle.rref(rows, n)[0]) == k:
-            return LinearCode(BitMatrix.from_rows(rows, n))
+            return LinearCode(rows, n)

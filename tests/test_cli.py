@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from lcdkit import cli, conjecture, tables
+from lcdkit import cli, conjecture, ledger, tables
 from lcdkit.codes import (W_MAX, EngineBudgetError, LinearCode, ParseError,
                           format_gen1, min_weight, parse_gen1)
 from lcdkit.expansion import ExtFieldCode, parse_extgen1
@@ -211,6 +211,16 @@ class TestSearch:
         assert code == 1
         assert out.strip() == "none"
 
+    @pytest.mark.parametrize("args", [
+        ("0", "0", "1"), ("-3", "1", "1"), ("5", "-1", "2"),
+        ("5", "0", "2"), ("5", "6", "2"), ("5", "2", "0"), ("5", "2", "-4"),
+    ], ids=" ".join)
+    def test_malformed_target_is_usage_error(self, capsys, args):
+        # n < 1, k outside 1..n or d_target < 1 is no search at all
+        code, out, err = run(capsys, "search", *args)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "search", "8", "3", "4", "--seed", "7")
         _, out2, _ = run(capsys, "search", "8", "3", "4", "--seed", "7")
@@ -242,6 +252,16 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", path, "--out-dir", taken)
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_out_dir_is_checked_before_any_row(self, tmp_path, capsys,
+                                               monkeypatch):
+        replayed = []
+        monkeypatch.setattr(ledger, "replay_record",
+                            lambda *args, **kwargs: replayed.append(args))
+        path = write(tmp_path, "ledger.jsonl", self.LEDGER * 3)
+        taken = write(tmp_path, "taken", "")
+        code, out, _ = run(capsys, "construct", path, "--out-dir", taken)
+        assert (code, out, replayed) == (3, "", [])
 
     def test_non_utf8_ledger_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "ledger.jsonl"
@@ -296,8 +316,7 @@ class TestConstruct:
         assert min_weight(seed.gen.rows) > W_MAX
         row = {"op": "puncture_even_lcd",
                "inputs": {"source": "inline", "format": "gen1",
-                          "rows": [str(seed.gen.row(i))
-                                   for i in range(seed.k)]},
+                          "rows": str(seed.gen).splitlines()},
                "aux": {"coordinates": [1]}, "expect": [61, 28]}
         path = write(tmp_path, "ledger.jsonl",
                      json.dumps(row) + "\n" + self.LEDGER)
@@ -481,6 +500,17 @@ class TestUsage:
             cli.main(argv)
         assert ei.value.code == 3
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "8", "3", "4", "--budget-ms", "-1"],
+        ["construct", "l.jsonl", "--budget-ms", "-5"],
+        ["verify-ledger", "--budget-ms", "-1"],
+    ])
+    def test_negative_budget_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(argv)
+        assert ei.value.code == 3
+        assert "--budget-ms: must be at least 0" in capsys.readouterr().err
 
 
 BAD_HEADERS = ("", "5", "a b", "5 x", "5 -1", "0 0", "3 4", "5 2 1",

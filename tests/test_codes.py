@@ -14,7 +14,7 @@ from lcdkit.codes import (BZ_MIN_K, EngineBudgetError, LinearCode,
                           _information_sets, _low_weight_words,
                           _parity_columns,
                           format_gen1, min_weight, parse_gen1)
-from lcdkit.gf2 import BitMatrix, BitVector
+from lcdkit.gf2 import BitMatrix
 from random_codes import random_code
 
 HAMMING_7_4 = LinearCode.from_strings([
@@ -29,12 +29,12 @@ def C(*lines):
     return LinearCode.from_strings(lines)
 
 
-def log_echelon(monkeypatch):
-    """Wraps gf2.echelon; returns the list that gets each call's row count."""
-    echelon = gf2.echelon
+def log_rref(monkeypatch):
+    """Wraps gf2.rref; returns the list that gets each call's row count."""
+    rref = gf2.rref
     log = []
-    monkeypatch.setattr(gf2, "echelon", lambda rows, width: (
-        log.append(len(rows)), echelon(rows, width))[1])
+    monkeypatch.setattr(gf2, "rref", lambda rows, width: (
+        log.append(len(rows)), rref(rows, width))[1])
     return log
 
 
@@ -55,7 +55,7 @@ class TestConstruction:
         # the rank is at most n < k, so the full-row-rank check refuses
         # the matrix, on both sides of the rank check's BZ_MIN_K switch
         with pytest.raises(ValueError, match="full row rank"):
-            LinearCode.from_rows(range(1, k + 1), n)
+            LinearCode(range(1, k + 1), n)
 
     def test_generator_kept_verbatim(self):
         code = C("110", "011")
@@ -88,7 +88,8 @@ class TestDual:
             D = code.dual()
             for i in range(code.k):
                 for j in range(D.k):
-                    assert code.gen.row(i).inner(D.gen.row(j)) == 0
+                    assert (code.gen.rows[i] & D.gen.rows[j]).bit_count() \
+                        % 2 == 0
 
 
 class TestHull:
@@ -113,7 +114,7 @@ class TestHull:
             hull = code.hull()
             assert hull.k == inter
             for i in range(hull.k):
-                v = hull.gen.row(i)
+                v = hull.gen.rows[i]
                 assert code.contains(v) and code.dual().contains(v)
 
 
@@ -136,7 +137,7 @@ def _random_lcd_rows(rng, n):
 class TestProjector:
     def test_worked_example(self):
         P = C("111000", "000111").projector()
-        assert P.rows == (0b111,) * 3 + (0b111000,) * 3
+        assert P == (0b111,) * 3 + (0b111000,) * 3
 
     def test_rejects_code_that_is_not_lcd(self):
         with pytest.raises(ValueError, match="not LCD"):
@@ -153,8 +154,8 @@ class TestProjector:
             n = rng.randrange(3, 14)
             rows = _random_lcd_rows(rng, n)
             k = len(rows)
-            code = LinearCode.from_rows(rows, n)
-            P = list(code.projector().rows)
+            code = LinearCode(rows, n)
+            P = list(code.projector())
             assert P == oracle.transpose(P, n)
             assert oracle.mul(P, P) == P
             assert all(oracle.in_span(rows, r, n) for r in P)
@@ -162,8 +163,7 @@ class TestProjector:
             for _ in range(2 * k if k > 1 else 0):
                 i, j = rng.sample(range(k), 2)
                 mixed[i] ^= mixed[j]
-            assert LinearCode.from_rows(mixed, n).projector().rows == \
-                tuple(P)
+            assert LinearCode(mixed, n).projector() == tuple(P)
             cols = oracle.transpose(rows, n)
             for size in (1, 2, 3):
                 for T in itertools.combinations(range(n), size):
@@ -189,7 +189,7 @@ class TestProjector:
 
 def _intersection_dim(A: LinearCode, B: LinearCode) -> int:
     # dim(A) + dim(B) - dim(A + B)
-    return A.k + B.k - gf2.rank_of_rows(A.gen.rows + B.gen.rows)
+    return A.k + B.k - gf2.rank(A.gen.rows + B.gen.rows)
 
 
 class TestKeptBasis:
@@ -199,8 +199,8 @@ class TestKeptBasis:
     @staticmethod
     def _codes():
         rng = random.Random(17)
-        yield LinearCode.zero_code(5)
-        yield LinearCode.from_rows([1 << i for i in range(6)], 6)
+        yield LinearCode((), 5)
+        yield LinearCode([1 << i for i in range(6)], 6)
         for _ in range(300):
             n = rng.randint(1, 16)
             k = rng.randint(0, min(n, 12))
@@ -208,41 +208,43 @@ class TestKeptBasis:
 
     def test_rref(self):
         for code in self._codes():
-            assert code.rref() == gf2.rref(code.gen)[0]
+            assert code.rref() == gf2.rref(code.gen.rows, code.n)[0]
 
     def test_dual(self):
         for code in self._codes():
-            assert code.dual().gen == gf2.nullspace(code.gen)
+            assert code.dual().gen == \
+                BitMatrix(gf2.nullspace(code.gen.rows, code.n), code.n)
 
     def test_contains(self):
         rng = random.Random(18)
         for code in self._codes():
-            words = [BitVector(code.n, rng.getrandbits(code.n))
-                     for _ in range(8)]
-            words += [BitVector(code.n, reduce(
-                xor, (r for r in code.gen.rows if rng.random() < 0.5), 0))
-                for _ in range(4)]
-            words.append(BitVector.ones(code.n))
+            words = [rng.getrandbits(code.n) for _ in range(8)]
+            words += [reduce(xor, (r for r in code.gen.rows
+                                   if rng.random() < 0.5), 0)
+                      for _ in range(4)]
+            words.append((1 << code.n) - 1)
             for v in words:
-                assert code.contains(v) == (gf2.solve(code.gen, v)
-                                            is not None)
+                assert code.contains(v) == (
+                    gf2.solve(code.gen.rows, v, code.n) is not None)
 
     def test_hull_dimension(self):
         for code in self._codes():
-            want = code.k - gf2.rank(gf2.gram(code.gen))
+            want = code.k - gf2.rank(gf2.gram(code.gen.rows))
             assert code.hull_dimension() == want
             assert code.hull_dimension() == want  # cached answer
 
     def test_contains_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            HAMMING_7_4.contains(BitVector.ones(6))
-        with pytest.raises(ValueError):
-            LinearCode.zero_code(3).contains(BitVector.zero(4))
+        # v must be a word of length n: below 2^n and not negative
+        for code, v in ((HAMMING_7_4, 1 << 7), (HAMMING_7_4, -1),
+                        (LinearCode((), 3), 0b1000)):
+            with pytest.raises(ValueError):
+                code.contains(v)
+        assert HAMMING_7_4.contains(0) and LinearCode((), 3).contains(0)
 
 
 class TestEchelonGate:
     """Below BZ_MIN_K rows the constructor's rank check is a forward
-    elimination, and from there on it is gf2.echelon, whose RREF the
+    elimination, and from there on it is gf2.rref, whose RREF the
     code keeps.  On both sides, two generators of one code give the
     reference's rref, dual, membership and parity-check columns."""
 
@@ -252,56 +254,56 @@ class TestEchelonGate:
         for k in (BZ_MIN_K - 1, BZ_MIN_K):
             for case in range(24):
                 n = k + (0, 1, 2, rng.randrange(3, 40))[case % 4]
-                gen = random_code(rng, n, k).gen
+                gen = random_code(rng, n, k).gen.rows
                 if case % 3 == 0 and n > k + 1:
                     # a zero column and a repeated one
-                    cols = list(gen.transpose().rows)
+                    cols = oracle.transpose(gen, n)
                     cols[rng.randrange(n)] = 0
                     cols[rng.randrange(n)] = cols[rng.randrange(n)]
-                    rows = BitMatrix(tuple(cols), k).transpose().rows
+                    rows = tuple(oracle.transpose(cols, k))
                     if oracle.rank(rows, n) == k:
-                        gen = BitMatrix(rows, n)
+                        gen = rows
                 while True:  # another basis of the same code
                     mix = [rng.getrandbits(k) for _ in range(k)]
                     if oracle.rank(mix, k) == k:
                         break
-                other = tuple(reduce(xor, (r for j, r in enumerate(gen.rows)
+                other = tuple(reduce(xor, (r for j, r in enumerate(gen)
                                            if m >> j & 1), 0) for m in mix)
-                yield gen, BitMatrix(other, n)
+                yield gen, other, n
 
     def test_against_reference(self):
         rng = random.Random(31)
-        for gen, other in self._pairs():
-            n, k = gen.cols, gen.nrows
-            R, pivots = oracle.rref(gen.rows, n)
-            H = tuple(oracle.nullspace(gen.rows, n))
-            cols = oracle.parity_columns(gen.rows, n)
+        for gen, other, n in self._pairs():
+            k = len(gen)
+            R, pivots = oracle.rref(gen, n)
+            H = tuple(oracle.nullspace(gen, n))
+            cols = oracle.parity_columns(gen, n)
             words = [rng.getrandbits(n) for _ in range(6)] + [
-                reduce(xor, (r for r in gen.rows if rng.random() < 0.5), 0)
+                reduce(xor, (r for r in gen if rng.random() < 0.5), 0)
                 for _ in range(4)] + [(1 << n) - 1]
-            a, b = LinearCode(gen), LinearCode(other)
+            a, b = LinearCode(gen, n), LinearCode(other, n)
             for code in (a, b):
-                assert code.rref() == BitMatrix(R, n), (n, k)
+                assert code.rref() == R, (n, k)
                 assert code.dual().gen.rows == H, (n, k)
                 assert _parity_columns(code) == cols, (n, k)
                 for v in words:
-                    assert code.contains(BitVector(n, v)) == \
-                        oracle.in_span(gen.rows, v, n), (n, k)
+                    assert code.contains(v) == \
+                        oracle.in_span(gen, v, n), (n, k)
             assert a == b and hash(a) == hash(b)
 
     def test_rref_from_rank_check(self, monkeypatch):
-        # from BZ_MIN_K rows on, the one echelon call of the constructor
+        # from BZ_MIN_K rows on, the one rref call of the constructor
         # also answers rref; below, rref makes its own
-        calls = log_echelon(monkeypatch)
-        for gen, _ in self._pairs():
+        calls = log_rref(monkeypatch)
+        for gen, _, n in self._pairs():
             calls.clear()
-            code = LinearCode(gen)
+            code = LinearCode(gen, n)
             built = list(calls)
             code.rref()
-            if gen.nrows >= BZ_MIN_K:
-                assert built == calls == [gen.nrows]
+            if len(gen) >= BZ_MIN_K:
+                assert built == calls == [len(gen)]
             else:
-                assert built == [] and calls == [gen.nrows]
+                assert built == [] and calls == [len(gen)]
 
 
 class TestHullPaths:
@@ -311,38 +313,38 @@ class TestHullPaths:
     @staticmethod
     def _gens():
         rng = random.Random(19)
-        yield BitMatrix.zeros(0, 5)
-        yield BitMatrix.identity(7)
+        yield (), 5
+        yield tuple(1 << i for i in range(7)), 7
         for case in range(300):
             n = rng.randint(1, 16)
             k = rng.randint(0, n)
-            gen = random_code(rng, n, k).gen
+            gen = random_code(rng, n, k).gen.rows
             if case % 3 == 0 and k < n:
                 # a zero column and a repeated one
-                cols = list(gen.transpose().rows)
+                cols = oracle.transpose(gen, n)
                 cols[rng.randrange(n)] = 0
                 cols[rng.randrange(n)] = cols[rng.randrange(n)]
-                rows = BitMatrix(tuple(cols), k).transpose().rows
-                if gf2.rank_of_rows(rows) == k:
-                    gen = BitMatrix(rows, n)
-            yield gen
+                rows = tuple(oracle.transpose(cols, k))
+                if oracle.rank(rows, n) == k:
+                    gen = rows
+            yield gen, n
 
     def test_both_paths(self):
-        for gen in self._gens():
-            want = gen.nrows - gf2.rank(gf2.gram(gen))
-            primed = LinearCode(gen)
+        for gen, n in self._gens():
+            want = len(gen) - oracle.rank(oracle.gram(gen), len(gen))
+            primed = LinearCode(gen, n)
             _parity_columns(primed)
-            dual = LinearCode(gen).dual()
-            assert LinearCode(gen).hull_dimension() == want
+            dual = LinearCode(gen, n).dual()
+            assert LinearCode(gen, n).hull_dimension() == want
             assert primed.hull_dimension() == want
             assert dual.hull_dimension() == want
-            assert LinearCode(gen).is_lcd() == dual.is_lcd()
+            assert LinearCode(gen, n).is_lcd() == dual.is_lcd()
 
     def test_smaller_gram_when_columns_built(self, monkeypatch):
         rng = random.Random(20)
         fresh = [random_code(rng, n, rng.randint(0, n))
                  for n in (rng.randint(1, 16) for _ in range(100))]
-        primed = [LinearCode(code.gen) for code in fresh]
+        primed = [LinearCode(code.gen.rows, code.n) for code in fresh]
         for code in primed:
             _parity_columns(code)
         for code in fresh:
@@ -350,7 +352,7 @@ class TestHullPaths:
         sizes = []
         gram = gf2.gram
         monkeypatch.setattr(
-            gf2, "gram", lambda G: sizes.append(G.nrows) or gram(G))
+            gf2, "gram", lambda rows: sizes.append(len(rows)) or gram(rows))
         for a, b in zip(fresh, primed):
             n, k = a.n, a.k
             sizes.clear()
@@ -358,8 +360,8 @@ class TestHullPaths:
             assert sizes == [k]
             sizes.clear()
             b.hull_dimension()
-            # H Hᵀ is built from the cached columns, with no gram call
-            assert sizes == ([] if 2 * k > n else [k])
+            # the smaller one, H Hᵀ, is built from the cached columns
+            assert sizes == ([n - k] if 2 * k > n else [k])
 
 
 class TestParityClass:
@@ -415,7 +417,7 @@ class TestMinDistance:
 
     def test_rejects_zero_code(self):
         with pytest.raises(ValueError):
-            LinearCode.zero_code(4).min_distance()
+            LinearCode((), 4).min_distance()
 
     def test_engines_agree(self):
         rng = random.Random(17)
@@ -425,11 +427,11 @@ class TestMinDistance:
             code = random_code(rng, n, k)
             d_full = code.min_distance(engine="full")
             if d_full <= 8:
-                fresh = LinearCode(code.gen)
+                fresh = LinearCode(code.gen.rows, code.n)
                 assert fresh.min_distance(engine="lowweight") == d_full
 
     def test_lowweight_budget_error(self):
-        big = LinearCode.from_rows([(1 << 30) - 1], 30)
+        big = LinearCode([(1 << 30) - 1], 30)
         with pytest.raises(EngineBudgetError):
             big.min_distance(engine="lowweight")
 
@@ -509,13 +511,13 @@ class TestKernels:
     def test_brouwer_zimmermann_partial_sets(self, monkeypatch):
         # a partial set of rank r is first walked in round k - r, before,
         # at or after the round where the search ends, which the walked
-        # table sizes record; each set is built (one echelon call) only
+        # table sizes record; each set is built (one rref call) only
         # once the rounds reach its due round
         grow = codes._subset_xors
         walked = []
         monkeypatch.setattr(codes, "_subset_xors", lambda sizes, s: (
             walked.append((tuple(sizes[1]), s)), grow(sizes, s)))
-        built = log_echelon(monkeypatch)
+        built = log_rref(monkeypatch)
         joins = set()
         for n, rows in self._partial_set_rows():
             k = len(rows)
@@ -572,12 +574,12 @@ class TestKernels:
             if oracle.rank(tail, k) == 15:
                 break
         cols = [1 << i for i in range(k)] + tail + [tail[0] ^ tail[1]]
-        rows = BitMatrix(tuple(cols), k).transpose().rows
+        rows = oracle.transpose(cols, k)
         assert [rank for _, rank in _information_sets(rows)] == [16, 15, 1]
         due = self._due_rounds(rows)
         true_min = min(map(int.bit_count, itertools.islice(
             _gray_walk(rows), 1, None)))
-        built = log_echelon(monkeypatch)
+        built = log_rref(monkeypatch)
         grow = codes._subset_xors
         rounds = []
         monkeypatch.setattr(codes, "_subset_xors", lambda sizes, s: (
@@ -600,9 +602,9 @@ class TestKernels:
         for k in range(1, BZ_MIN_K):
             for _ in range(6):
                 n = rng.randrange(k, 3 * k + 3)
-                gen = random_code(rng, n, k).gen
-                table = WeightTable(gen.transpose().rows, k)
-                rows = list(gen.rows)
+                gen = random_code(rng, n, k).gen.rows
+                table = WeightTable(oracle.transpose(gen, n), k)
+                rows = list(gen)
                 i = rng.randrange(k)
                 t = rows.pop(i)
                 true_min = min((t ^ c).bit_count() for c in _gray_walk(rows))
@@ -615,28 +617,28 @@ class TestKernels:
             min_weight(())
 
     def test_parity_columns(self):
-        # columns read off the echelon: each generator row's support sums
+        # columns read off the RREF: each generator row's support sums
         # to zero, they span n - k dimensions, and the weight-w words they
         # give are the enumeration's, with zero and repeated columns
         rng = random.Random(28)
         for case in range(120):
             n = rng.randint(1, 16)
             k = (1, n - 1, n, rng.randint(1, n))[case % 4] or 1
-            gen = random_code(rng, n, k).gen
+            gen = random_code(rng, n, k).gen.rows
             if case % 3 and n > 1:
-                cols = list(gen.transpose().rows)
+                cols = oracle.transpose(gen, n)
                 cols[rng.randrange(n)] = 0
                 cols[rng.randrange(n)] = cols[rng.randrange(n)]
-                rows = BitMatrix(tuple(cols), k).transpose().rows
-                if gf2.rank_of_rows(rows) == k:
-                    gen = BitMatrix(rows, n)
-            code = LinearCode(gen)
+                rows = oracle.transpose(cols, k)
+                if oracle.rank(rows, n) == k:
+                    gen = rows
+            code = LinearCode(gen, n)
             cols = _parity_columns(code)
             assert len(cols) == n
-            for r in gen.rows:
+            for r in gen:
                 assert reduce(xor, (c for j, c in enumerate(cols)
                                     if r >> j & 1), 0) == 0
-            assert gf2.rank_of_rows(cols) == n - k
+            assert gf2.rank(cols) == n - k
             for w in range(1, min(n, 4) + 1):
                 expect = sorted(c for c in code.codewords()
                                 if c.bit_count() == w)
@@ -667,11 +669,11 @@ class TestWeightTable:
             lengths = [n for n in edges if n >= k] + [
                 rng.randrange(k, 71) for _ in range(3)]
             for n in lengths:
-                gen = random_code(rng, n, k).gen
-                cols = list(gen.transpose().rows)
+                gen = random_code(rng, n, k).gen.rows
+                cols = oracle.transpose(gen, n)
                 table = WeightTable(cols, k)
                 weights = [0] * (1 << k)
-                for x, c in enumerate(_gray_walk(gen.rows)):
+                for x, c in enumerate(_gray_walk(gen)):
                     weights[x ^ x >> 1] = c.bit_count()
                 assert table_lanes(table) == weights, (k, n)
                 true_min = min(weights[1:])

@@ -41,7 +41,7 @@ def _hull_code(rng, m, h, extra, r):
     perm = rng.sample(range(n), n)
     rows = [sum((x >> i & 1) << perm[i] for i in range(n)) for x in rows]
     try:
-        return LinearCode.from_rows(rows, n)
+        return LinearCode(rows, n)
     except ValueError:
         return None
 
@@ -253,7 +253,7 @@ class TestShortenOddLcd:
                 j = rng.randrange(n)
                 rows = [r & ~(1 << j) for r in rows]
             try:
-                code = LinearCode.from_rows(rows, n)
+                code = LinearCode(rows, n)
             except ValueError:
                 continue
             if (not code.is_lcd() or code.is_even_like()
@@ -417,7 +417,7 @@ class TestExtendSystematic:
             for xv in range(1 << (n - k)):
                 out = cx.extend_systematic(code, BitVector(n - k, xv))
                 rows = [(xv << k << 1) | 1] + [r << 1 for r in code.gen.rows]
-                candidate = LinearCode.from_rows(rows, n + 1)
+                candidate = LinearCode(rows, n + 1)
                 assert (out is not None) == candidate.is_lcd()
                 if out is not None:
                     assert out.gen == candidate.gen
@@ -432,7 +432,7 @@ class TestExtendSystematic:
             n, k = code.n, code.k
             if n - k > 6:
                 continue
-            normal = LinearCode(nf.hull_normal_basis(code).basis)
+            normal = LinearCode(nf.hull_normal_basis(code).basis, n)
             for xv in range(1 << (n - k)):
                 x = BitVector(n - k, xv)
                 out = cx.extend_systematic(code, x)
@@ -454,10 +454,10 @@ class TestExtendHullDrop:
 
     def test_hamming_drop(self):
         hull = HAMMING_7_4.hull()
-        target = hull.gen.row(0)
+        target = hull.gen.rows[0]
         x = None
         for v in range(1 << 7):
-            if (v & target.bits).bit_count() % 2 == 1:
+            if (v & target).bit_count() % 2 == 1:
                 x = BitVector(7, v)
                 break
         out = cx.extend_hull_drop(HAMMING_7_4, x)
@@ -544,7 +544,7 @@ class TestExtendTwoMulti:
                 continue
             outs = cx.extend_two_multi(code)
             assert len(outs) == 2 ** (k - 1)
-            rrefs = {o.rref().rows for o in outs}
+            rrefs = {o.rref() for o in outs}
             assert len(rrefs) == len(outs)
             for o in outs:
                 assert (o.n, o.k) == (n + 2, k)

@@ -1,4 +1,5 @@
-"""Bit-packed GF(2) linear algebra: frozen examples and random invariants."""
+"""Bit-packed GF(2) linear algebra on int rows: frozen examples, random
+invariants and the textbook reference in gf2_oracle."""
 
 import random
 
@@ -11,18 +12,27 @@ from lcdkit.search import random_lcd_eo_code, random_lcd_oe_code
 
 
 def M(*lines):
-    return BitMatrix.from_strings(lines)
+    """The int rows of a matrix written as 0/1 strings."""
+    return BitMatrix.from_strings(lines).rows
 
 
 def V(s):
-    return BitVector.from_string(s)
+    return gf2.parse_bits(s)
+
+
+def identity(k):
+    return tuple(1 << i for i in range(k))
+
+
+def random_rows(rng, r, c):
+    return tuple(rng.getrandbits(c) for _ in range(r))
 
 
 class TestBitVector:
     def test_weight_and_bounds(self):
-        v = V("10110")
-        assert v.weight() == 3
-        assert 0 <= v.weight() <= v.length
+        v = BitVector.from_string("10110")
+        assert (v.length, v.bits) == (5, 0b01101)
+        assert v.bits.bit_count() == 3
 
     def test_rejects_overflow_bits(self):
         with pytest.raises(ValueError):
@@ -32,24 +42,21 @@ class TestBitVector:
     def test_from_string_rejects_non_str(self, value):
         with pytest.raises(ValueError, match="not a 0/1 string"):
             BitVector.from_string(value)
-
-    def test_inner_product_symmetric(self):
-        rng = random.Random(1)
-        for _ in range(200):
-            n = rng.randrange(1, 40)
-            u = BitVector(n, rng.getrandbits(n))
-            v = BitVector(n, rng.getrandbits(n))
-            assert u.inner(v) == v.inner(u)
-
-    def test_inner_product_bilinear(self):
-        rng = random.Random(2)
-        for _ in range(300):
-            n = rng.randrange(1, 60)
-            u, v, w = (BitVector(n, rng.getrandbits(n)) for _ in range(3))
-            assert (u ^ v).inner(w) == u.inner(w) ^ v.inner(w)
+        with pytest.raises(ValueError, match="not a 0/1 string"):
+            gf2.parse_bits(value)
 
     def test_string_round_trip(self):
-        assert str(V("011010")) == "011010"
+        assert gf2.format_bits(V("011010"), 6) == "011010"
+        assert gf2.format_bits(V(""), 0) == ""
+        assert gf2.format_bits(0, 3) == "000"
+        rng = random.Random(1)
+        for _ in range(200):
+            n = rng.randrange(0, 70)
+            bits = rng.getrandbits(n) if n else 0
+            s = gf2.format_bits(bits, n)
+            assert s == "".join(str(bits >> i & 1) for i in range(n))
+            assert gf2.parse_bits(s) == bits
+            assert BitVector.from_string(s) == BitVector(n, bits)
 
     @pytest.mark.parametrize("s", ["1_0", "+1", "0b1", " 10 "])
     def test_rejects_what_int_accepts(self, s):
@@ -57,9 +64,25 @@ class TestBitVector:
             V(s)
 
 
+class TestBitMatrix:
+    def test_parse_and_print(self):
+        lines = ["0110", "1000", "0000"]
+        B = BitMatrix.from_strings(lines)
+        assert (B.rows, B.cols) == ((0b0110, 0b0001, 0), 4)
+        assert str(B) == "\n".join(lines)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="ragged"):
+            BitMatrix.from_strings(["01", "1"])
+        with pytest.raises(ValueError, match="explicit column count"):
+            BitMatrix.from_strings([])
+        with pytest.raises(ValueError, match="beyond column count"):
+            BitMatrix((0b100,), 2)
+
+
 class TestRank:
     def test_identity(self):
-        assert gf2.rank(BitMatrix.identity(3)) == 3
+        assert gf2.rank(identity(3)) == 3
 
     def test_all_one_4x4(self):
         assert gf2.rank(M("1111", "1111", "1111", "1111")) == 1
@@ -72,9 +95,9 @@ class TestRank:
         for _ in range(200):
             r = rng.randrange(1, 10)
             c = rng.randrange(1, 10)
-            A = BitMatrix.from_rows(
-                (rng.getrandbits(c) for _ in range(r)), c)
-            assert gf2.rank(A) == gf2.rank(A.transpose())
+            A = random_rows(rng, r, c)
+            assert gf2.rank(A) == gf2.rank(gf2.transpose(A, c)) == \
+                oracle.rank(A, c)
 
     def test_invertible_multiplication_preserves_rank(self):
         rng = random.Random(4)
@@ -82,14 +105,50 @@ class TestRank:
         while trials < 1000:
             n = rng.randrange(1, 16)
             c = rng.randrange(1, 64)
-            P = BitMatrix.from_rows(
-                (rng.getrandbits(n) for _ in range(n)), n)
+            P = random_rows(rng, n, n)
             if gf2.rank(P) != n:
                 continue
-            A = BitMatrix.from_rows(
-                (rng.getrandbits(c) for _ in range(n)), c)
-            assert gf2.rank(P.mul(A)) == gf2.rank(A)
+            A = random_rows(rng, n, c)
+            assert gf2.rank(gf2.mul(P, A)) == gf2.rank(A)
             trials += 1
+
+    def test_old_name(self):
+        # the benchmark's hooks name rank_of_rows; it is rank itself
+        assert gf2.rank_of_rows is gf2.rank
+
+
+class TestTranspose:
+    def test_against_reference(self):
+        rng = random.Random(9)
+        cases = [((), 0), ((), 3), ((0, 0), 2)]
+        cases += [(random_rows(rng, rng.randrange(0, 12), c), c)
+                  for c in [rng.randrange(1, 70) for _ in range(300)]]
+        for rows, width in cases:
+            T = gf2.transpose(rows, width)
+            assert isinstance(T, tuple) and len(T) == width
+            assert list(T) == oracle.transpose(rows, width)
+            assert gf2.transpose(T, len(rows)) == tuple(rows)
+
+
+class TestMul:
+    def test_against_reference(self):
+        rng = random.Random(10)
+        for _ in range(300):
+            r, m, c = (rng.randrange(0, 12) for _ in range(3))
+            A = random_rows(rng, r, m)
+            B = random_rows(rng, m, c)
+            P = gf2.mul(A, B)
+            assert isinstance(P, tuple)
+            assert list(P) == oracle.mul(A, B)
+            assert gf2.mul(identity(r), P) == P
+            # (A B)^T = B^T A^T
+            assert gf2.transpose(P, c) == gf2.mul(gf2.transpose(B, c),
+                                                  gf2.transpose(A, m))
+
+    def test_identity(self):
+        A = M("110", "011")
+        assert gf2.mul(A, identity(3)) == A
+        assert gf2.mul(identity(2), A) == A
 
 
 class TestEliminate:
@@ -102,12 +161,11 @@ class TestEliminate:
             greedy = []
             for i, row in enumerate(rows):
                 chosen = [rows[j] for j in greedy]
-                if gf2.rank(BitMatrix.from_rows(chosen + [row], c)) == \
-                        len(chosen) + 1:
+                if oracle.rank(chosen + [row], c) == len(chosen) + 1:
                     greedy.append(i)
             basis, kept = gf2.eliminate(rows)
             assert kept == greedy
-            assert len(basis) == gf2.rank_of_rows(rows)
+            assert len(basis) == gf2.rank(rows)
 
     def test_basis_pivots_are_lowest_bits(self):
         basis, kept = gf2.eliminate([0b110, 0b011, 0b101, 0b001])
@@ -118,7 +176,7 @@ class TestEliminate:
 
 
 class TestEchelon:
-    """gf2.echelon against the textbook reduction in gf2_oracle."""
+    """gf2.rref against the textbook reduction in gf2_oracle."""
 
     @staticmethod
     def _cases():
@@ -156,46 +214,37 @@ class TestEchelon:
     def test_against_reference(self):
         sides = set()
         for rows, width in self._cases():
-            R, pivots = gf2.echelon(rows, width)
+            R, pivots = gf2.rref(rows, width)
             assert (R, pivots) == oracle.rref(rows, width), (rows, width)
             assert isinstance(R, tuple) and isinstance(pivots, list)
-            assert gf2.rref(BitMatrix(tuple(rows), width)) == \
-                (BitMatrix(R, width), pivots)
             sides.add(len(rows) * (width + 1) > 512 * 8)
         assert sides == {False, True}
 
 
 class TestGram:
     def test_identity(self):
-        assert gf2.gram(BitMatrix.identity(2)) == BitMatrix.identity(2)
+        assert gf2.gram(identity(2)) == identity(2)
 
     def test_single_odd_row(self):
-        assert gf2.gram(M("111")) == BitMatrix.from_rows([1], 1)
+        assert gf2.gram(M("111")) == (1,)
 
     def test_two_disjoint_odd_rows(self):
-        assert gf2.gram(M("111000", "000111")) == BitMatrix.identity(2)
+        assert gf2.gram(M("111000", "000111")) == identity(2)
 
     def test_always_symmetric(self):
         rng = random.Random(5)
         for _ in range(200):
             r = rng.randrange(1, 8)
             c = rng.randrange(1, 20)
-            G = BitMatrix.from_rows(
-                (rng.getrandbits(c) for _ in range(r)), c)
-            S = gf2.gram(G)
-            assert S == S.transpose()
+            S = gf2.gram(random_rows(rng, r, c))
+            assert S == gf2.transpose(S, r)
 
     def test_matches_pairwise_definition(self):
         rng = random.Random(6)
         for r in [0, 1] + [rng.randrange(2, 51) for _ in range(60)]:
             c = rng.randrange(1, 70)
-            G = BitMatrix.from_rows(
-                (rng.getrandbits(c) for _ in range(r)), c)
-            want = tuple(
-                sum(((G.rows[i] & G.rows[j]).bit_count() & 1) << j
-                    for j in range(r))
-                for i in range(r))
-            assert gf2.gram(G) == BitMatrix(want, r)
+            G = random_rows(rng, r, c)
+            assert gf2.gram(G) == tuple(oracle.gram(G))
 
 
 class TestInverse:
@@ -203,15 +252,15 @@ class TestInverse:
         rng = random.Random(41)
         for _ in range(100):
             k = rng.randrange(1, 12)
-            A = BitMatrix.from_rows([rng.getrandbits(k) for _ in range(k)],
-                                    k)
+            A = random_rows(rng, k, k)
+            assert gf2.is_nonsingular(A) == (oracle.rank(A, k) == k)
             if not gf2.is_nonsingular(A):
                 with pytest.raises(ValueError):
                     gf2.inverse(A)
                 continue
             inv = gf2.inverse(A)
-            assert inv.mul(A) == BitMatrix.identity(k)
-            assert A.mul(inv) == BitMatrix.identity(k)
+            assert gf2.mul(inv, A) == identity(k)
+            assert gf2.mul(A, inv) == identity(k)
 
     def test_singular(self):
         with pytest.raises(ValueError):
@@ -220,45 +269,49 @@ class TestInverse:
             gf2.inverse(M("100", "010", "000"))
 
     def test_not_square(self):
-        with pytest.raises(ValueError):
-            gf2.inverse(M("110", "011"))
+        # k rows are read as a k x k matrix: a wider row cannot be
+        A = M("110", "011")
+        with pytest.raises(ValueError, match="not square"):
+            gf2.inverse(A)
+        assert not gf2.is_nonsingular(A)
+        assert not gf2.is_nonsingular(M("1", "1"))
 
     def test_empty(self):
-        assert gf2.inverse(BitMatrix((), 0)) == BitMatrix((), 0)
+        assert gf2.inverse(()) == ()
+        assert gf2.is_nonsingular(())
 
 
 class TestSolve:
     def test_identity(self):
-        x = gf2.solve(BitMatrix.identity(3), V("101"))
+        x = gf2.solve(identity(3), V("101"), 3)
         assert x == V("101")
 
     def test_combination(self):
-        x = gf2.solve(M("110", "011"), V("101"))
+        x = gf2.solve(M("110", "011"), V("101"), 3)
         assert x == V("11")
 
     def test_unsolvable(self):
-        assert gf2.solve(M("110", "011"), V("100")) is None
+        assert gf2.solve(M("110", "011"), V("100"), 3) is None
+
+    def test_wider_than_width(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            gf2.solve(M("110", "011"), V("0001"), 3)
 
     def test_random_round_trip(self):
         rng = random.Random(6)
         for _ in range(300):
             r = rng.randrange(1, 9)
             c = rng.randrange(1, 16)
-            Mx = BitMatrix.from_rows(
-                (rng.getrandbits(c) for _ in range(r)), c)
-            coeff = BitVector(r, rng.getrandbits(r))
-            b = BitVector(c, 0)
-            for i in range(r):
-                if coeff.get(i):
-                    b ^= Mx.row(i)
-            x = gf2.solve(Mx, b)
-            assert x is not None
-            back = BitVector(c, 0)
-            for i in range(r):
-                if x.get(i):
-                    back ^= Mx.row(i)
-            assert back == b
-            assert back == b
+            A = random_rows(rng, r, c)
+            coeff = rng.getrandbits(r)
+            (b,) = oracle.mul([coeff], A)
+            x = gf2.solve(A, b, c)
+            assert x is not None and x >> r == 0
+            assert oracle.mul([x], A) == [b]
+            # a word outside the row space has no solution
+            w = rng.getrandbits(c)
+            assert (gf2.solve(A, w, c) is None) == \
+                (not oracle.in_span(A, w, c))
 
 
 class TestNullspace:
@@ -267,19 +320,19 @@ class TestNullspace:
         for _ in range(200):
             r = rng.randrange(1, 8)
             c = rng.randrange(1, 14)
-            A = BitMatrix.from_rows(
-                (rng.getrandbits(c) for _ in range(r)), c)
-            N = gf2.nullspace(A)
-            assert N.nrows == c - gf2.rank(A)
-            for i in range(N.nrows):
-                assert all((r & N.rows[i]).bit_count() % 2 == 0
-                           for r in A.rows)
+            A = random_rows(rng, r, c)
+            N = gf2.nullspace(A, c)
+            assert N == tuple(oracle.nullspace(A, c))
+            assert len(N) == c - gf2.rank(A)
+            for v in N:
+                assert all((r & v).bit_count() % 2 == 0 for r in A)
 
 
 class TestCongruentNormalForm:
     def test_zero_form(self):
         G = M("11", "11")
         assert gf2.congruent_normal_form(G) == (G, 2, gf2.ABSENT)
+        assert gf2.congruent_normal_form(list(G)) == (G, 2, gf2.ABSENT)
 
     def test_rank_one_with_diagonal(self):
         B, s, kind = gf2.congruent_normal_form(M("1", "1"))
@@ -292,15 +345,14 @@ class TestCongruentNormalForm:
         assert gf2.congruent_normal_form(G) == (G, 0, gf2.SYMPLECTIC)
 
     def test_no_rows(self):
-        G = BitMatrix.zeros(0, 3)
-        assert gf2.congruent_normal_form(G) == (G, 0, gf2.ABSENT)
+        assert gf2.congruent_normal_form(()) == ((), 0, gf2.ABSENT)
 
     @staticmethod
     def _check_shape(N, s, kind):
-        k = N.nrows
+        k = len(N)
         for i in range(s):
-            assert N.rows[i] == 0
-        body = [(N.rows[i] >> s) for i in range(s, k)]
+            assert N[i] == 0
+        body = [(N[i] >> s) for i in range(s, k)]
         assert (kind == gf2.ABSENT) == (s == k)
         if kind == gf2.SYMPLECTIC:
             assert (k - s) % 2 == 0
@@ -316,13 +368,12 @@ class TestCongruentNormalForm:
         for _ in range(400):
             k = rng.randrange(1, 11)
             n = rng.randrange(1, 17)
-            G = BitMatrix.from_rows((rng.getrandbits(n) for _ in range(k)), n)
+            G = random_rows(rng, k, n)
             B, s, kind = gf2.congruent_normal_form(G)
-            assert B.nrows == k and B.cols == n
-            assert gf2.rank_of_rows(B.rows + G.rows) == gf2.rank(B) == \
-                gf2.rank(G)
+            assert len(B) == k and max(B) >> n == 0
+            assert gf2.rank(B + G) == gf2.rank(B) == gf2.rank(G)
             assert s == k - gf2.rank(gf2.gram(G))
-            odd = any(r.bit_count() & 1 for r in G.rows)
+            odd = any(r.bit_count() & 1 for r in G)
             assert (kind == gf2.ORTHONORMAL) == odd
             self._check_shape(gf2.gram(B), s, kind)
 
@@ -355,31 +406,31 @@ class TestCongruentNormalForm:
                     rows = list(draw(rng, n, k, max_tries=200).gen.rows)
                 except RuntimeError:
                     continue
-            yield BitMatrix.from_rows(rows, n)
+            yield tuple(rows), n
 
     def test_reduces_rows_as_the_gram_matrix_form_does(self):
         rng = random.Random(18)
         seen = set()
-        for G in self._inputs(rng):
-            k, n = G.nrows, G.cols
-            P, N, s = oracle.congruent_normal_form(oracle.gram(G.rows))
+        for G, n in self._inputs(rng):
+            k = len(G)
+            P, N, s = oracle.congruent_normal_form(oracle.gram(G))
             kind = gf2.ABSENT if s == k else \
                 gf2.ORTHONORMAL if N[s] >> s & 1 else gf2.SYMPLECTIC
-            want = BitMatrix(tuple(oracle.mul(P, G.rows)), n)
+            want = tuple(oracle.mul(P, G))
             assert gf2.congruent_normal_form(G) == (want, s, kind)
 
             seen.add(kind)
             if k == 1:
                 seen.add("k=1")
-            if 0 in oracle.transpose(G.rows, n):
+            if 0 in oracle.transpose(G, n):
                 seen.add("zero column")
-            if oracle.rank(G.rows, n) < k:
+            if oracle.rank(G, n) < k:
                 continue
             if s:
                 seen.add("self-orthogonal" if s == k else "mixed hull")
                 continue
-            odd = any(r.bit_count() & 1 for r in G.rows)
-            dual_even = oracle.in_span(G.rows, (1 << n) - 1, n)
+            odd = any(r.bit_count() & 1 for r in G)
+            dual_even = oracle.in_span(G, (1 << n) - 1, n)
             seen.add("LCD_" + "eo"[odd] + "oe"[dual_even])
         assert seen >= {gf2.ORTHONORMAL, gf2.SYMPLECTIC, gf2.ABSENT, "k=1",
                         "zero column", "self-orthogonal", "mixed hull",

@@ -109,6 +109,23 @@ class TestReplayInline:
         assert res.status == PASS, res.message
         assert res.output.n == 3
 
+    @pytest.mark.parametrize("rows, coordinates, message", [
+        # a JSON true is no coordinate, though Python counts it as 1
+        (["11000", "01100"], [True], "coordinate True out of range 1..5"),
+        (["11000", "01100"], ["1"], "coordinate '1' out of range 1..5"),
+        # the second 1 would be coordinate 2 of the original code
+        (["011000", "001100"], [1, 1], "coordinates must be distinct"),
+    ], ids=["json-true", "string", "repeated"])
+    def test_malformed_coordinates_fail(self, rows, coordinates, message):
+        n = len(rows[0])
+        (rec,) = parse_records(json.dumps({
+            "op": "puncture_even_lcd", "inputs": inline(rows),
+            "aux": {"coordinates": coordinates},
+            "expect": [n - len(coordinates), 2]}))
+        res = replay_record(rec)
+        assert res.status == FAIL
+        assert message in res.message
+
     def test_expand_identity(self):
         rec = ConstructionRecord(
             "expand",

@@ -28,19 +28,18 @@ class TestHullNormalBasis:
     def test_lcd_oo(self):
         cert = nf.hull_normal_basis(C("100", "010"))
         assert cert.shape.s == 0
-        assert gf2.gram(cert.basis) == BitMatrix.identity(2)
+        assert gf2.gram(cert.basis) == (0b01, 0b10)
 
     def test_self_orthogonal(self):
         cert = nf.hull_normal_basis(C("11"))
         assert cert.shape.s == 1
-        assert gf2.gram(cert.basis) == BitMatrix.zeros(1, 1)
+        assert gf2.gram(cert.basis) == (0,)
 
     def test_hamming(self):
         cert = nf.hull_normal_basis(HAMMING_7_4)
         assert cert.shape.s == 3
         assert cert.shape.a1_kind == nf.ORTHONORMAL
-        expect = BitMatrix.from_rows([0, 0, 0, 0b1000], 4)
-        assert gf2.gram(cert.basis) == expect
+        assert gf2.gram(cert.basis) == (0, 0, 0, 0b1000)
 
     def test_random_certificates(self):
         rng = random.Random(31)
@@ -51,26 +50,24 @@ class TestHullNormalBasis:
             cert = nf.hull_normal_basis(code)
             cert.verify()
             assert cert.shape.s == code.hull_dimension()
-            assert LinearCode(cert.basis) == code
+            assert LinearCode(cert.basis, n) == code
             # leading rows span the hull
-            hull = code.hull()
-            lead = BitMatrix.from_rows(cert.basis.rows[:cert.shape.s],
-                                       code.n)
-            assert gf2.rref(lead)[0] == hull.rref()
+            lead = cert.basis[:cert.shape.s]
+            assert gf2.rref(lead, n)[0] == code.hull().rref()
 
 
 class TestOrthonormalBasis:
     def test_identity(self):
         assert nf.orthonormal_basis(C("100", "010", "001")) == \
-            BitMatrix.identity(3)
+            (0b001, 0b010, 0b100)
 
     def test_already_orthonormal(self):
         B = nf.orthonormal_basis(C("111000", "000111"))
-        assert gf2.gram(B) == BitMatrix.identity(2)
+        assert gf2.gram(B) == (0b01, 0b10)
 
     def test_full_space(self):
         B = nf.orthonormal_basis(C("110", "011", "111"))
-        assert gf2.gram(B) == BitMatrix.identity(3)
+        assert gf2.gram(B) == (0b001, 0b010, 0b100)
 
     def test_rejects_even_like(self):
         with pytest.raises(ValueError):
@@ -90,7 +87,7 @@ class TestOrthonormalBasis:
                 continue
             B = nf.orthonormal_basis(code)
             total = 0
-            for r in B.rows:
+            for r in B:
                 total ^= r
             is_all_one = total == (1 << n) - 1
             assert is_all_one == code.contains_all_one()
@@ -107,13 +104,13 @@ class TestSymplecticBasis:
 
     def test_two_dim(self):
         B = self.basis(C("1100", "0110"))
-        assert gf2.gram(B) == BitMatrix.from_strings(["01", "10"])
+        assert gf2.gram(B) == BitMatrix.from_strings(["01", "10"]).rows
 
     def test_direct_sum(self):
         code = C("11000000", "01100000", "00001100", "00000110")
         B = self.basis(code)
         assert gf2.gram(B) == BitMatrix.from_strings(
-            ["0100", "1000", "0001", "0010"])
+            ["0100", "1000", "0001", "0010"]).rows
 
     def test_non_lcd_has_hull_rows(self):
         # the hull row comes first, so no basis of [11] is symplectic
@@ -132,8 +129,8 @@ class TestSymplecticBasis:
             B = self.basis(code)
             G = gf2.gram(B)
             for b in range(0, k, 2):
-                assert G.rows[b] == 2 << b
-                assert G.rows[b + 1] == 1 << b
+                assert G[b] == 2 << b
+                assert G[b + 1] == 1 << b
 
 
 def _random_subcode(rng, code, k1):
@@ -146,8 +143,8 @@ def _random_subcode(rng, code, k1):
                 if (coeff >> j) & 1:
                     acc ^= code.gen.rows[j]
             rows.append(acc)
-        if gf2.rank_of_rows(rows) == k1:
-            return LinearCode(BitMatrix.from_rows(rows, code.n))
+        if gf2.rank(rows) == k1:
+            return LinearCode(rows, code.n)
 
 
 class TestSubcodeNormalForm:
@@ -169,8 +166,7 @@ class TestSubcodeNormalForm:
         assert cert.shape.t == 1
 
     def test_zero_subcode(self):
-        cert = nf.subcode_normal_form(C("1000", "0111"),
-                                      LinearCode.zero_code(4))
+        cert = nf.subcode_normal_form(C("1000", "0111"), LinearCode((), 4))
         assert cert.shape.k1 == 0 and cert.shape.t == 2
 
     def test_rejects_non_subcode(self):
@@ -196,8 +192,7 @@ class TestSubcodeNormalForm:
             if code.is_even_like():
                 continue
             k1 = rng.randrange(0, k)
-            D = _random_subcode(rng, code, k1) if k1 else \
-                LinearCode.zero_code(n)
+            D = _random_subcode(rng, code, k1) if k1 else LinearCode((), n)
             cert = nf.subcode_normal_form(code, D)
             cert.verify()
             assert cert.shape.s == D.hull_dimension() if k1 else \
@@ -233,8 +228,8 @@ class TestNormalFormError:
             nf.subcode_normal_form(C("1000", "0111"), C("0111"))
 
     def test_singular_trailing_block(self, monkeypatch):
-        def singular(G):
-            B, _, kind = gf2.congruent_normal_form(G)
+        def singular(rows):
+            B, _, kind = gf2.congruent_normal_form(rows)
             return B, 1, kind
         D = C("0111")
         dcert = nf.hull_normal_basis(D)  # its own reduction stays intact

@@ -5,7 +5,10 @@ Every public function, class and method defined in ``src/lcdkit`` must
 be named somewhere in ``src/lcdkit`` outside its own definition, or in
 ``perfbench/``, unless ``ALLOWED`` lists it with the reason it stays.
 Names are matched by identifier, so a method counts as reached when any
-attribute of that name is read; the check errs towards passing.
+attribute of that name is read; the check errs towards passing.  In
+``perfbench/`` a name counts only as code: a name, an attribute, an
+imported name, or a part of a string constant that is a dotted
+identifier (the hook targets), never a word of a comment or docstring.
 
 Every annotated field of a ``@dataclass`` or ``NamedTuple`` class must
 be read as an attribute (``.name``) somewhere in ``src/lcdkit``, its own
@@ -32,9 +35,6 @@ ALLOWED = {
     "codes.LinearCode.dual":
         "the dual code C⊥ of the documented code API; the hull and "
         "acceptance tests check hulls and duality against it",
-    "gf2.BitMatrix.identity":
-        "the identity matrix, the Gram matrix of an orthonormal basis and "
-        "the product of a matrix with its inverse in the tests",
     "expansion.expansion_indices":
         "the extension-field parameters of the paper's lower bound on "
         "d_LCD(n, k) by expanded codes",
@@ -92,9 +92,22 @@ def _names_used_in_src():
 
 
 def _names_in_perfbench():
-    # perfbench names its hook targets in strings, so match every word
-    return set(re.findall(r"\w+", "".join(
-        p.read_text() for p in PERFBENCH.glob("*.py"))))
+    # perfbench names its hook targets in strings such as
+    # "LinearCode.min_distance", so those count part by part
+    names = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and \
+                    isinstance(node.value, str) and \
+                    re.fullmatch(r"[\w.]+", node.value):
+                names.update(node.value.split("."))
+    return names
 
 
 def _unreached():

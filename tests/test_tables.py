@@ -256,13 +256,13 @@ def _perm_class_key(code, orbits):
     key, so each class is walked once and a later code in it is one
     lookup.
     """
-    start = (code.n, code.rref().rows)
+    start = (code.n, code.rref())
     if start not in orbits:
         orbit = set()
         for perm in itertools.permutations(range(code.n)):
             rows = [sum(((r >> p) & 1) << j for j, p in enumerate(perm))
                     for r in code.gen.rows]
-            orbit.add(LinearCode.from_rows(rows, code.n).rref().rows)
+            orbit.add(LinearCode(rows, code.n).rref())
         key = min(orbit)
         orbits.update(((code.n, rref), key) for rref in orbit)
     return orbits[start]
@@ -279,6 +279,6 @@ def _qualifying_codes_bruteforce(n, k):
         rows = tables._systematic_rows(n, k, b)
         if min_weight(rows, 2) <= 2 or not tables._gram_nonsingular(b):
             continue
-        code = LinearCode.from_rows(rows, n)
+        code = LinearCode(rows, n)
         if code.contains_all_one():
             yield code
