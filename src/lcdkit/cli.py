@@ -119,13 +119,11 @@ def _read_code(path: str, fmt: Optional[str]):
 
 def _cmd_analyze(args) -> int:
     code = _read_code(args.path, args.format)
-    if isinstance(code, xp.ExtFieldCode):
-        d = code.min_distance() if code.k else 0
-        label = "LCD" if code.is_lcd() else "NotLCD"
-        print(f"{code.n} {code.k} {d} hull={code.hull_dimension()} {label}")
-        return EXIT_PASS
     d = code.min_distance(args.engine) if code.k else 0
-    label = code.parity_class().label
+    if isinstance(code, xp.ExtFieldCode):
+        label = "LCD" if code.is_lcd() else "NotLCD"
+    else:
+        label = code.parity_class().label
     print(f"{code.n} {code.k} {d} hull={code.hull_dimension()} {label}")
     return EXIT_PASS
 

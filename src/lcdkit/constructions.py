@@ -1,14 +1,14 @@
 """Code-to-code construction operators.
 
 Hull-guided puncturing/shortening plus the extension constructions:
-parity-style row extensions from an orthonormal basis, systematic
-leading-column extension with an exact LCD verdict, hull-dropping
-row/column extensions, and the multi-output two-column extension.
+parity-column extensions, systematic leading-column extension with an
+exact LCD verdict, hull-dropping row/column extensions, and the
+multi-output two-column extension.
 
-The hull ops and the systematic extension read their LCD witness off
-the code: the hull's greedy information set is the coordinate set to
-remove, and diag Π (``LinearCode.projector``) decides the extension,
-for any stored generator.
+The operators read their witnesses off the code, for any stored
+generator: the hull's greedy information set, diag Π
+(``LinearCode.projector``), each row's weight parity, or the null
+vector of the Gram matrix.
 
 Every operator returns the LinearCode it builds, so its output can be
 the next construction's input.  extend_systematic returns None when its
@@ -22,7 +22,6 @@ from typing import List, Optional, Tuple
 from . import gf2
 from .gf2 import BitVector
 from .codes import LinearCode, check_coords
-from . import normal_form as nf
 
 
 class ConstructionError(AssertionError):
@@ -33,11 +32,6 @@ class ConstructionError(AssertionError):
     """
 
 
-def _prepend_bit(rows, bits):
-    """New first coordinate: row i gets bits[i] there, old coords shift."""
-    return [(r << 1) | b for r, b in zip(rows, bits)]
-
-
 def _require_lcd(C: LinearCode) -> None:
     if not C.is_lcd():
         raise ValueError("input code is not LCD")
@@ -46,15 +40,15 @@ def _require_lcd(C: LinearCode) -> None:
 def extend_even(C: LinearCode) -> LinearCode:
     """[n,k,d] LCD with d odd, k even -> even-like [n+1,k,d+1] LCD.
 
-    Rows (1, c_i) over an orthonormal basis {c_i}.
+    Rows (|r| mod 2, r) for the stored rows r: the span of (1, c_i) over
+    an orthonormal basis, as Σ c_i = diag Π and c . diag Π = |c| mod 2.
     """
     _require_lcd(C)
     if C.min_distance() % 2 == 0:
         raise ValueError("minimum distance must be odd")
     if C.k % 2:
         raise ValueError("dimension must be even")
-    basis = nf.orthonormal_basis(C)
-    rows = _prepend_bit(basis, [1] * C.k)
+    rows = [r << 1 | (r.bit_count() & 1) for r in C.gen.rows]
     out = LinearCode(rows, C.n + 1)
     if not (out.is_lcd() and out.is_even_like()):
         raise ConstructionError("extension must be even-like LCD")
@@ -64,15 +58,15 @@ def extend_even(C: LinearCode) -> LinearCode:
 def extend_odd_two(C: LinearCode) -> LinearCode:
     """[n,k,d] LCD with d odd, k odd -> odd-like [n+2,k,>=d+1] LCD.
 
-    Rows (1, 1, c_i) over an orthonormal basis {c_i}.
+    Rows (p, p, r), p = |r| mod 2: the span of (1, 1, c_i) over an
+    orthonormal basis {c_i}, as in extend_even.
     """
     _require_lcd(C)
     if C.min_distance() % 2 == 0:
         raise ValueError("minimum distance must be odd")
     if C.k % 2 == 0:
         raise ValueError("dimension must be odd")
-    basis = nf.orthonormal_basis(C)
-    rows = [(r << 2) | 0b11 for r in basis]
+    rows = [r << 2 | 0b11 * (r.bit_count() & 1) for r in C.gen.rows]
     out = LinearCode(rows, C.n + 2)
     if not out.is_lcd() or out.is_even_like():
         raise ConstructionError("extension must be odd-like LCD")
@@ -234,8 +228,8 @@ def extend_column_hull_drop(C: LinearCode, x: BitVector) -> LinearCode:
     pair nontrivially with the (shared) hull.  Note that no x orthogonal
     to the hull can work — in particular no codeword of C can.
     """
-    y = [(x.bits & r).bit_count() & 1 for r in C.gen.rows]
-    return _hull_drop(C, x, _prepend_bit(C.gen.rows, y))
+    rows = [r << 1 | ((x.bits & r).bit_count() & 1) for r in C.gen.rows]
+    return _hull_drop(C, x, rows)
 
 
 def parity_extend(C: LinearCode) -> LinearCode:
@@ -248,11 +242,13 @@ def extend_two_multi(C: LinearCode) -> List[LinearCode]:
     """All 2^(k-1) two-column extensions of an odd-k, odd-d [n,k,d] LCD
     code, each an [n+2,k,>=d+1] LCD code.
 
-    Parity-extend to an even [n+1,k,d+1] code with one-dimensional hull,
-    normalize so the first row spans the hull, then for every column
-    y = (1, y_2, ..., y_k) append it with the row fix-up that restores
-    orthogonality.  Outputs are ordered by the integer value of
-    (y_2,...,y_k) and are pairwise distinct as codeword sets.
+    Parity-extend to an even [n+1,k,d+1] code C' whose hull is x G'
+    (x spans the null space of G' G'^T), then append bit a_j to row j of
+    G' for every a with a . x odd: a new column that is 1 on the hull.
+    Each output is LCD: its Gram matrix's Schur complement at the hull
+    is the nonsingular form on a complement of the hull.  Outputs are
+    ordered by the integer value of a and are pairwise distinct as
+    codeword sets.
     """
     _require_lcd(C)
     if C.k % 2 == 0:
@@ -263,15 +259,14 @@ def extend_two_multi(C: LinearCode) -> List[LinearCode]:
     Cp = parity_extend(C)
     if Cp.hull_dimension() != 1:
         raise ConstructionError("parity extension must have hull dimension 1")
-    cert = nf.hull_normal_basis(Cp)
-    g = cert.basis  # g[0] spans the hull, rest symplectic
+    (x,) = gf2.nullspace(Cp.gram(), k)
     outputs = []
     seen = set()
-    for v in range(1 << (k - 1)):
-        rows = [g[0] | (1 << (n + 1))]
-        for i in range(1, k):
-            yi = (v >> (i - 1)) & 1
-            rows.append(g[i] ^ (yi * g[0]))
+    for a in range(1 << k):
+        if not (a & x).bit_count() & 1:
+            continue
+        rows = [r | (a >> j & 1) << (n + 1)
+                for j, r in enumerate(Cp.gen.rows)]
         out = LinearCode(rows, n + 2)
         if not out.is_lcd():
             raise ConstructionError("output is not LCD")

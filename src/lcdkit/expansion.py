@@ -214,9 +214,11 @@ class ExtFieldCode:
     def is_lcd(self) -> bool:
         return self.image.is_lcd()
 
-    def min_distance(self) -> int:
-        """Exact symbol distance, by the full engine on the image
-        concatenated with the simplex code; capped at mk <= K_FULL."""
+    def min_distance(self, engine: str = "auto") -> int:
+        """Exact symbol distance, by ``engine`` on the image concatenated
+        with the simplex code.  ``auto`` is the full engine, capped at
+        mk <= K_FULL: a concatenated weight is 2^(m-1) times a symbol
+        weight, so the low-weight engine reaches only small distances."""
         m = self.field.m
         width = (1 << m) - 1
         # block value b -> the simplex codeword with bit l - 1 set
@@ -228,7 +230,9 @@ class ExtFieldCode:
                     for i in range(self.n))
                 for r in self.image.gen.rows]
         concatenated = LinearCode(rows, width * self.n)
-        return concatenated.min_distance("full") >> (m - 1)
+        if engine == "auto":
+            engine = "full"
+        return concatenated.min_distance(engine) >> (m - 1)
 
 
 def expansion_indices(n: int, k: int, m: int) -> Tuple[int, int]:

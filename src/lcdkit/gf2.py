@@ -8,8 +8,9 @@ one; matrices come back as tuples.
 
 The library has two elimination kernels.  ``eliminate``, a forward
 elimination, serves rank, row selection for puncturing, ``solve``, the
-exhaustive tables' LCD test, basis extension in the normal forms and
-the ``LinearCode`` constructor's rank check on few rows.  ``rref``, a
+exhaustive tables' LCD test, basis extension in the normal forms
+(which only the benchmark's trace hooks and the tests reach) and the
+``LinearCode`` constructor's rank check on few rows.  ``rref``, a
 Gauss-Jordan elimination on rows packed as lanes of one int, serves
 every reduced row form: ``inverse``, ``nullspace``, a code's RREF and
 dual, its information sets, and the constructor's rank check from
@@ -291,6 +292,9 @@ def congruent_normal_form(rows: Sequence[int]) -> tuple:
     Inner products are taken between rows, one popcount each.  Pivoting
     is greedy: first a row of odd weight, else a coupled pair, else the
     row lies in the radical; ties break to the lowest index.
+
+    Only ``normal_form`` calls it, and only the benchmark's trace hooks
+    and the tests reach either.
     """
     pending = list(rows)
     ortho = []

@@ -128,13 +128,20 @@ def _resolve_input(rec: ConstructionRecord, seed_dir: Optional[Path],
             return xp.ExtFieldCode(field_, inputs["rows"], inputs["n"]), None
         raise _ReplayFailure(f"unknown inline format {fmt!r}")
     if source == "search":
-        code = lcd_search(inputs["n"], inputs["k"], inputs["d"],
-                          seed=inputs.get("seed", seed),
-                          budget_ms=budget_ms)
+        n, k, d = (inputs.get(key) for key in ("n", "k", "d"))
+        seed = inputs.get("seed", seed)
+        # type(): a JSON true is an int to isinstance
+        if not all(type(v) is int for v in (n, k, d)) \
+                or not 1 <= k <= n or d < 1:
+            raise _ReplayFailure(
+                f"bad search target n={n!r} k={k!r} d={d!r}: need "
+                f"integers with 1 <= k <= n and d >= 1")
+        if type(seed) is not int:
+            raise _ReplayFailure(f"bad search seed {seed!r}: need an integer")
+        code = lcd_search(n, k, d, seed=seed, budget_ms=budget_ms)
         if code is None:
             raise _ReplayFailure(
-                f"search found no [{inputs['n']},{inputs['k']},"
-                f"{inputs['d']}] LCD code within budget")
+                f"search found no [{n},{k},{d}] LCD code within budget")
         return code, None
     if source == "external":
         name = inputs.get("file", "")

@@ -15,8 +15,9 @@ is returned.
 
 For an LCD code the hull-normal basis has s = 0: it is orthonormal when
 the code is odd-like (``orthonormal_basis``) and a J_2 sum when it is
-even-like.  No construction needs its input's stored generator in
-either form.
+even-like.  No library module uses these forms: every construction
+reads its witness off the stored generator, and the only callers left
+are the benchmark's trace hooks and this module's tests.
 """
 
 from __future__ import annotations

@@ -52,6 +52,23 @@ class TestAnalyze:
         assert code == 0
         assert out.strip() == "2 1 2 hull=0 LCD"
 
+    # the GF(4) repetition code [5,1,5]: its concatenated image has
+    # distance 2 * 5 = 10 > W_MAX, beyond the low-weight engine
+    REPETITION_GF4 = "5 1 2\n1 1 1 1 1\n"
+
+    def test_extension_field_full_engine(self, tmp_path, capsys):
+        path = write(tmp_path, "c.extgen1", self.REPETITION_GF4)
+        code, out, _ = run(capsys, "analyze", path, "--engine", "full")
+        assert (code, out) == (0, "5 1 5 hull=0 LCD\n")
+
+    def test_extension_field_lowweight_engine(self, tmp_path, capsys):
+        path = write(tmp_path, "c.extgen1", self.REPETITION_GF4)
+        code, out, err = run(capsys, "analyze", path, "--engine",
+                             "lowweight")
+        assert (code, out) == (1, "")
+        assert err == ("error: minimum distance >= 9: beyond low-weight "
+                       "engine budget\n")
+
     @pytest.mark.parametrize("engine", ["auto", "full", "lowweight"])
     def test_zero_dimensional_code(self, tmp_path, capsys, engine):
         # d = 0 for k = 0, as the EXTGEN1 branch prints it

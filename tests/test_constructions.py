@@ -6,6 +6,7 @@ import random
 import pytest
 
 from lcdkit import constructions as cx
+from lcdkit import gf2
 from lcdkit.codes import LinearCode
 from lcdkit.gf2 import BitVector
 from lcdkit.search import random_lcd_code
@@ -102,6 +103,19 @@ class TestHullInformationSet:
         assert punctured >= 20
 
 
+def _rebased(rng, code):
+    """The same code under a seeded random change of basis."""
+    while True:
+        P = [rng.getrandbits(code.k) for _ in range(code.k)]
+        if gf2.is_nonsingular(P):
+            return LinearCode(gf2.mul(P, code.gen.rows), code.n)
+
+
+def _split(rows, low):
+    """Each row as (its top coordinates, its first `low` coordinates)."""
+    return [(r >> low, r & ((1 << low) - 1)) for r in rows]
+
+
 def _lcd_corpus(rng, count, n_range=(2, 12), k_cap=8):
     out = []
     while len(out) < count:
@@ -137,6 +151,7 @@ class TestExtendEven:
 
     def test_random_exact_distance(self):
         rng = random.Random(41)
+        basis_rng = random.Random(141)
         done = 0
         while done < 40:
             n = rng.randrange(4, 12)
@@ -152,6 +167,11 @@ class TestExtendEven:
             out = cx.extend_even(code)
             assert out.is_lcd() and out.is_even_like()
             assert out.min_distance() == code.min_distance() + 1
+            # the stored rows, each with its weight parity prepended, and
+            # the same code from any basis
+            assert _split(out.gen.rows, 1) == [
+                (r, r.bit_count() & 1) for r in code.gen.rows]
+            assert cx.extend_even(_rebased(basis_rng, code)) == out
             done += 1
 
 
@@ -172,6 +192,7 @@ class TestExtendOddTwo:
 
     def test_random_distance_bound(self):
         rng = random.Random(42)
+        basis_rng = random.Random(142)
         done = 0
         while done < 40:
             n = rng.randrange(3, 12)
@@ -187,6 +208,11 @@ class TestExtendOddTwo:
             out = cx.extend_odd_two(code)
             assert out.is_lcd() and not out.is_even_like()
             assert out.min_distance() >= code.min_distance() + 1
+            # the stored rows, each with its weight parity prepended
+            # twice, and the same code from any basis
+            assert _split(out.gen.rows, 2) == [
+                (r, 0b11 * (r.bit_count() & 1)) for r in code.gen.rows]
+            assert cx.extend_odd_two(_rebased(basis_rng, code)) == out
             done += 1
 
 
@@ -529,6 +555,7 @@ class TestExtendTwoMulti:
 
     def test_count_and_distinctness(self):
         rng = random.Random(52)
+        basis_rng = random.Random(152)
         done = 0
         while done < 15:
             n = rng.randrange(4, 11)
@@ -550,6 +577,9 @@ class TestExtendTwoMulti:
                 assert (o.n, o.k) == (n + 2, k)
                 assert o.is_lcd()
                 assert o.min_distance() >= d + 1
+            # the same set of codes from any basis
+            again = cx.extend_two_multi(_rebased(basis_rng, code))
+            assert len(again) == len(outs) and set(again) == set(outs)
             done += 1
 
 

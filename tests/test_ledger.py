@@ -220,6 +220,27 @@ class TestReplaySearchAndExternal:
         res = replay_record(rec, budget_ms=200)
         assert res.status == FAIL
 
+    @pytest.mark.parametrize("target, message", [
+        ({"n": 6, "k": 2, "d": 0},
+         "bad search target n=6 k=2 d=0: need integers with 1 <= k <= n "
+         "and d >= 1"),
+        ({"n": 5, "k": 7, "d": 2},
+         "bad search target n=5 k=7 d=2: need integers with 1 <= k <= n "
+         "and d >= 1"),
+        ({"n": True, "k": 1, "d": 1},
+         "bad search target n=True k=1 d=1: need integers with "
+         "1 <= k <= n and d >= 1"),
+        ({"n": 6, "k": 2, "d": 3, "seed": 1.5},
+         "bad search seed 1.5: need an integer"),
+    ])
+    def test_malformed_search_target_fails(self, target, message):
+        # a malformed target is named, not searched for until the budget
+        # runs out, nor read as a nearby integer
+        rec = ConstructionRecord(
+            "extend_even", {"source": "search", **target}, {}, (7, 2, 4))
+        res = replay_record(rec)
+        assert (res.status, res.message) == (FAIL, message)
+
     def test_external_missing_seed_skips(self, tmp_path):
         rec = ConstructionRecord(
             "extend_even",
