@@ -6,6 +6,9 @@ check, reported on one line), 2 skipped-only, 3 usage or parse error
 (a search target with k outside 1..n or d_target < 1, a negative
 --budget-ms, a file that cannot be read or written, or input that is
 not UTF-8, included).
+
+No flag restates the input: ``analyze`` reads a 3-field header as
+EXTGEN1 and any other as GEN1, and a ledger row decides its own replay.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import conjecture, expansion as xp, ledger, tables
-from .codes import EngineBudgetError, ParseError, format_gen1, parse_gen1
+from .codes import (EngineBudgetError, ParseError, format_gen1, header_width,
+                    parse_gen1)
 from .search import DEFAULT_SEED, lcd_search
 
 EXIT_PASS = 0
@@ -42,30 +46,25 @@ def _budget_ms(text: str) -> int:
 def _build_parser() -> _Parser:
     p = _Parser(prog="lcdkit",
                 description="Workbench for binary LCD codes.")
-    # one parent parser per flag: a subcommand accepts only those it reads
-    def flag(*names, **kw):
-        parent = argparse.ArgumentParser(add_help=False)
-        parent.add_argument(*names, **kw)
-        return parent
-
-    seed = flag("--seed", type=int, default=DEFAULT_SEED,
-                help="seed for randomized operations")
-    engine = flag("--engine", choices=("auto", "full", "lowweight"),
-                  default="auto", help="minimum-distance engine")
-    budget = flag("--budget-ms", type=_budget_ms, default=2000,
-                  help="time budget for randomized search")
-    fmt = flag("--format", choices=("gen1", "extgen1"), default=None,
-               help="input format (default: detect from header)")
+    # a subcommand accepts only the flags it reads; this one is shared
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget-ms", type=_budget_ms, default=2000,
+                        help="time budget for randomized search")
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=_Parser)
 
+    # no prefixes either: --seed would otherwise be read as --seed-dir
     def add(name, *flags, **kw):
-        return sub.add_parser(name, parents=list(flags), **kw)
+        return sub.add_parser(name, parents=list(flags), allow_abbrev=False,
+                              **kw)
 
-    q = add("analyze", engine, fmt, help="report code parameters")
-    q.add_argument("path")
+    q = add("analyze", help="report code parameters")
+    q.add_argument("path", help="GEN1 or EXTGEN1 file (told apart by "
+                                "the header's field count)")
+    q.add_argument("--engine", choices=("auto", "full", "lowweight"),
+                   default="auto", help="minimum-distance engine")
 
-    q = add("construct", seed, budget, engine,
+    q = add("construct", budget,
             help="replay a construction ledger")
     q.add_argument("path", help="JSON-lines ledger file")
     q.add_argument("--seed-dir", default=None,
@@ -89,12 +88,14 @@ def _build_parser() -> _Parser:
             help="exhaustive best-LCD-distance table")
     q.add_argument("n_max", type=int)
 
-    q = add("search", seed, budget, help="randomized LCD code search")
+    q = add("search", budget, help="randomized LCD code search")
     q.add_argument("n", type=int)
     q.add_argument("k", type=int)
     q.add_argument("d_target", type=int)
+    q.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed for the search")
 
-    q = add("verify-ledger", seed, budget, engine,
+    q = add("verify-ledger", budget,
             help="replay the built-in construction ledger and "
                  "check the bounds tables")
     q.add_argument("--path", default=None,
@@ -104,21 +105,11 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _read_code(path: str, fmt: Optional[str]):
-    """Parse a code file as GEN1 or EXTGEN1, detecting by header width."""
-    text = Path(path).read_text()
-    if fmt is None:
-        header = next((line.split("#", 1)[0].split()
-                       for line in text.splitlines()
-                       if line.split("#", 1)[0].strip()), [])
-        fmt = "extgen1" if len(header) == 3 else "gen1"
-    if fmt == "extgen1":
-        return xp.parse_extgen1(text)
-    return parse_gen1(text)
-
-
 def _cmd_analyze(args) -> int:
-    code = _read_code(args.path, args.format)
+    text = Path(args.path).read_text()
+    # a 3-field header is EXTGEN1's; any other is read, or refused, as GEN1
+    parse = xp.parse_extgen1 if header_width(text) == 3 else parse_gen1
+    code = parse(text)
     d = code.min_distance(args.engine) if code.k else 0
     if isinstance(code, xp.ExtFieldCode):
         label = "LCD" if code.is_lcd() else "NotLCD"
@@ -134,9 +125,7 @@ def _cmd_construct(args) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     results = ledger.replay_ledger(records, seed_dir=args.seed_dir,
-                                   seed=args.seed,
-                                   budget_ms=args.budget_ms,
-                                   engine=args.engine)
+                                   budget_ms=args.budget_ms)
     for i, res in enumerate(results):
         n, k, d = res.record.expect
         tag = f"{res.record.op} -> [{n},{k}" + \
@@ -150,7 +139,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    text = format_gen1(_read_code(args.path, "extgen1").image)
+    text = format_gen1(xp.parse_extgen1(Path(args.path).read_text()).image)
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -161,7 +150,8 @@ def _cmd_expand(args) -> int:
 def _cmd_certify(args) -> int:
     # an input the step-down does not take raises a ValueError named
     # after the failed precondition (k<2, not-odd-like, ...): exit 1
-    cert = conjecture.certify_step_down(_read_code(args.path, "gen1"))
+    cert = conjecture.certify_step_down(
+        parse_gen1(Path(args.path).read_text()))
     cert.verify()
     if args.trace:
         Path(args.trace).write_text(cert.trace_jsonl())
@@ -207,9 +197,7 @@ def _cmd_verify_ledger(args) -> int:
     else:
         records = ledger.parse_records(Path(args.path).read_text())
     results = ledger.replay_ledger(records, seed_dir=args.seed_dir,
-                                   seed=args.seed,
-                                   budget_ms=args.budget_ms,
-                                   engine=args.engine)
+                                   budget_ms=args.budget_ms)
     counts = Counter(res.status for res in results)
     skipped = len(results) - counts[ledger.PASS] - counts[ledger.FAIL]
     for res in results:

@@ -30,6 +30,7 @@ there on, its w-row combinations read off half-subset XOR tables; both
 paths keep the same ``stop`` contract.  ``_gray_walk`` is
 the plain enumerator behind ``codewords()`` and the tests' oracle.
 GF(2) elimination lives in ``gf2.eliminate`` and ``gf2.rref``.
+``read_framed`` reads the framing that GEN1 and EXTGEN1 files share.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from itertools import (chain, combinations, islice, product, repeat,
                        starmap)
 from math import comb
 from operator import or_, xor
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 from . import gf2
 from .gf2 import BitMatrix
@@ -286,19 +287,16 @@ class LinearCode:
         return LinearCode([rows[i] for i in kept], self.n - len(idx))
 
     def shorten(self, T: Iterable[int]) -> "LinearCode":
+        """The subcode zero on T, less T: x·G for the x in the null
+        space of G's columns on T, as ``hull`` reads the Gram matrix."""
         idx = check_coords(T, self.n)
         if len(idx) >= self.n:
             raise ValueError("cannot shorten every coordinate")
-        rows = list(self.gen.rows)
-        for t in (i - 1 for i in idx):
-            pivot = next((j for j, r in enumerate(rows) if (r >> t) & 1),
-                         None)
-            if pivot is None:
-                continue
-            p = rows.pop(pivot)
-            rows = [r ^ p if (r >> t) & 1 else r for r in rows]
-        kept = [_drop_bits(r, idx) for r in rows]
-        return LinearCode(kept, self.n - len(idx))
+        cols = gf2.transpose(self.gen.rows, self.n)
+        coeffs = gf2.nullspace([cols[i - 1] for i in idx], self.k)
+        return LinearCode([_drop_bits(r, idx) for r in
+                           gf2.mul(coeffs, self.gen.rows)],
+                          self.n - len(idx))
 
     # ------------------------------------------------------------------
     # identity is the codeword set
@@ -606,43 +604,70 @@ def _low_weight_words(C: LinearCode, w: int) -> List[int]:
 
 
 # ----------------------------------------------------------------------
-# GEN1 text format: "n k" header then k rows of n characters in {0,1}.
+# GEN1 text format: "n k" header then k rows of n characters in {0,1};
+# EXTGEN1 (``expansion``) has an "n k m" header and rows of n elements.
 
-def parse_gen1(text: str) -> LinearCode:
-    header: Optional[Tuple[int, int]] = None
-    rows: List[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("expected header 'n k'", lineno)
-            try:
-                n, k = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError("non-integer header", lineno) from None
-            if n < 1 or k < 0 or k > n:
-                raise ParseError(f"bad parameters n={n} k={k}", lineno)
-            header = (n, k)
-            continue
-        n, k = header
-        if len(rows) >= k:
-            raise ParseError("more rows than declared", lineno)
+def _content(lines: Sequence[str]) -> Iterator[Tuple[int, str]]:
+    """(line number, text) of each line left after '#' comments, stripped."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.partition("#")[0].strip()
+        if line:
+            yield lineno, line
+
+
+def header_width(text: str) -> int:
+    """The number of fields on the first line ``read_framed`` reads: 2
+    for GEN1, 3 for EXTGEN1, 0 when there is none."""
+    return len(next(_content(text.splitlines()), (0, ""))[1].split())
+
+
+def read_framed(text: str, names: str, row: Callable[[str, tuple], object],
+                check: Callable[[tuple], None] = lambda header: None
+                ) -> Tuple[tuple, list]:
+    """(header, rows) of a code file: a header of the integer fields
+    ``names``, n and k first with n >= 1 and 0 <= k <= n, that
+    ``check(header)`` may refuse, then exactly k ``row(line, header)``.
+    The first fault in line order is a ParseError at its line; the
+    callbacks raise ValueError with the message."""
+    header = None
+    rows = []
+    lines = text.splitlines()
+    for lineno, line in _content(lines):
         try:
-            if len(line) != n:
-                raise ValueError
-            rows.append(gf2.parse_bits(line))
-        except ValueError:
-            raise ParseError(f"expected {n} characters of 0/1",
-                             lineno) from None
+            if header is None:
+                parts = line.split()
+                if len(parts) != len(names.split()):
+                    raise ValueError(f"expected header '{names}'")
+                try:
+                    header = tuple(map(int, parts))
+                except ValueError:
+                    raise ValueError("non-integer header") from None
+                n, k = header[:2]
+                if n < 1 or k < 0 or k > n:
+                    raise ValueError(f"bad parameters n={n} k={k}")
+                check(header)
+            elif len(rows) < header[1]:
+                rows.append(row(line, header))
+            else:
+                raise ValueError("more rows than declared")
+        except ValueError as e:
+            raise ParseError(str(e), lineno) from None
     if header is None:
         raise ParseError("missing header", 1)
-    n, k = header
-    if len(rows) != k:
-        raise ParseError(f"expected {k} rows, found {len(rows)}",
-                         len(text.splitlines()) + 1)
+    if len(rows) != header[1]:
+        raise ParseError(f"expected {header[1]} rows, found {len(rows)}",
+                         len(lines) + 1)
+    return header, rows
+
+
+def _gen1_row(line: str, header: tuple) -> int:
+    if len(line) != header[0] or line.strip("01"):
+        raise ValueError(f"expected {header[0]} characters of 0/1")
+    return int(line[::-1], 2)  # character i as bit i, as gf2.parse_bits
+
+
+def parse_gen1(text: str) -> LinearCode:
+    (n, _), rows = read_framed(text, "n k", _gen1_row)
     return LinearCode(rows, n)
 
 

@@ -12,15 +12,18 @@ check is the image's, its hull dimension is the image's divided by m,
 and its symbol distance is the binary distance of the image
 concatenated with the simplex code [2^m - 1, m, 2^(m-1)], divided by
 2^(m-1).  No elimination or codeword walk runs over the field.
+
+EXTGEN1 files are read by ``codes.read_framed``, as GEN1 files are;
+``parse_extgen1`` adds only the degree and element rules.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .codes import EngineBudgetError, LinearCode, ParseError
+from .codes import EngineBudgetError, LinearCode, read_framed
 from .gf2 import rank
 
 
@@ -251,50 +254,29 @@ def expansion_indices(n: int, k: int, m: int) -> Tuple[int, int]:
 # EXTGEN1 text format: "n k m" header, then k lines of n integers.
 
 
+def _check_degree(header: tuple) -> None:
+    if header[2] not in FIXED_MODULI:
+        raise ValueError(f"unsupported degree m={header[2]}")
+
+
+def _extgen1_row(line: str, header: tuple) -> List[int]:
+    n, _, m = header
+    parts = line.split()
+    if len(parts) != n:
+        raise ValueError(f"expected {n} entries")
+    try:
+        row = [int(p) for p in parts]
+    except ValueError:
+        raise ValueError("non-integer entry") from None
+    for v in row:
+        if not 0 <= v < (1 << m):
+            raise ValueError(f"element {v} out of range")
+    return row
+
+
 def parse_extgen1(text: str) -> ExtFieldCode:
-    header: Optional[Tuple[int, int, int]] = None
-    rows: List[List[int]] = []
-    field: Optional[ExtField] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError("expected header 'n k m'", lineno)
-            try:
-                n, k, m = (int(p) for p in parts)
-            except ValueError:
-                raise ParseError("non-integer header", lineno) from None
-            if n < 1 or k < 0 or k > n:
-                raise ParseError(f"bad parameters n={n} k={k}", lineno)
-            if m not in FIXED_MODULI:
-                raise ParseError(f"unsupported degree m={m}", lineno)
-            header = (n, k, m)
-            field = ExtField.of_degree(m)
-            continue
-        n, k, m = header
-        if len(rows) >= k:
-            raise ParseError("more rows than declared", lineno)
-        parts = line.split()
-        if len(parts) != n:
-            raise ParseError(f"expected {n} entries", lineno)
-        try:
-            row = [int(p) for p in parts]
-        except ValueError:
-            raise ParseError("non-integer entry", lineno) from None
-        for v in row:
-            if not 0 <= v < (1 << m):
-                raise ParseError(f"element {v} out of range", lineno)
-        rows.append(row)
-    if header is None:
-        raise ParseError("missing header", 1)
-    n, k, m = header
-    if len(rows) != k:
-        raise ParseError(f"expected {k} rows, found {len(rows)}",
-                         len(text.splitlines()) + 1)
-    return ExtFieldCode(field, rows, n)
+    (n, _, m), rows = read_framed(text, "n k m", _extgen1_row, _check_degree)
+    return ExtFieldCode(ExtField.of_degree(m), rows, n)
 
 
 def format_extgen1(C: ExtFieldCode) -> str:

@@ -6,13 +6,15 @@ registered construction operation, its input code, auxiliary data
 Records with inline or searchable inputs replay deterministically;
 records whose input is an externally distributed seed file are skipped
 — never failed — when the seed is absent.  A record whose expected
-distance, or the input distance its operation needs, the engine cannot
-compute within its budget is skipped too (``UNVERIFIED``), never passed.
+distance, or the input distance its operation needs, the ``auto``
+engine cannot compute within its budget is skipped too
+(``UNVERIFIED``), never passed.  A record alone decides its replay: a
+search input runs with the seed it records, ``DEFAULT_SEED`` if none.
 
 A bounds ledger holds published lower/upper bounds on the best LCD
-minimum distance d_lcd(n, k) at lengths beyond exhaustive reach, and
-supports internal consistency checks (interval sanity, monotonicity in
-n, antitonicity in k, and the unit-step law).
+minimum distance d_lcd(n, k) at lengths beyond exhaustive reach; its
+entries are sane intervals, and ``check_consistency`` reads them
+against the d_lcd laws of ``tables.law_violations``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from . import expansion as xp
 from .codes import EngineBudgetError, LinearCode, check_coords, parse_gen1
 from .gf2 import BitVector
 from .search import DEFAULT_SEED, lcd_search
+from .tables import law_violations
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -115,7 +118,7 @@ def load_builtin_records() -> List[ConstructionRecord]:
 
 
 def _resolve_input(rec: ConstructionRecord, seed_dir: Optional[Path],
-                   seed: int, budget_ms: int):
+                   budget_ms: int):
     """Returns (object, None) or (None, skip_message)."""
     inputs = rec.inputs
     source = inputs.get("source", "inline")
@@ -129,7 +132,7 @@ def _resolve_input(rec: ConstructionRecord, seed_dir: Optional[Path],
         raise _ReplayFailure(f"unknown inline format {fmt!r}")
     if source == "search":
         n, k, d = (inputs.get(key) for key in ("n", "k", "d"))
-        seed = inputs.get("seed", seed)
+        seed = inputs.get("seed", DEFAULT_SEED)
         # type(): a JSON true is an int to isinstance
         if not all(type(v) is int for v in (n, k, d)) \
                 or not 1 <= k <= n or d < 1:
@@ -251,8 +254,7 @@ def _apply_op(rec: ConstructionRecord, seed_code) -> List[LinearCode]:
 
 
 def _verify(code: LinearCode,
-            expect: Tuple[int, int, Optional[int]],
-            lcd: bool, engine: str = "auto") -> bool:
+            expect: Tuple[int, int, Optional[int]], lcd: bool) -> bool:
     """Whether code meets expect; False when its expected distance is
     beyond the engine's budget.  Raises _ReplayFailure on a mismatch.
 
@@ -268,7 +270,7 @@ def _verify(code: LinearCode,
     if d is None:
         return True
     try:
-        dmin = code.min_distance(engine)
+        dmin = code.min_distance()
     except EngineBudgetError:
         return False
     if dmin < d:
@@ -278,14 +280,12 @@ def _verify(code: LinearCode,
 
 def replay_record(rec: ConstructionRecord,
                   seed_dir: Optional[Union[str, Path]] = None,
-                  seed: int = DEFAULT_SEED,
-                  budget_ms: int = 2000,
-                  engine: str = "auto") -> ReplayResult:
-    """Replays one record and verifies the output against expectations."""
+                  budget_ms: int = 2000) -> ReplayResult:
+    """Replays one record and verifies the output against expectations;
+    no other engine passes a row that ``auto`` leaves unverified."""
     try:
         seed_code, skip = _resolve_input(
-            rec, None if seed_dir is None else Path(seed_dir),
-            seed, budget_ms)
+            rec, None if seed_dir is None else Path(seed_dir), budget_ms)
         if skip is not None:
             return ReplayResult(rec, SKIPPED, skip)
         try:
@@ -296,8 +296,7 @@ def replay_record(rec: ConstructionRecord,
                                 "input distance unverifiable at budget")
         lcd = REGISTERED_OPS[rec.op].lcd
         # every output is checked, so a later mismatch still fails
-        if all([_verify(code, rec.expect, lcd, engine)
-                for code in outputs]):
+        if all([_verify(code, rec.expect, lcd) for code in outputs]):
             return ReplayResult(rec, PASS, "", outputs[0])
         # an expected distance that was never checked is no PASS
         return ReplayResult(rec, UNVERIFIED,
@@ -313,11 +312,8 @@ def replay_record(rec: ConstructionRecord,
 
 def replay_ledger(records: Sequence[ConstructionRecord],
                   seed_dir: Optional[Union[str, Path]] = None,
-                  seed: int = DEFAULT_SEED,
-                  budget_ms: int = 2000,
-                  engine: str = "auto") -> List[ReplayResult]:
-    return [replay_record(r, seed_dir, seed, budget_ms, engine)
-            for r in records]
+                  budget_ms: int = 2000) -> List[ReplayResult]:
+    return [replay_record(r, seed_dir, budget_ms) for r in records]
 
 
 def summary_exit_code(results: Sequence[ReplayResult]) -> int:
@@ -373,27 +369,7 @@ class BoundsLedger:
         return cls.from_json_obj(json.loads(text))
 
     def check_consistency(self) -> List[str]:
-        """Violation messages; an empty list means the table is sane.
-
-        Checks, wherever both cells are present:
-        monotone in n (an [n, k] code extends, so the best distance
-        cannot drop when n grows), antitone in k (a subcode of an
-        [n, k] code), and the unit-step law in n for k >= 2.  On
-        intervals the checks use the weakest consistent reading
-        (compare lower bounds against upper bounds).
-        """
-        bad = []
-        for (n, k), e in sorted(self.entries.items()):
-            up = self.entries.get((n + 1, k))
-            if up is not None:
-                if up.upper < e.lower:
-                    bad.append(f"({n + 1},{k}) upper {up.upper} below "
-                               f"({n},{k}) lower {e.lower}")
-                if k >= 2 and up.lower > e.upper + 1:
-                    bad.append(f"({n + 1},{k}) lower {up.lower} exceeds "
-                               f"({n},{k}) upper {e.upper} + 1")
-            left = self.entries.get((n, k - 1))
-            if left is not None and left.upper < e.lower:
-                bad.append(f"({n},{k - 1}) upper {left.upper} below "
-                           f"({n},{k}) lower {e.lower}")
-        return bad
+        """Violation messages of ``tables.law_violations``; an empty
+        list means the table is sane."""
+        return law_violations({key: (e.lower, e.upper)
+                               for key, e in self.entries.items()})

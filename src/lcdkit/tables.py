@@ -206,27 +206,37 @@ def dlcd_table(n_max: int) -> Dict[Tuple[int, int], int]:
     return table
 
 
-def check_step_property(table: Dict[Tuple[int, int], int]) -> None:
-    """Verify the closed form at k = 1 and the unit-step law at k >= 2.
+def law_violations(bounds: Dict[Tuple[int, int], Tuple[int, int]]
+                   ) -> List[str]:
+    """Where (lower, upper) bounds on d_lcd(n, k) break its laws: monotone
+    in n, antitone in k and, for k >= 2, a unit step in n.  Cells present
+    together are compared, a lower bound against an upper one."""
+    bad = []
+    for (n, k), (lower, upper) in sorted(bounds.items()):
+        up = bounds.get((n + 1, k))
+        if up is not None:
+            if up[1] < lower:
+                bad.append(f"({n + 1},{k}) upper {up[1]} below "
+                           f"({n},{k}) lower {lower}")
+            if k >= 2 and up[0] > upper + 1:
+                bad.append(f"({n + 1},{k}) lower {up[0]} exceeds "
+                           f"({n},{k}) upper {upper} + 1")
+        left = bounds.get((n, k - 1))
+        if left is not None and left[1] < lower:
+            bad.append(f"({n},{k - 1}) upper {left[1]} below "
+                       f"({n},{k}) lower {lower}")
+    return bad
 
-    Also checks monotonicity in n and antitonicity in k.  Raises
-    TableLawError, an AssertionError, on any violation.
-    """
-    n_max = max(n for n, _ in table)
-    for n in range(1, n_max + 1):
-        expect = n if n % 2 else n - 1
-        if (n, 1) in table and table[(n, 1)] != expect:
+
+def check_step_property(table: Dict[Tuple[int, int], int]) -> None:
+    """Verify the closed form at k = 1 and the laws of ``law_violations``;
+    raises TableLawError, an AssertionError, on the first violation."""
+    for (n, k), d in sorted(table.items()):
+        if k == 1 and d != n - 1 + n % 2:
             raise TableLawError(f"k=1 closed form fails at n={n}")
-    for (n, k), d in table.items():
-        if (n + 1, k) in table:
-            diff = table[(n + 1, k)] - d
-            if diff < 0:
-                raise TableLawError(f"not monotone in n at (n={n}, k={k})")
-            if k >= 2 and diff not in (0, 1):
-                raise TableLawError(
-                    f"step property fails at (n={n}, k={k}): diff={diff}")
-        if (n, k + 1) in table and table[(n, k + 1)] > d:
-            raise TableLawError(f"not antitone in k at (n={n}, k={k})")
+    bad = law_violations({key: (d, d) for key, d in table.items()})
+    if bad:
+        raise TableLawError(bad[0])
 
 
 def all_one_lcd_codes(length: int) -> Iterator[LinearCode]:

@@ -510,6 +510,12 @@ class TestUsage:
         ["search", "8", "3", "4", "--engine", "full"],
         ["construct", "l.jsonl", "--format", "gen1"],
         ["verify-ledger", "--format", "gen1"],
+        # the file's header, or the ledger row, decides these
+        ["analyze", "c.gen1", "--format", "gen1"],
+        ["construct", "l.jsonl", "--seed", "1"],
+        ["construct", "l.jsonl", "--engine", "full"],
+        ["verify-ledger", "--seed", "1"],
+        ["verify-ledger", "--engine", "full"],
     ])
     def test_flag_the_subcommand_ignores(self, capsys, argv):
         # a flag a subcommand would not read is a usage error, not a no-op

@@ -14,6 +14,7 @@ from lcdkit.codes import (BZ_MIN_K, EngineBudgetError, LinearCode,
                           _information_sets, _low_weight_words,
                           _parity_columns,
                           format_gen1, min_weight, parse_gen1)
+from lcdkit.expansion import parse_extgen1
 from lcdkit.gf2 import BitMatrix
 from random_codes import random_code
 
@@ -771,6 +772,12 @@ class TestShorten:
             size = rng.randrange(1, 4)
             T = sorted(rng.sample(range(1, n + 1), size))
             assert code.shorten(T) == code.dual().puncture(T).dual()
+        # T holds a zero column (1), two equal columns (2, 3) and one
+        # more (4): G's columns on T have rank 2, so one word survives
+        code = C("0110101", "0111011", "0000111")
+        T = [1, 2, 3, 4]
+        assert code.shorten(T) == code.dual().puncture(T).dual() \
+            == C("111")
 
 
 class TestWeightWords:
@@ -813,3 +820,34 @@ class TestGen1Format:
     def test_missing_rows(self):
         with pytest.raises(ParseError):
             parse_gen1("3 2\n111\n")
+
+
+# one text per fault, with the message and line each format reports
+SINGLE_FAULTS = [
+    (parse_gen1, "", "missing header", 1),
+    (parse_gen1, "# c\n", "missing header", 1),
+    (parse_gen1, "3\n111\n", "expected header 'n k'", 1),
+    (parse_gen1, "3 x\n111\n", "non-integer header", 1),
+    (parse_gen1, "0 1\n", "bad parameters n=0 k=1", 1),
+    (parse_gen1, "3 4\n", "bad parameters n=3 k=4", 1),
+    (parse_gen1, "3 1\n111\n101\n", "more rows than declared", 3),
+    (parse_gen1, "3 2\n111\n", "expected 2 rows, found 1", 3),
+    (parse_gen1, "3 1\n1x1\n", "expected 3 characters of 0/1", 2),
+    (parse_extgen1, "", "missing header", 1),
+    (parse_extgen1, "3 1\n1 2 3\n", "expected header 'n k m'", 1),
+    (parse_extgen1, "3 1 q\n", "non-integer header", 1),
+    (parse_extgen1, "3 4 2\n", "bad parameters n=3 k=4", 1),
+    (parse_extgen1, "3 1 5\n1 2 3\n", "unsupported degree m=5", 1),
+    (parse_extgen1, "3 1 2\n1 2 3\n1 1 1\n", "more rows than declared", 3),
+    (parse_extgen1, "3 2 2\n1 2 3\n", "expected 2 rows, found 1", 3),
+    (parse_extgen1, "3 1 2\n1 2\n", "expected 3 entries", 2),
+    (parse_extgen1, "3 1 2\n1 x 3\n", "non-integer entry", 2),
+    (parse_extgen1, "3 1 2\n1 4 3\n", "element 4 out of range", 2),
+]
+
+
+@pytest.mark.parametrize("parse, text, message, line", SINGLE_FAULTS)
+def test_single_fault(parse, text, message, line):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (str(e.value), e.value.line) == (f"line {line}: {message}", line)

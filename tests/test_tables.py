@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 from functools import reduce
@@ -12,6 +13,7 @@ import pytest
 
 from lcdkit import tables
 from lcdkit.codes import EngineBudgetError, LinearCode, min_weight
+from lcdkit.ledger import BoundsEntry, BoundsLedger
 
 
 class TestCanonicalMatrices:
@@ -150,6 +152,27 @@ class TestStepProperty:
         tab = {(4, 2): 2, (5, 2): 4}
         with pytest.raises(AssertionError):
             tables.check_step_property(tab)
+        # it raises exactly when the bounds ledger of the same exact table
+        # reports a violation, on single-cell mutations at k >= 2 (k = 1
+        # has its closed form too)
+        table = tables.dlcd_table(8)
+        cells = sorted(key for key in table if key[1] >= 2)
+        rng = random.Random(25)
+        outcomes = set()
+        for _ in range(300):
+            key = rng.choice(cells)
+            mutant = dict(table)
+            mutant[key] += rng.choice([-2, -1, 1, 2])
+            try:
+                tables.check_step_property(mutant)
+                raised = False
+            except tables.TableLawError:
+                raised = True
+            bounds = BoundsLedger({cell: BoundsEntry(d, d, "exact")
+                                   for cell, d in mutant.items()})
+            assert raised == bool(bounds.check_consistency()), (key, mutant)
+            outcomes.add(raised)
+        assert outcomes == {True, False}
 
     def test_detects_violation_under_optimize(self):
         script = (
