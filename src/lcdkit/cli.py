@@ -8,7 +8,8 @@ check, reported on one line), 2 skipped-only, 3 usage or parse error
 not UTF-8, included).
 
 No flag restates the input: ``analyze`` reads a 3-field header as
-EXTGEN1 and any other as GEN1, and a ledger row decides its own replay.
+EXTGEN1 and any other as GEN1, the code's dimension picks its distance
+engine, and a ledger row decides its own replay.
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ def _build_parser() -> _Parser:
     q = add("analyze", help="report code parameters")
     q.add_argument("path", help="GEN1 or EXTGEN1 file (told apart by "
                                 "the header's field count)")
-    q.add_argument("--engine", choices=("auto", "full", "lowweight"),
-                   default="auto", help="minimum-distance engine")
 
     q = add("construct", budget,
             help="replay a construction ledger")
@@ -110,7 +109,7 @@ def _cmd_analyze(args) -> int:
     # a 3-field header is EXTGEN1's; any other is read, or refused, as GEN1
     parse = xp.parse_extgen1 if header_width(text) == 3 else parse_gen1
     code = parse(text)
-    d = code.min_distance(args.engine) if code.k else 0
+    d = code.min_distance() if code.k else 0
     if isinstance(code, xp.ExtFieldCode):
         label = "LCD" if code.is_lcd() else "NotLCD"
     else:

@@ -1,4 +1,4 @@
-"""Binary linear codes: duals, hulls, parity classes, distance engines.
+"""Binary linear codes: duals, hulls, parity classes, minimum distance.
 
 A LinearCode(rows, n) holds a full-row-rank generator matrix, the int
 rows of a ``gf2.BitMatrix`` record.  The matrix is kept exactly as
@@ -17,18 +17,21 @@ H Hᵀ, when those columns are already cached, and from G Gᵀ otherwise.
 
 Coordinates are 1-indexed at the API surface and 0-indexed internally.
 
-The codeword-weight kernels live here: ``min_weight``, the minimum
-weight behind the full engine, the exhaustive tables and the search;
-``WeightTable``, the weights of all 2^k messages packed as lanes of one
-int, which a column change updates in one subtraction and one addition
-(``lcd_search`` keeps one per restart below ``BZ_MIN_K`` rows); and
-``_zero_sum_supports``, the meet-in-the-middle over parity-check column
-sums behind the low-weight engine.  ``min_weight`` walks all 2^k - 1
-nonzero codewords in Gray-code order below ``BZ_MIN_K`` rows, and runs
-the Brouwer-Zimmermann algorithm over disjoint information sets from
-there on, its w-row combinations read off half-subset XOR tables; both
-paths keep the same ``stop`` contract.  ``_gray_walk`` is
-the plain enumerator behind ``codewords()`` and the tests' oracle.
+``min_distance`` takes no option: the dimension picks its kernel,
+``min_weight`` up to ``K_FULL`` rows and the low-weight engine past
+them.  The codeword-weight kernels live here: ``min_weight``, the
+minimum weight behind ``min_distance``, the exhaustive tables and the
+search; ``WeightTable``, the weights of all 2^k messages packed as
+lanes of one int, which a column change updates in one subtraction and
+one addition (``lcd_search`` keeps one per restart below ``BZ_MIN_K``
+rows); and ``_zero_sum_supports``, the meet-in-the-middle over
+parity-check column sums behind the low-weight engine.  ``min_weight``
+walks all 2^k - 1 nonzero codewords in Gray-code order below
+``BZ_MIN_K`` rows, and runs the Brouwer-Zimmermann algorithm over
+disjoint information sets from there on, its w-row combinations read
+off half-subset XOR tables; both paths keep the same ``stop`` contract.
+``_gray_walk`` is the plain enumerator behind ``codewords()`` and the
+tests' oracle.
 GF(2) elimination lives in ``gf2.eliminate`` and ``gf2.rref``.
 ``read_framed`` reads the framing that GEN1 and EXTGEN1 files share.
 """
@@ -46,14 +49,15 @@ from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 from . import gf2
 from .gf2 import BitMatrix
 
-# Engine A finds the exact minimum weight; cap on the dimension.
+# min_distance runs min_weight up to this dimension, the low-weight
+# engine past it.
 K_FULL = 26
 # From this many rows on, min_weight runs Brouwer-Zimmermann instead of
 # the Gray walk.  Timed on random codes with n from 1.5k to 4k, it wins
 # or ties from k = 11 on, and loses by up to about 2.5x at k = 9-10 with
 # n >= 3k.
 BZ_MIN_K = 11
-# Engine B searches codewords of weight <= W_MAX only.
+# The low-weight engine searches codewords of weight <= W_MAX only.
 W_MAX = 8
 
 ODD_LIKE = "odd-like"
@@ -245,23 +249,14 @@ class LinearCode:
         """All 2^k codewords as packed ints via a Gray-code walk."""
         yield from _gray_walk(self.gen.rows)
 
-    def min_distance(self, engine: str = "auto") -> int:
-        """Exact minimum distance; only ``auto`` may answer from cache."""
-        if engine == "auto":
-            if "dmin_value" in self._cache:
-                return self._cache["dmin_value"]
-            engine = "full" if self.k <= K_FULL else "lowweight"
-        if engine == "full":
-            if self.k > K_FULL:
-                raise EngineBudgetError(
-                    f"full enumeration capped at k <= {K_FULL}")
-            d = min_weight(self.gen.rows)
-        elif engine == "lowweight":
-            d = _min_distance_low_weight(self)
-        else:
-            raise ValueError(f"unknown engine {engine!r}")
-        self._cache["dmin_value"] = d
-        return d
+    def min_distance(self) -> int:
+        """Exact minimum distance: ``min_weight`` up to ``K_FULL`` rows,
+        the low-weight engine past them; cached, a give-up excepted."""
+        def build():
+            if self.k <= K_FULL:
+                return min_weight(self.gen.rows)
+            return _min_distance_low_weight(self)
+        return self._cached("dmin_value", build)
 
     def weight_words(self, w: int) -> List[int]:
         """All codewords of weight exactly w, as packed ints."""

@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import List, Sequence, Tuple
 
-from .codes import EngineBudgetError, LinearCode, read_framed
+from .codes import (K_FULL, EngineBudgetError, LinearCode, min_weight,
+                    read_framed)
 from .gf2 import rank
 
 
@@ -217,12 +218,17 @@ class ExtFieldCode:
     def is_lcd(self) -> bool:
         return self.image.is_lcd()
 
-    def min_distance(self, engine: str = "auto") -> int:
-        """Exact symbol distance, by ``engine`` on the image concatenated
-        with the simplex code.  ``auto`` is the full engine, capped at
-        mk <= K_FULL: a concatenated weight is 2^(m-1) times a symbol
-        weight, so the low-weight engine reaches only small distances."""
+    def min_distance(self) -> int:
+        """Exact symbol distance: ``min_weight`` of the image concatenated
+        with the simplex code, capped at mk <= K_FULL.  The simplex map is
+        injective on each block, so the concatenated rows stay
+        independent.  No low-weight engine runs here: a concatenated
+        weight is 2^(m-1) times a symbol weight, so it reaches only small
+        distances."""
         m = self.field.m
+        if m * self.k > K_FULL:
+            raise EngineBudgetError(
+                f"full enumeration capped at k <= {K_FULL}")
         width = (1 << m) - 1
         # block value b -> the simplex codeword with bit l - 1 set
         # exactly when b . l is odd
@@ -232,10 +238,7 @@ class ExtFieldCode:
         rows = [sum(simplex[r >> (i * m) & width] << (i * width)
                     for i in range(self.n))
                 for r in self.image.gen.rows]
-        concatenated = LinearCode(rows, width * self.n)
-        if engine == "auto":
-            engine = "full"
-        return concatenated.min_distance(engine) >> (m - 1)
+        return min_weight(rows) >> (m - 1)
 
 
 def expansion_indices(n: int, k: int, m: int) -> Tuple[int, int]:

@@ -6,8 +6,8 @@ registered construction operation, its input code, auxiliary data
 Records with inline or searchable inputs replay deterministically;
 records whose input is an externally distributed seed file are skipped
 — never failed — when the seed is absent.  A record whose expected
-distance, or the input distance its operation needs, the ``auto``
-engine cannot compute within its budget is skipped too
+distance, or the input distance its operation needs, ``min_distance``
+cannot compute within its budget is skipped too
 (``UNVERIFIED``), never passed.  A record alone decides its replay: a
 search input runs with the seed it records, ``DEFAULT_SEED`` if none.
 
@@ -282,7 +282,7 @@ def replay_record(rec: ConstructionRecord,
                   seed_dir: Optional[Union[str, Path]] = None,
                   budget_ms: int = 2000) -> ReplayResult:
     """Replays one record and verifies the output against expectations;
-    no other engine passes a row that ``auto`` leaves unverified."""
+    distances come from ``min_distance``, the one answer per code."""
     try:
         seed_code, skip = _resolve_input(
             rec, None if seed_dir is None else Path(seed_dir), budget_ms)

@@ -1,4 +1,4 @@
-"""Randomized code generation: test corpora and a seeded LCD hill-climb.
+"""Randomized LCD codes: uniform draws and a seeded hill-climb.
 
 Each hill-climb trial flips one bit of one generator row and is made
 incremental.  A rejected trial costs O(1), with no elimination: a flip
@@ -40,48 +40,6 @@ def random_lcd_code(rng: random.Random, n: int, k: int,
         if gf2.rank(gf2.gram(rows)) == k:
             return LinearCode(rows, n)
     raise RuntimeError(f"no LCD [{n},{k}] code found in {max_tries} tries")
-
-
-def random_lcd_oe_code(rng: random.Random, n: int, k: int,
-                       max_tries: int = 20000) -> LinearCode:
-    """Random odd-like LCD code containing the all-one vector.
-
-    Built by forcing the all-one vector into the span: the first row is
-    the sum of the others plus 1_n.  A test corpus of step-down inputs.
-    """
-    ones = (1 << n) - 1
-    for _ in range(max_tries):
-        rows = [rng.getrandbits(n) for _ in range(k - 1)]
-        first = ones
-        for r in rows:
-            first ^= r
-        rows = [first] + rows
-        if gf2.rank(rows) != k:
-            continue
-        C = LinearCode(rows, n)
-        if C.is_lcd() and not C.is_even_like():
-            return C
-    raise RuntimeError(f"no LCD_oe [{n},{k}] code found in {max_tries} tries")
-
-
-def random_lcd_eo_code(rng: random.Random, n: int, k: int,
-                       max_tries: int = 40000) -> LinearCode:
-    """Random even-like LCD code (k even), a test corpus."""
-    if k % 2:
-        raise ValueError("even-like LCD codes have even dimension")
-    for _ in range(max_tries):
-        rows = []
-        for _ in range(k):
-            r = rng.getrandbits(n)
-            if r.bit_count() % 2:
-                r ^= 1 << rng.randrange(n)
-            rows.append(r)
-        if gf2.rank(rows) != k:
-            continue
-        C = LinearCode(rows, n)
-        if C.is_lcd():
-            return C
-    raise RuntimeError(f"no LCD_eo [{n},{k}] code found in {max_tries} tries")
 
 
 def _stays_lcd(ai: int, diag: int, c: int, i: int) -> bool:

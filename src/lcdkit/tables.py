@@ -30,7 +30,6 @@ to column permutation), used to exercise the step-down engine.
 
 from __future__ import annotations
 
-import itertools
 from functools import reduce
 from operator import xor
 from typing import Callable, Dict, Iterator, List, Tuple
@@ -175,21 +174,6 @@ def dlcd_value(n: int, k: int) -> int:
             best = d
     if best < 1:
         raise TableLawError(f"no LCD code found for (n={n}, k={k})")
-    return best
-
-
-def dlcd_value_oracle(n: int, k: int) -> int:
-    """d_lcd(n, k) over every systematic generator, n <= 7: the
-    reference that dlcd_value's canonical pruning is tested against."""
-    if n > 7:
-        raise EngineBudgetError("oracle search limited to n <= 7")
-    if k == n:
-        return 1
-    r, m = min(k, n - k), max(k, n - k)
-    best = 0
-    for b in itertools.product(range(1 << m), repeat=r):
-        if _gram_nonsingular(b):
-            best = max(best, min_weight(_systematic_rows(n, k, b), best))
     return best
 
 

@@ -1,10 +1,19 @@
-"""Random codes for tests: k uniformly random rows of length n, drawn
-again until they are independent, so each full-rank generator matrix is
-equally likely.  The rank comes from ``gf2_oracle``, not from lcdkit.
+"""Random codes and reference values for tests.
+
+``random_code`` draws k uniformly random rows of length n again until
+they are independent, so each full-rank generator matrix is equally
+likely; ``random_lcd_oe_code`` and ``random_lcd_eo_code`` draw LCD codes
+of one parity class, the step-down's and the symplectic paths' inputs.
+Their ranks come from ``gf2_oracle``, not from lcdkit.
+``dlcd_value_oracle`` is the unpruned reference that
+``tables.dlcd_value``'s canonical pruning is checked against.
 """
 
+import itertools
+
 import gf2_oracle as oracle
-from lcdkit.codes import LinearCode
+from lcdkit.codes import EngineBudgetError, LinearCode, min_weight
+from lcdkit.tables import _gram_nonsingular, _systematic_rows
 
 
 def random_code(rng, n, k):
@@ -15,3 +24,57 @@ def random_code(rng, n, k):
         rows = tuple(rng.getrandbits(n) for _ in range(k))
         if len(oracle.rref(rows, n)[0]) == k:
             return LinearCode(rows, n)
+
+
+def random_lcd_oe_code(rng, n, k, max_tries=20000):
+    """Random odd-like LCD code containing the all-one vector.
+
+    Built by forcing the all-one vector into the span: the first row is
+    the sum of the others plus 1_n.
+    """
+    ones = (1 << n) - 1
+    for _ in range(max_tries):
+        rows = [rng.getrandbits(n) for _ in range(k - 1)]
+        first = ones
+        for r in rows:
+            first ^= r
+        rows = [first] + rows
+        if oracle.rank(rows, n) != k:
+            continue
+        C = LinearCode(rows, n)
+        if C.is_lcd() and not C.is_even_like():
+            return C
+    raise RuntimeError(f"no LCD_oe [{n},{k}] code found in {max_tries} tries")
+
+
+def random_lcd_eo_code(rng, n, k, max_tries=40000):
+    """Random even-like LCD code (k even)."""
+    if k % 2:
+        raise ValueError("even-like LCD codes have even dimension")
+    for _ in range(max_tries):
+        rows = []
+        for _ in range(k):
+            r = rng.getrandbits(n)
+            if r.bit_count() % 2:
+                r ^= 1 << rng.randrange(n)
+            rows.append(r)
+        if oracle.rank(rows, n) != k:
+            continue
+        C = LinearCode(rows, n)
+        if C.is_lcd():
+            return C
+    raise RuntimeError(f"no LCD_eo [{n},{k}] code found in {max_tries} tries")
+
+
+def dlcd_value_oracle(n, k):
+    """d_lcd(n, k) over every systematic generator, n <= 7."""
+    if n > 7:
+        raise EngineBudgetError("oracle search limited to n <= 7")
+    if k == n:
+        return 1
+    r, m = min(k, n - k), max(k, n - k)
+    best = 0
+    for b in itertools.product(range(1 << m), repeat=r):
+        if _gram_nonsingular(b):
+            best = max(best, min_weight(_systematic_rows(n, k, b), best))
+    return best

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, and exit codes."""
 
+import argparse
 import json
 import random
 import time
@@ -11,8 +12,7 @@ from lcdkit import cli, conjecture, ledger, tables
 from lcdkit.codes import (W_MAX, EngineBudgetError, LinearCode, ParseError,
                           format_gen1, min_weight, parse_gen1)
 from lcdkit.expansion import ExtFieldCode, parse_extgen1
-from lcdkit.search import random_lcd_eo_code
-from random_codes import random_code
+from random_codes import random_code, random_lcd_eo_code
 
 
 def write(tmp_path, name, text):
@@ -52,33 +52,24 @@ class TestAnalyze:
         assert code == 0
         assert out.strip() == "2 1 2 hull=0 LCD"
 
-    # the GF(4) repetition code [5,1,5]: its concatenated image has
-    # distance 2 * 5 = 10 > W_MAX, beyond the low-weight engine
-    REPETITION_GF4 = "5 1 2\n1 1 1 1 1\n"
-
     def test_extension_field_full_engine(self, tmp_path, capsys):
-        path = write(tmp_path, "c.extgen1", self.REPETITION_GF4)
-        code, out, _ = run(capsys, "analyze", path, "--engine", "full")
+        # the GF(4) repetition code [5,1,5]: its concatenated image has
+        # distance 2 * 5 = 10 > W_MAX, which only min_weight reaches
+        path = write(tmp_path, "c.extgen1", "5 1 2\n1 1 1 1 1\n")
+        code, out, _ = run(capsys, "analyze", path)
         assert (code, out) == (0, "5 1 5 hull=0 LCD\n")
 
-    def test_extension_field_lowweight_engine(self, tmp_path, capsys):
-        path = write(tmp_path, "c.extgen1", self.REPETITION_GF4)
-        code, out, err = run(capsys, "analyze", path, "--engine",
-                             "lowweight")
-        assert (code, out) == (1, "")
-        assert err == ("error: minimum distance >= 9: beyond low-weight "
-                       "engine budget\n")
-
-    @pytest.mark.parametrize("engine", ["auto", "full", "lowweight"])
-    def test_zero_dimensional_code(self, tmp_path, capsys, engine):
+    def test_zero_dimensional_code(self, tmp_path, capsys):
         # d = 0 for k = 0, as the EXTGEN1 branch prints it
         path = write(tmp_path, "c.gen1", "4 0\n")
-        code, out, err = run(capsys, "analyze", path, "--engine", engine)
+        code, out, err = run(capsys, "analyze", path)
         assert (code, out, err) == (0, "4 0 0 hull=0 LCD_eo\n", "")
 
     def test_engine_flag_after_subcommand(self, tmp_path, capsys):
+        # the code's dimension picks the engine; --engine is refused
+        # (TestUsage)
         path = write(tmp_path, "c.gen1", "6 2\n111000\n000111\n")
-        code, out, _ = run(capsys, "analyze", path, "--engine", "full")
+        code, out, _ = run(capsys, "analyze", path)
         assert code == 0 and out.strip() == "6 2 3 hull=0 LCD_oe"
 
     def test_missing_file(self, tmp_path, capsys):
@@ -349,11 +340,11 @@ class TestConstruct:
                                                    monkeypatch):
         exact = LinearCode.min_distance
 
-        def give_up(self, engine="auto"):
+        def give_up(self):
             # only extend_even's [6, 2] input, whose distance it reads
             if self.n == 6:
                 raise EngineBudgetError("over budget")
-            return exact(self, engine)
+            return exact(self)
         monkeypatch.setattr(LinearCode, "min_distance", give_up)
         passing = ('{"op": "puncture_even_lcd", "inputs": {"source": '
                    '"inline", "format": "gen1", "rows": ["1100", "0110"]}, '
@@ -408,11 +399,11 @@ class TestVerifyLedger:
                                             monkeypatch):
         exact = LinearCode.min_distance
 
-        def give_up(self, engine="auto"):
+        def give_up(self):
             # only the replayed [7, 2] output: extend_even reads its input's
             if self.n == 7:
                 raise EngineBudgetError("over budget")
-            return exact(self, engine)
+            return exact(self)
         monkeypatch.setattr(LinearCode, "min_distance", give_up)
         path = write(tmp_path, "ledger.jsonl", TestConstruct.LEDGER)
         code, out, _ = run(capsys, "verify-ledger", "--path", path)
@@ -516,6 +507,8 @@ class TestUsage:
         ["construct", "l.jsonl", "--engine", "full"],
         ["verify-ledger", "--seed", "1"],
         ["verify-ledger", "--engine", "full"],
+        # the code's dimension picks its distance engine
+        ["analyze", "c.gen1", "--engine", "full"],
     ])
     def test_flag_the_subcommand_ignores(self, capsys, argv):
         # a flag a subcommand would not read is a usage error, not a no-op
@@ -523,6 +516,24 @@ class TestUsage:
             cli.main(argv)
         assert ei.value.code == 3
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_flag_set(self):
+        # every flag the CLI takes, 11 in all: a new knob is a test edit
+        parser = cli._build_parser()
+        sub, = (a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+        flags = {name: sorted(f for a in q._actions for f in a.option_strings
+                              if f not in ("-h", "--help"))
+                 for name, q in sub.choices.items()}
+        assert flags == {
+            "analyze": [],
+            "construct": ["--budget-ms", "--out-dir", "--seed-dir"],
+            "expand": ["--output"],
+            "certify": ["--output", "--trace"],
+            "dlcd-table": [],
+            "search": ["--budget-ms", "--seed"],
+            "verify-ledger": ["--budget-ms", "--path", "--seed-dir"],
+        }
 
     @pytest.mark.parametrize("argv", [
         ["search", "8", "3", "4", "--budget-ms", "-1"],

@@ -1,5 +1,6 @@
 """LinearCode core: duals, hulls, parity classes, distance engines, I/O."""
 
+import inspect
 import itertools
 import random
 from functools import reduce
@@ -14,7 +15,7 @@ from lcdkit.codes import (BZ_MIN_K, EngineBudgetError, LinearCode,
                           _information_sets, _low_weight_words,
                           _parity_columns,
                           format_gen1, min_weight, parse_gen1)
-from lcdkit.expansion import parse_extgen1
+from lcdkit.expansion import ExtFieldCode, parse_extgen1
 from lcdkit.gf2 import BitMatrix
 from random_codes import random_code
 
@@ -426,22 +427,55 @@ class TestMinDistance:
             n = rng.randrange(2, 18)
             k = rng.randrange(1, min(n, 10) + 1)
             code = random_code(rng, n, k)
-            d_full = code.min_distance(engine="full")
+            d_full = min_weight(code.gen.rows)
             if d_full <= 8:
-                fresh = LinearCode(code.gen.rows, code.n)
-                assert fresh.min_distance(engine="lowweight") == d_full
+                assert codes._min_distance_low_weight(code) == d_full
 
     def test_lowweight_budget_error(self):
         big = LinearCode([(1 << 30) - 1], 30)
         with pytest.raises(EngineBudgetError):
-            big.min_distance(engine="lowweight")
+            codes._min_distance_low_weight(big)
 
-    def test_explicit_engine_ignores_cache(self):
-        rep = LinearCode.from_strings(["1" * 12])
-        assert rep.min_distance("full") == 12
-        with pytest.raises(EngineBudgetError):
-            rep.min_distance("lowweight")
-        assert rep.min_distance() == 12
+    def test_no_option(self):
+        # the code alone decides how its distance is computed
+        for cls in (LinearCode, ExtFieldCode):
+            assert list(inspect.signature(cls.min_distance).parameters) \
+                == ["self"]
+
+    def test_cache(self, monkeypatch):
+        """A second call runs no kernel; a give-up caches nothing."""
+        calls = []
+
+        def counted(kernel):
+            def run(*args):
+                calls.append(kernel.__name__)
+                return kernel(*args)
+            return run
+
+        monkeypatch.setattr(codes, "min_weight", counted(min_weight))
+        monkeypatch.setattr(codes, "_min_distance_low_weight",
+                            counted(codes._min_distance_low_weight))
+        hamming = LinearCode(HAMMING_7_4.gen.rows, 7)  # nothing cached
+        assert hamming.min_distance() == 3
+        assert hamming.min_distance() == 3
+        k = codes.K_FULL + 1  # past K_FULL: the low-weight engine
+        wide = LinearCode([1 << i for i in range(k)], k + 1)
+        assert wide.min_distance() == 1
+        assert wide.min_distance() == 1
+        assert calls == ["min_weight", "_min_distance_low_weight"]
+
+        def give_up(C):
+            calls.append("give_up")
+            raise EngineBudgetError("beyond budget")
+
+        monkeypatch.setattr(codes, "_min_distance_low_weight", give_up)
+        fresh = LinearCode(wide.gen.rows, wide.n)
+        for _ in range(2):
+            with pytest.raises(EngineBudgetError):
+                fresh.min_distance()
+        assert calls[2:] == ["give_up", "give_up"]
+        monkeypatch.undo()
+        assert fresh.min_distance() == 1
 
 
 class TestKernels:

@@ -8,8 +8,8 @@ import pytest
 from lcdkit import conjecture as cj
 from lcdkit import gf2, tables
 from lcdkit import normal_form as nf
-from lcdkit.codes import BZ_MIN_K, LinearCode, _drop_bits
-from lcdkit.search import random_lcd_oe_code
+from lcdkit.codes import BZ_MIN_K, LinearCode, _drop_bits, min_weight
+from random_codes import random_lcd_oe_code
 
 
 def C(*lines):
@@ -64,7 +64,7 @@ class TestGoodPuncturePairs:
                 for w in wits:
                     built = code.puncture([w.u, w.v])
                     assert built.is_lcd()
-                    assert w.dmin == built.min_distance(engine="full")
+                    assert w.dmin == min_weight(built.gen.rows)
                     assert w.dmin >= d - 2
                     assert w.punctured == built
 
@@ -78,7 +78,7 @@ class TestGoodPuncturePairs:
             for w in cj.good_puncture_pairs(code, u):
                 built = code.puncture([w.u, w.v])
                 assert built.is_lcd()
-                assert w.dmin == built.min_distance(engine="full")
+                assert w.dmin == min_weight(built.gen.rows)
 
     def test_built_code_must_match_verdict(self):
         # a witness whose built code is not LCD contradicts the pair lemma
@@ -136,7 +136,7 @@ class TestCertifyStepDown:
             out = cert.output
             assert out.n == code.n - 1 and out.k == code.k
             assert out.is_lcd()
-            assert out.min_distance(engine="full") >= d - 1
+            assert min_weight(out.gen.rows) >= d - 1
             assert cert.route in (cj.ROUTE_PADDED, cj.ROUTE_EXTENSION)
 
     def test_padded_route_builds_one_pair(self, monkeypatch):

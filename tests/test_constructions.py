@@ -236,7 +236,7 @@ class TestPunctureEvenLcd:
         while done < 25:
             n = rng.randrange(4, 12)
             try:
-                from lcdkit.search import random_lcd_eo_code
+                from random_codes import random_lcd_eo_code
                 code = random_lcd_eo_code(rng, n, rng.choice([2, 4]),
                                           max_tries=3000)
             except (RuntimeError, ValueError):
@@ -295,7 +295,7 @@ class TestShortenOddLcd:
 
     def test_all_coordinates_when_all_one_present(self):
         rng = random.Random(44)
-        from lcdkit.search import random_lcd_oe_code
+        from random_codes import random_lcd_oe_code
         done = 0
         while done < 20:
             n = rng.randrange(3, 12)

@@ -8,7 +8,7 @@ import pytest
 import gf2_oracle as oracle
 from lcdkit import gf2
 from lcdkit.gf2 import BitMatrix, BitVector
-from lcdkit.search import random_lcd_eo_code, random_lcd_oe_code
+from random_codes import random_lcd_eo_code, random_lcd_oe_code
 
 
 def M(*lines):

@@ -179,11 +179,11 @@ class TestDistanceOverBudget:
     def no_budget(self, monkeypatch):
         exact = LinearCode.min_distance
 
-        def give_up(self, engine="auto"):
+        def give_up(self):
             # only the replayed [7, 2] output: extend_even reads its input's
             if self.n == 7:
                 raise EngineBudgetError("over budget")
-            return exact(self, engine)
+            return exact(self)
         monkeypatch.setattr(LinearCode, "min_distance", give_up)
 
     def test_expected_distance_is_not_passed(self):

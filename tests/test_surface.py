@@ -38,13 +38,6 @@ ALLOWED = {
     "expansion.expansion_indices":
         "the extension-field parameters of the paper's lower bound on "
         "d_LCD(n, k) by expanded codes",
-    "search.random_lcd_oe_code":
-        "test corpus: odd-like LCD codes containing 1_n, the step-down's "
-        "inputs",
-    "search.random_lcd_eo_code":
-        "test corpus: even-like LCD codes for the symplectic paths",
-    "tables.dlcd_value_oracle":
-        "unpruned reference that dlcd_value's pruning is checked against",
 }
 
 
