@@ -24,8 +24,13 @@ minimum weight behind ``min_distance``, the exhaustive tables and the
 search; ``WeightTable``, the weights of all 2^k messages packed as
 lanes of one int, which a column change updates in one subtraction and
 one addition (``lcd_search`` keeps one per restart below ``BZ_MIN_K``
-rows); and ``_zero_sum_supports``, the meet-in-the-middle over
-parity-check column sums behind the low-weight engine.  ``min_weight``
+rows); and ``_subset_sums``, the XORs of every t-subset of some
+columns.  The low-weight engine reads d off collisions among sums of
+parity-check columns: once no codeword is lighter than w, equal sums of
+two distinct subsets of sizes floor(w/2) and ceil(w/2) come from
+disjoint subsets, so it keeps sums only, no support masks;
+``_zero_sum_supports`` adds each subset's mask (``_subset_sums`` over
+the unit vectors) to list the words themselves.  ``min_weight``
 walks all 2^k - 1 nonzero codewords in Gray-code order below
 ``BZ_MIN_K`` rows, and runs the Brouwer-Zimmermann algorithm over
 disjoint information sets from there on, its w-row combinations read
@@ -41,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import (chain, combinations, islice, product, repeat,
-                       starmap)
+                       starmap, tee)
 from math import comb
 from operator import or_, xor
 from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
@@ -553,42 +558,71 @@ def _parity_columns(C: LinearCode) -> List[int]:
     return C._cached("parity_columns", build)
 
 
+def _subset_sums(cols: Sequence[int], t: int) -> Iterator[int]:
+    """The XOR of each t-subset of cols, in ``combinations`` order.
+
+    Over distinct unit vectors an XOR is an OR, so the same stream over
+    ``1 << i`` gives each subset's support mask.
+    """
+    if t == 1:
+        return iter(cols)
+    if t == 2:
+        return starmap(xor, combinations(cols, 2))
+    return map(reduce, repeat(xor), combinations(cols, t), repeat(0))
+
+
 def _zero_sum_supports(cols: Sequence[int], w: int) -> Iterator[int]:
     """Supports of the weight-w codewords, by meet-in-the-middle.
 
     A weight-w codeword is a set of w parity-check columns (cols, one
     per coordinate) summing to zero: hash the sums of all
-    floor(w/2)-subsets, then pair each ceil(w/2)-subset with every
-    disjoint partner of equal sum.  A support is yielded once per split
-    into such a pair.
+    floor(w/2)-subsets with their support masks, then pair each
+    ceil(w/2)-subset with every disjoint partner of equal sum.  Sums and
+    masks both come from ``_subset_sums``.  A support is yielded once
+    per split into such a pair.  The masks are kept only to list the
+    words: when w is the minimum distance, any two distinct colliding
+    subsets are disjoint (their symmetric difference would otherwise be
+    a lighter codeword), so ``_min_distance_low_weight`` tests bare
+    sums for a collision and keeps no masks.
     """
     half = w // 2
+    units = [1 << i for i in range(len(cols))]
     table: dict = {}
-    for probe in (False, True):
-        for sub in combinations(range(len(cols)),
-                                          w - half if probe else half):
-            s = m = 0
-            for i in sub:
-                s ^= cols[i]
-                m |= 1 << i
-            if not probe:
-                table.setdefault(s, []).append(m)
-                continue
-            for m1 in table.get(s, ()):
-                if m1 & m == 0:
-                    yield m1 | m
+    for s, m in zip(_subset_sums(cols, half), _subset_sums(units, half)):
+        table.setdefault(s, []).append(m)
+    for s, m in zip(_subset_sums(cols, w - half),
+                    _subset_sums(units, w - half)):
+        for m1 in table.get(s, ()):
+            if not m1 & m:
+                yield m1 | m
 
 
 def _min_distance_low_weight(C: LinearCode) -> int:
-    """The smallest w <= W_MAX with a weight-w codeword."""
+    """The smallest w <= W_MAX with a weight-w codeword.
+
+    With w rising from 1, once no codeword is lighter than w, two
+    distinct subsets of floor(w/2) and ceil(w/2) parity-check columns
+    with equal sums are disjoint, or their symmetric difference would be
+    a lighter codeword; so d is the first w at which such a pair exists.
+    For odd w some ceil(w/2)-sum lies in the set of floor(w/2)-sums; for
+    even w two ceil(w/2)-sums repeat, and their set is the next odd w's
+    table.  Each size is summed once: the odd probe keeps its stream
+    for the even step's set.
+    """
     if C.k == 0:
         raise ValueError("minimum distance undefined for the zero code")
     if C.k == C.n:
         return 1
     cols = _parity_columns(C)
-    for w in range(1, W_MAX + 1):
-        if next(_zero_sum_supports(cols, w), None) is not None:
+    table = {0}  # the sums of the floor(w/2)-subsets
+    for w in range(1, W_MAX, 2):  # w and w + 1: W_MAX is even
+        t = w - w // 2
+        probe, kept = tee(_subset_sums(cols, t))
+        if any(map(table.__contains__, probe)):
             return w
+        table = set(kept)
+        if len(table) < comb(len(cols), t):
+            return w + 1
     raise EngineBudgetError(
         f"minimum distance >= {W_MAX + 1}: beyond low-weight engine budget")
 

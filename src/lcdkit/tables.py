@@ -140,7 +140,10 @@ def canonical_b_matrices(
             cols.pop()
             f = floor()  # the caller may have raised it
 
-    yield from rec(0, 0, (1 << r) - 1 >> 1, table.weights)
+    try:
+        yield from rec(0, 0, (1 << r) - 1 >> 1, table.weights)
+    finally:
+        del rec  # rec holds itself through its closure: no cycle left
 
 
 def _systematic_rows(n: int, k: int, b_rows: Tuple[int, ...]) -> List[int]:

@@ -10,7 +10,7 @@ import pytest
 
 import gf2_oracle as oracle
 from lcdkit import codes, gf2
-from lcdkit.codes import (BZ_MIN_K, EngineBudgetError, LinearCode,
+from lcdkit.codes import (BZ_MIN_K, W_MAX, EngineBudgetError, LinearCode,
                           ParseError, WeightTable, _gray_walk,
                           _information_sets, _low_weight_words,
                           _parity_columns,
@@ -423,13 +423,37 @@ class TestMinDistance:
 
     def test_engines_agree(self):
         rng = random.Random(17)
+        seen = set()  # the distances the sample reached
         for _ in range(150):
             n = rng.randrange(2, 18)
             k = rng.randrange(1, min(n, 10) + 1)
             code = random_code(rng, n, k)
             d_full = min_weight(code.gen.rows)
-            if d_full <= 8:
+            if d_full <= W_MAX:
                 assert codes._min_distance_low_weight(code) == d_full
+                seen.add(d_full)
+        # both steps of the collision test, up to the budget
+        assert seen == set(range(1, W_MAX + 1))
+
+    @staticmethod
+    def code_from_parity_columns(cols):
+        """The code whose parity-check columns are cols (m-bit ints)."""
+        m = max(cols).bit_length()
+        h_rows = oracle.transpose(cols, m)
+        return LinearCode(oracle.nullspace(h_rows, len(cols)), len(cols))
+
+    @pytest.mark.parametrize("cols, n, k, d", [
+        # two columns repeat: the even step at w = 2
+        ([1] * 31, 31, 30, 2),
+        # 1 ^ 2 = 3: a 2-sum is a column, the odd step at w = 3
+        (list(range(1, 34)), 33, 27, 3),
+        # odd-weight columns: no odd sum vanishes, two 2-sums repeat at w = 4
+        ([v for v in range(128) if v.bit_count() & 1][:34], 34, 27, 4),
+    ])
+    def test_low_weight_steps_past_k_full(self, cols, n, k, d):
+        code = self.code_from_parity_columns(cols)
+        assert (code.n, code.k) == (n, k) and k > codes.K_FULL
+        assert code.min_distance() == min_weight(code.gen.rows) == d
 
     def test_lowweight_budget_error(self):
         big = LinearCode([(1 << 30) - 1], 30)

@@ -1,5 +1,6 @@
 """Exhaustive d_lcd tables, canonical enumeration, and the code corpus."""
 
+import gc
 import itertools
 import os
 import random
@@ -59,6 +60,22 @@ class TestCanonicalMatrices:
         for r, m, want in ((0, 0, ()), (2, 0, (0, 0)), (0, 3, ())):
             assert [b for b, _ in tables.canonical_b_matrices(r, m)] == \
                 [want]
+
+    def test_leaves_no_cyclic_garbage(self):
+        """A finished or closed walk frees everything by reference count."""
+        gc.collect()
+        gc.disable()
+        try:
+            for n in range(1, 11):
+                for k in range(1, n + 1):
+                    tables.dlcd_value(n, k)
+            assert gc.collect() == 0
+            walk = tables.canonical_b_matrices(3, 4)
+            next(walk)
+            walk.close()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPrunedEnumeration:
