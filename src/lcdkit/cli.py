@@ -21,8 +21,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import conjecture, expansion as xp, ledger, tables
-from .codes import (EngineBudgetError, ParseError, format_gen1, header_width,
-                    parse_gen1)
+from .codes import EngineBudgetError, ParseError, format_gen1, parse_gen1
 from .search import DEFAULT_SEED, lcd_search
 
 EXIT_PASS = 0
@@ -105,10 +104,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_analyze(args) -> int:
-    text = Path(args.path).read_text()
-    # a 3-field header is EXTGEN1's; any other is read, or refused, as GEN1
-    parse = xp.parse_extgen1 if header_width(text) == 3 else parse_gen1
-    code = parse(text)
+    code = xp.read_code(Path(args.path).read_text())
     d = code.min_distance() if code.k else 0
     if isinstance(code, xp.ExtFieldCode):
         label = "LCD" if code.is_lcd() else "NotLCD"

@@ -36,7 +36,9 @@ weight-(d-2) word a and keeps the code LCD exactly when z . a = 1 for
 each such a and z . 1 = 0; a pair whose system has no solution is
 skipped.
 
-Every certificate re-verifies its output independently.
+Every certificate re-verifies its output independently.  A broken
+invariant of the proof, a step-down that finds no route included, is a
+``ConjectureError``.
 """
 
 from __future__ import annotations
@@ -211,7 +213,7 @@ def certify_step_down(C: LinearCode) -> ConjectureCertificate:
     An input outside the step-down's hypotheses raises ValueError
     naming the failed precondition.  The guarantee is constructive:
     failure to find a route signals an implementation bug and raises
-    RuntimeError.
+    ConjectureError, as every other broken proof invariant does.
     """
     d = _step_down_basis(C)[0]
     n1, k = C.n, C.k
@@ -253,6 +255,6 @@ def certify_step_down(C: LinearCode) -> ConjectureCertificate:
         cert.verify()
         return cert
 
-    raise RuntimeError(
+    raise ConjectureError(
         "no certified step-down found: no pair's weight-(d-2) words "
         "take a lifting column, which should be impossible")

@@ -14,7 +14,8 @@ concatenated with the simplex code [2^m - 1, m, 2^(m-1)], divided by
 2^(m-1).  No elimination or codeword walk runs over the field.
 
 EXTGEN1 files are read by ``codes.read_framed``, as GEN1 files are;
-``parse_extgen1`` adds only the degree and element rules.
+``parse_extgen1`` adds only the degree and element rules, and
+``read_code`` lets the header choose between the two.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import List, Sequence, Tuple
 
-from .codes import (K_FULL, EngineBudgetError, LinearCode, min_weight,
-                    read_framed)
+from .codes import (K_FULL, EngineBudgetError, LinearCode, header_width,
+                    min_weight, parse_gen1, read_framed)
 from .gf2 import rank
 
 
@@ -280,6 +281,14 @@ def _extgen1_row(line: str, header: tuple) -> List[int]:
 def parse_extgen1(text: str) -> ExtFieldCode:
     (n, _, m), rows = read_framed(text, "n k m", _extgen1_row, _check_degree)
     return ExtFieldCode(ExtField.of_degree(m), rows, n)
+
+
+def read_code(text: str):
+    """The code of a GEN1 or EXTGEN1 file: a 3-field header is EXTGEN1's,
+    and any other is read, or refused, as GEN1."""
+    if header_width(text) == 3:
+        return parse_extgen1(text)
+    return parse_gen1(text)
 
 
 def format_extgen1(C: ExtFieldCode) -> str:

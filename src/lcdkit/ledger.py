@@ -28,7 +28,7 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 
 from . import constructions as cons
 from . import expansion as xp
-from .codes import EngineBudgetError, LinearCode, check_coords, parse_gen1
+from .codes import EngineBudgetError, LinearCode, check_coords
 from .gf2 import BitVector
 from .search import DEFAULT_SEED, lcd_search
 from .tables import law_violations
@@ -122,8 +122,8 @@ def _resolve_input(rec: ConstructionRecord, seed_dir: Optional[Path],
     """Returns (object, None) or (None, skip_message)."""
     inputs = rec.inputs
     source = inputs.get("source", "inline")
-    fmt = inputs.get("format", "gen1")
     if source == "inline":
+        fmt = inputs.get("format", "gen1")
         if fmt == "gen1":
             return LinearCode.from_strings(inputs["rows"]), None
         if fmt == "extgen1":
@@ -151,10 +151,7 @@ def _resolve_input(rec: ConstructionRecord, seed_dir: Optional[Path],
         path = None if seed_dir is None else Path(seed_dir) / name
         if path is None or not path.is_file():
             return None, f"external seed {name!r} not available"
-        text = path.read_text()
-        if fmt == "extgen1":
-            return xp.parse_extgen1(text), None
-        return parse_gen1(text), None
+        return xp.read_code(path.read_text()), None
     raise _ReplayFailure(f"unknown input source {source!r}")
 
 

@@ -1,5 +1,9 @@
-"""Randomized LCD codes: uniform draws and a seeded hill-climb.
+"""A seeded hill-climb over LCD generator matrices.
 
+Each restart draws k uniformly random rows and keeps them when their
+Gram matrix G G^T inverts (Massey: nonsingular exactly when the code is
+LCD, which also makes the rows independent), so a draw is one Gram
+matrix and one inverse, and that inverse is the one the climb keeps.
 Each hill-climb trial flips one bit of one generator row and is made
 incremental.  A rejected trial costs O(1), with no elimination: a flip
 changes the Gram matrix G G^T by a rank-2 symmetric term, so the search
@@ -23,23 +27,6 @@ from . import gf2
 from .codes import BZ_MIN_K, LinearCode, WeightTable, min_weight
 
 DEFAULT_SEED = 20240801
-
-
-def random_lcd_code(rng: random.Random, n: int, k: int,
-                    max_tries: int = 10000) -> LinearCode:
-    """A uniformly random [n, k] LCD code, drawn at most max_tries times.
-
-    Each draw is k random rows, kept when their Gram matrix is
-    nonsingular: that also makes the rows independent, so a draw needs
-    no rank test of its own and the one code built is the one returned.
-    """
-    if k > n:
-        raise ValueError("k exceeds n")
-    for _ in range(max_tries):
-        rows = tuple(rng.getrandbits(n) for _ in range(k))
-        if gf2.rank(gf2.gram(rows)) == k:
-            return LinearCode(rows, n)
-    raise RuntimeError(f"no LCD [{n},{k}] code found in {max_tries} tries")
 
 
 def _stays_lcd(ai: int, diag: int, c: int, i: int) -> bool:
@@ -115,24 +102,27 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
     and None at once when the Griesmer bound rules the target out.
     Fully deterministic for a fixed seed and budget outcome.
 
-    A rejected trial costs O(1) and no elimination: the inverse
-    A = (G G^T)^-1, its diagonal and the generator's columns are kept
-    beside the rows, a flip changes G G^T by a rank-2 symmetric term,
-    and ``_stays_lcd`` decides nonsingularity from its 2x2 capacitance
-    matrix, read off one row of A and the diagonal.  Only a flip that
-    also passes the distance test takes ``_flip_update``'s O(k) step,
-    which updates the kept inverse in place by Woodbury.  With k = 1
-    every flip changes the one row's weight parity and so makes the 1x1
-    Gram matrix singular, so each restart only checks its drawn code.
-    Below ``BZ_MIN_K`` rows each restart builds a ``codes.WeightTable``
-    from the columns and reads its starting distance off it.  Flipping
-    bit j of row i turns column j from c to c ^ e_i, whose pattern is
-    the old one XOR ``units[i]``; the swapped table is rejected unless
-    every nonzero message weighs at least the current distance, one add
-    of a kept floor and one AND against the guard bits, an accepted
-    trial steps that bound up to its exact distance, and only an
-    accepted trial is kept.  From ``BZ_MIN_K`` rows on, the whole
-    distance test goes to ``min_weight``.
+    Each restart draws k random rows until ``gf2.inverse`` takes their
+    Gram matrix, so every LCD generator is equally likely, and no code
+    is built but the one returned.  A rejected trial costs O(1) and no
+    elimination: the inverse A = (G G^T)^-1, its diagonal and the
+    generator's columns are kept beside the rows, a flip changes G G^T
+    by a rank-2 symmetric term, and ``_stays_lcd`` decides
+    nonsingularity from its 2x2 capacitance matrix, read off one row of
+    A and the diagonal.  Only a flip that also passes the distance test
+    takes ``_flip_update``'s O(k) step, which updates the kept inverse
+    in place by Woodbury.  With k = 1 every flip changes the one row's
+    weight parity and so makes the 1x1 Gram matrix singular, so each
+    restart only checks its drawn code.  Below ``BZ_MIN_K`` rows each
+    restart builds a ``codes.WeightTable`` from the columns and reads
+    its starting distance off it.  Flipping bit j of row i turns column
+    j from c to c ^ e_i, whose pattern is the old one XOR ``units[i]``;
+    the swapped table is rejected unless every nonzero message weighs at
+    least the current distance, one add of a kept floor and one AND
+    against the guard bits, an accepted trial steps that bound up to its
+    exact distance, and only an accepted trial is kept.  From
+    ``BZ_MIN_K`` rows on, the whole distance test goes to
+    ``min_weight``.
     """
     if d_target <= 0 or k < 1 or k > n or _griesmer_length(k, d_target) > n:
         return None
@@ -143,9 +133,11 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
     k_bits, n_bits = k.bit_length(), n.bit_length()
     deadline = time.monotonic() + budget_ms / 1000.0
     while time.monotonic() < deadline:
-        C = random_lcd_code(rng, n, k)
-        rows = list(C.gen.rows)
-        a = list(gf2.inverse(C.gram()))
+        rows = [getrandbits(n) for _ in range(k)]
+        try:
+            a = list(gf2.inverse(gf2.gram(rows)))
+        except ValueError:
+            continue  # singular Gram matrix: not LCD
         diag = sum(al & 1 << l for l, al in enumerate(a))
         cols = list(gf2.transpose(rows, n))
         if k < BZ_MIN_K:

@@ -2,9 +2,11 @@
 
 ``random_code`` draws k uniformly random rows of length n again until
 they are independent, so each full-rank generator matrix is equally
-likely; ``random_lcd_oe_code`` and ``random_lcd_eo_code`` draw LCD codes
-of one parity class, the step-down's and the symplectic paths' inputs.
-Their ranks come from ``gf2_oracle``, not from lcdkit.
+likely, and ``random_lcd_code`` does the same until their Gram matrix is
+nonsingular, so each LCD generator matrix is equally likely;
+``random_lcd_oe_code`` and ``random_lcd_eo_code`` draw LCD codes of one
+parity class, the step-down's and the symplectic paths' inputs.  Their
+ranks come from ``gf2_oracle``, not from lcdkit.
 ``dlcd_value_oracle`` is the unpruned reference that
 ``tables.dlcd_value``'s canonical pruning is checked against.
 """
@@ -24,6 +26,22 @@ def random_code(rng, n, k):
         rows = tuple(rng.getrandbits(n) for _ in range(k))
         if len(oracle.rref(rows, n)[0]) == k:
             return LinearCode(rows, n)
+
+
+def random_lcd_code(rng, n, k, max_tries=10000):
+    """A uniformly random [n, k] LCD code, drawn at most max_tries times.
+
+    Each draw is k random rows, kept when their Gram matrix is
+    nonsingular: that also makes the rows independent.  These are
+    ``lcd_search``'s restart draws, so the two consume the same stream.
+    """
+    if k > n:
+        raise ValueError("k exceeds n")
+    for _ in range(max_tries):
+        rows = tuple(rng.getrandbits(n) for _ in range(k))
+        if oracle.rank(oracle.gram(rows), k) == k:
+            return LinearCode(rows, n)
+    raise RuntimeError(f"no LCD [{n},{k}] code found in {max_tries} tries")
 
 
 def random_lcd_oe_code(rng, n, k, max_tries=20000):

@@ -14,8 +14,7 @@ from lcdkit import gf2, ledger, tables
 from lcdkit.codes import EngineBudgetError
 from lcdkit.codes import _min_distance_low_weight, min_weight
 from lcdkit.gf2 import BitVector
-from lcdkit.search import random_lcd_code
-from random_codes import random_code, random_lcd_oe_code
+from random_codes import random_code, random_lcd_code, random_lcd_oe_code
 
 
 def _int_rank(rows):

@@ -146,7 +146,8 @@ class TestCertify:
     def test_internal_error_is_one_line(self, tmp_path, capsys,
                                         monkeypatch):
         def broken(code):
-            raise RuntimeError("no certified step-down found\nsecond line")
+            raise conjecture.ConjectureError(
+                "no certified step-down found\nsecond line")
         monkeypatch.setattr(conjecture, "certify_step_down", broken)
         path = write(tmp_path, "c.gen1", "6 2\n111000\n000111\n")
         code, _, err = run(capsys, "certify", path)
@@ -194,6 +195,9 @@ class TestDlcdTable:
         (tables.TableLawError("d(6,2) = 5 > d(5,2) + 1\nrow 6"),
          "error: d(6,2) = 5 > d(5,2) + 1\n"),
         (AssertionError(), "error: AssertionError\n"),
+        # a RuntimeError of Python's own is reported the same way
+        (RecursionError("maximum recursion depth exceeded"),
+         "error: maximum recursion depth exceeded\n"),
     ])
     def test_law_violation_is_one_line(self, capsys, monkeypatch, exc,
                                        line):

@@ -209,6 +209,18 @@ class TestConjectureError:
     def test_is_an_assertion_error(self):
         assert issubclass(cj.ConjectureError, AssertionError)
 
+    def test_no_route_found(self, monkeypatch):
+        # a corpus code whose certificate takes the extension route: no
+        # pair pads, so with no lifting column no route is left
+        rows = (13, 50)
+        assert rows in [C.gen.rows for C in tables.all_one_lcd_codes(6)
+                        if C.k == 2]
+        route = cj.certify_step_down(LinearCode(rows, 6)).route
+        assert route == cj.ROUTE_EXTENSION
+        monkeypatch.setattr(cj, "lift_column", lambda P, words: None)
+        with pytest.raises(cj.ConjectureError, match="no certified step-down"):
+            cj.certify_step_down(LinearCode(rows, 6))
+
 
 def _plain_rank(rows):
     pivots = {}

@@ -9,8 +9,7 @@ from lcdkit import constructions as cx
 from lcdkit import gf2
 from lcdkit.codes import LinearCode
 from lcdkit.gf2 import BitVector
-from lcdkit.search import random_lcd_code
-from random_codes import random_code
+from random_codes import random_code, random_lcd_code
 
 HAMMING_7_4 = LinearCode.from_strings([
     "1101000",

@@ -260,6 +260,30 @@ class TestReplaySearchAndExternal:
         res = replay_record(rec, seed_dir=tmp_path)
         assert res.status == PASS
 
+    @pytest.mark.parametrize("fmt", ["extgen1", "extgen", None])
+    def test_external_header_picks_reader(self, tmp_path, fmt):
+        # the file's 3-field header makes it EXTGEN1, whatever the row's
+        # "format" says or whether it says anything
+        (tmp_path / "seeds").mkdir()
+        (tmp_path / "seeds" / "C4_2_1_2.extgen1").write_text("2 1 2\n1 2\n")
+        inputs = {"source": "external", "file": "seeds/C4_2_1_2.extgen1"}
+        if fmt is not None:
+            inputs["format"] = fmt
+        rec = ConstructionRecord(
+            "expand", inputs, {"transformation": "id"}, (4, 2, 2))
+        res = replay_record(rec, seed_dir=tmp_path)
+        assert (res.status, res.message) == (PASS, "")
+
+    def test_external_file_unfit_for_op_fails(self, tmp_path):
+        (tmp_path / "C_6_2_3.gen1").write_text("6 2\n111000\n000111\n")
+        rec = ConstructionRecord(
+            "expand",
+            {"source": "external", "format": "extgen1",
+             "file": "C_6_2_3.gen1"}, {"transformation": "id"}, (12, 4, 2))
+        res = replay_record(rec, seed_dir=tmp_path)
+        assert (res.status, res.message) == (
+            FAIL, "expand needs an input of type ExtFieldCode")
+
 
 class TestBuiltinLedger:
     def test_replays_as_recorded(self):

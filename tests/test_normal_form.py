@@ -8,8 +8,7 @@ import pytest
 from lcdkit import gf2, normal_form as nf
 from lcdkit.codes import LinearCode
 from lcdkit.gf2 import BitMatrix
-from lcdkit.search import random_lcd_code
-from random_codes import (random_code, random_lcd_eo_code,
+from random_codes import (random_code, random_lcd_code, random_lcd_eo_code,
                           random_lcd_oe_code)
 
 HAMMING_7_4 = LinearCode.from_strings([

@@ -7,11 +7,10 @@ from operator import or_
 
 import pytest
 
-from lcdkit import gf2, search
+from lcdkit import codes, gf2, search
 from lcdkit.codes import BZ_MIN_K, WeightTable, min_weight
-from lcdkit.search import (_flip_update, _stays_lcd, lcd_search,
-                           random_lcd_code)
-from random_codes import random_code
+from lcdkit.search import _flip_update, _stays_lcd, lcd_search
+from random_codes import random_code, random_lcd_code
 
 BUDGET_MS = 10000
 
@@ -71,6 +70,35 @@ class TestAgainstReference:
         assert expect is not None
         assert got is not None and list(got.gen.rows) == expect
         assert got.is_lcd() and got.min_distance() >= d
+
+
+class TestBuildsOnlyItsResult:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+        init = codes.LinearCode.__init__
+
+        def counted(self, *args):
+            count[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(codes.LinearCode, "__init__", counted)
+        return count
+
+    @pytest.mark.parametrize("n, k, d", [(6, 1, 5), (6, 6, 1), (14, 5, 5),
+                                         (16, BZ_MIN_K, 3)])
+    def test_one_code_per_success(self, built, n, k, d):
+        # a restart builds no code of its own, nor does a draw whose
+        # Gram matrix is singular: only the result is built
+        got = lcd_search(n, k, d, seed=n * 100 + k * 10 + d,
+                         budget_ms=BUDGET_MS)
+        assert got is not None and built[0] == 1
+
+    def test_none_per_failure(self, built):
+        # d_lcd(7, 4) = 2 though the Griesmer bound allows [7, 4, 3],
+        # so the whole budget goes to restarts
+        assert lcd_search(7, 4, 3, seed=1, budget_ms=200) is None
+        assert built[0] == 0
 
 
 def draw_lcd_code(rng, n, k):
