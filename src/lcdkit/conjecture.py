@@ -3,15 +3,16 @@
 Given an [n+1, k, d] LCD code that is odd-like with an even-like dual
 (label LCD_oe), k >= 2 and d >= 3, this module produces a verified
 [n, k, >= d-1] LCD code together with an auditable certificate.  The
-engine searches coordinate pairs (u, v) guided by the one-dimensional
-hull that appears after puncturing a single coordinate:
+construction is one: puncture a pair (u, v) whose doubly-punctured
+code C^{u,v} is LCD, then append a column y that lifts every
+weight-(d-2) word of C^{u,v} to weight d-1 while keeping the code LCD
+(``lift_column``).  The pairs are found through the one-dimensional
+hull that appears after puncturing a single coordinate.  It has two
+outcomes:
 
-  * route "padded-puncture": some doubly-punctured code is already LCD
-    with minimum distance >= d-1; append an all-zero column.
-  * route "extension": find a pair whose doubly-punctured code C^{u,v}
-    is LCD and takes a column lifting every weight-(d-2) word to weight
-    d-1 while keeping the code LCD; that column is one linear solve
-    (``lift_column``).
+  * route "padded-puncture": C^{u,v} already has minimum distance
+    >= d-1, so there is no word to lift and y = 0.
+  * route "extension": y != 0, one linear solve.
 
 Everything is read off the input's projector Pi = G^T (G G^T)^-1 G
 (``LinearCode.projector``), kept with a ``codes.WeightTable`` over G's
@@ -28,13 +29,14 @@ read, and checks then that it is LCD, so a certification builds the
 code of the pair it uses and of the pairs the extension route scans
 before it.
 
-The extension column: C^{u,v} contains 1 because C does.  A column
-y = M zeta, with M the Gram matrix of C^{u,v}'s generator G and
-z = zeta G, gives each codeword a the trailing bit a . z, and
+The column: C^{u,v} contains 1 because C does.  A column y = M zeta,
+with M the Gram matrix of C^{u,v}'s generator G and z = zeta G, gives
+each codeword a the trailing bit a . z, and
 det(M + y y^T) = det M (1 + z . z).  So the column lifts every
 weight-(d-2) word a and keeps the code LCD exactly when z . a = 1 for
 each such a and z . 1 = 0; a pair whose system has no solution is
-skipped.
+skipped.  With no such word only z . 1 = 0 is left, which zeta = 0
+solves: the padded pair takes y = 0 and needs no solve.
 
 Every certificate re-verifies its output independently.  A broken
 invariant of the proof, a step-down that finds no route included, is a
@@ -204,56 +206,54 @@ def lift_column(P: LinearCode, words: List[int]) -> Optional[int]:
                for i, r in enumerate(P.gram()))
 
 
+def _certificate(C: LinearCode, d: int, W: PunctureWitness,
+                 words: List[int], y: int) -> ConjectureCertificate:
+    """The verified certificate of pair W with lifting column y for
+    its weight-(d-2) words ``words``; y = 0 is the padded route."""
+    P = W.punctured
+    rows = P.gen.rows
+    if y:
+        rows = [r | ((y >> i) & 1) << P.n for i, r in enumerate(rows)]
+    out = LinearCode(rows, P.n + 1)
+    trace = (
+        {"op": "puncture_pair", "u": W.u, "v": W.v,
+         "lcd": True, "dmin": W.dmin},
+        {"op": "lift_column", "weight": d - 2, "words": len(words),
+         "y": gf2.format_bits(y, C.k)},
+    )
+    cert = ConjectureCertificate(
+        (C.n, C.k, d), ROUTE_EXTENSION if y else ROUTE_PADDED, out, trace)
+    cert.verify()
+    return cert
+
+
 def certify_step_down(C: LinearCode) -> ConjectureCertificate:
     """Produce a verified [n, k, >= d-1] LCD code from [n+1, k, d] input.
 
-    Scans pairs (u, v) with u ascending and v in hull-support order,
-    preferring the padded-puncture route; falls back to the extension
-    route on the first pair for which ``lift_column`` finds a column.
+    Scans pairs (u, v) with u ascending and v in hull-support order.
+    The first pair whose punctured code keeps distance >= d-1 takes the
+    column y = 0 (padded-puncture); failing that, the first pair for
+    which ``lift_column`` finds a column takes it (extension).
     An input outside the step-down's hypotheses raises ValueError
     naming the failed precondition.  The guarantee is constructive:
     failure to find a route signals an implementation bug and raises
     ConjectureError, as every other broken proof invariant does.
     """
     d = _step_down_basis(C)[0]
-    n1, k = C.n, C.k
 
-    all_witnesses: List[PunctureWitness] = []
-    for u in range(1, n1 + 1):
+    pending: List[PunctureWitness] = []
+    for u in range(1, C.n + 1):
         for W in good_puncture_pairs(C, u):
-            all_witnesses.append(W)
             if W.dmin >= d - 1:
-                padded = LinearCode(W.punctured.gen.rows, W.punctured.n + 1)
-                trace = (
-                    {"op": "puncture_pair", "u": W.u, "v": W.v,
-                     "lcd": True, "dmin": W.dmin},
-                    {"op": "pad_zero_column", "length": padded.n},
-                )
-                cert = ConjectureCertificate(
-                    (n1, k, d), ROUTE_PADDED, padded, trace)
-                cert.verify()
-                return cert
+                return _certificate(C, d, W, [], 0)
+            pending.append(W)
 
-    for W in all_witnesses:
-        # every witness here has dmin == d - 2, so it has such words
-        P = W.punctured
-        words = P.weight_words(d - 2)
-        y = lift_column(P, words)
-        if y is None:
-            continue
-        out = LinearCode(
-            [r | ((y >> i) & 1) << P.n for i, r in enumerate(P.gen.rows)],
-            P.n + 1)
-        trace = (
-            {"op": "puncture_pair", "u": W.u, "v": W.v,
-             "lcd": True, "dmin": W.dmin},
-            {"op": "lift_column", "weight": d - 2, "words": len(words),
-             "y": gf2.format_bits(y, k)},
-        )
-        cert = ConjectureCertificate(
-            (n1, k, d), ROUTE_EXTENSION, out, trace)
-        cert.verify()
-        return cert
+    for W in pending:
+        # every pending witness has dmin == d - 2, so it has such words
+        words = W.punctured.weight_words(d - 2)
+        y = lift_column(W.punctured, words)
+        if y is not None:
+            return _certificate(C, d, W, words, y)
 
     raise ConjectureError(
         "no certified step-down found: no pair's weight-(d-2) words "

@@ -5,9 +5,11 @@ registered construction operation, its input code, auxiliary data
 (coordinates, appended vectors), and the expected output parameters.
 Records with inline or searchable inputs replay deterministically;
 records whose input is an externally distributed seed file are skipped
-— never failed — when the seed is absent.  A record whose expected
-distance, or the input distance its operation needs, ``min_distance``
-cannot compute within its budget is skipped too
+— never failed — when the seed is absent.  The data picks the reader:
+an inline record that gives a field degree ``m`` is EXTGEN1 and any
+other is GEN1, and an external file is read by its header.  A record
+whose expected distance, or the input distance its operation needs,
+``min_distance`` cannot compute within its budget is skipped too
 (``UNVERIFIED``), never passed.  A record alone decides its replay: a
 search input runs with the seed it records, ``DEFAULT_SEED`` if none.
 
@@ -123,13 +125,12 @@ def _resolve_input(rec: ConstructionRecord, seed_dir: Optional[Path],
     inputs = rec.inputs
     source = inputs.get("source", "inline")
     if source == "inline":
-        fmt = inputs.get("format", "gen1")
-        if fmt == "gen1":
-            return LinearCode.from_strings(inputs["rows"]), None
-        if fmt == "extgen1":
+        # a field degree m makes the rows EXTGEN1 data, as a third
+        # header field does for an external file
+        if "m" in inputs:
             field_ = xp.ExtField.of_degree(inputs["m"])
             return xp.ExtFieldCode(field_, inputs["rows"], inputs["n"]), None
-        raise _ReplayFailure(f"unknown inline format {fmt!r}")
+        return LinearCode.from_strings(inputs["rows"]), None
     if source == "search":
         n, k, d = (inputs.get(key) for key in ("n", "k", "d"))
         seed = inputs.get("seed", DEFAULT_SEED)

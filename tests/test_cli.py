@@ -130,6 +130,32 @@ class TestCertify:
                    for line in trace.read_text().splitlines()]
         assert all("op" in e for e in entries)
 
+    def test_padded_example(self, tmp_path, capsys):
+        path = write(tmp_path, "p.gen1", "8 2\n10111100\n01000011\n")
+        trace = tmp_path / "trace.jsonl"
+        code, out, _ = run(capsys, "certify", path, "--trace", str(trace))
+        assert code == 0
+        assert out == ("[8,2,3] -> [7,2,>=2] via padded-puncture\n"
+                       "7 2\n0111000\n1000110\n")
+        assert trace.read_text().splitlines()[1] == (
+            '{"op": "lift_column", "weight": 1, "words": 0, "y": "00"}')
+
+    def test_verifies_once(self, tmp_path, capsys, monkeypatch):
+        # certify_step_down returns a verified, immutable certificate
+        calls = []
+        verify = conjecture.ConjectureCertificate.verify
+
+        def counting(cert):
+            calls.append(cert)
+            verify(cert)
+
+        monkeypatch.setattr(conjecture.ConjectureCertificate, "verify",
+                            counting)
+        path = write(tmp_path, "c.gen1", "6 2\n111000\n000111\n")
+        code, _, _ = run(capsys, "certify", path)
+        assert code == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("rows,name", [
         ("4 2\n1100\n0110\n", "not-odd-like"),
         ("3 2\n100\n010\n", "dual-not-even"),

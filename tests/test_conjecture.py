@@ -112,6 +112,18 @@ class TestCertifyStepDown:
         assert cert.trace[1] == {"op": "lift_column", "weight": 1,
                                  "words": 1, "y": "11"}
 
+    def test_padded_instance(self):
+        # C^{1,3} of this [8,2,3] code already has distance 3: no
+        # weight-1 word to lift, so the column is zero
+        cert = cj.certify_step_down(C("10111100", "01000011"))
+        assert cert.input_params == (8, 2, 3)
+        assert cert.route == cj.ROUTE_PADDED
+        assert cert.output.gen.rows == C("0111000", "1000110").gen.rows
+        assert cert.trace == (
+            {"op": "puncture_pair", "u": 1, "v": 3, "lcd": True,
+             "dmin": 3},
+            {"op": "lift_column", "weight": 1, "words": 0, "y": "00"})
+
     def test_rejects_low_dimension(self):
         with pytest.raises(ValueError):
             cj.certify_step_down(C("111"))
@@ -270,11 +282,14 @@ def _check_step_down(rows, n1, cert):
     assert _plain_rank(_plain_gram(out)) == k
     assert _plain_min_weight(out) >= d - 1
     column = "".join(str(r >> (n - 1)) for r in out)
-    if cert.route == cj.ROUTE_EXTENSION:
-        (lift,) = cert.trace[1:]
-        assert lift["op"] == "lift_column" and lift["y"] == column
-    else:
-        assert column == "0" * k
+    # one trace shape on both routes: the padded one lifts no word with
+    # the zero column
+    (lift,) = cert.trace[1:]
+    assert lift["op"] == "lift_column" and lift["y"] == column
+    assert lift["weight"] == d - 2
+    assert (cert.route == cj.ROUTE_EXTENSION) == ("1" in column)
+    if cert.route == cj.ROUTE_PADDED:
+        assert lift["words"] == 0 and column == "0" * k
 
 
 class TestCertificateAgainstInput:

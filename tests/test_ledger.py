@@ -134,6 +134,25 @@ class TestReplayInline:
             {"transformation": "id"}, (4, 2, 2))
         assert replay_record(rec).status == PASS
 
+    @pytest.mark.parametrize("fmt", ["extgen", None])
+    def test_inline_degree_picks_reader(self, fmt):
+        # the recorded field degree m makes the row EXTGEN1, whatever
+        # its "format" says or whether it says anything
+        inputs = {"source": "inline", "m": 2, "n": 2, "rows": [[1, 2]]}
+        if fmt is not None:
+            inputs["format"] = fmt
+        rec = ConstructionRecord(
+            "expand", inputs, {"transformation": "id"}, (4, 2, 2))
+        res = replay_record(rec)
+        assert (res.status, res.message) == (PASS, "")
+
+    def test_inline_rows_without_degree_are_gen1(self):
+        rec = ConstructionRecord(
+            "extend_even", {"source": "inline", "format": "GEN1",
+                            "rows": ["111000", "000111"]}, {}, (7, 2, 4))
+        res = replay_record(rec)
+        assert (res.status, res.message) == (PASS, "")
+
     def test_expand_of_self_orthogonal_code_fails(self):
         # [[1, 1]] over GF(4) is self-orthogonal: the expanded [4, 2, 2]
         # code has hull dimension 2, so it is no LCD output
