@@ -99,7 +99,8 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
     matrix stays LCD (a nonsingular Gram matrix also means full rank)
     and its minimum distance does not drop.  Returns the first code
     reaching the distance target, or None when the time budget runs out,
-    and None at once when the Griesmer bound rules the target out.
+    and None at once when the Griesmer bound rules the target out.  The
+    clock is read before each draw and once every 64 climb trials.
     Fully deterministic for a fixed seed and budget outcome.
 
     Each restart draws k random rows until ``gf2.inverse`` takes their
@@ -151,9 +152,11 @@ def lcd_search(n: int, k: int, d_target: int, seed: int = DEFAULT_SEED,
             floor = (top - current) * nonzero
         else:
             current = min_weight(rows)
-        stale = 0
-        while k > 1 and current < d_target and stale < 40 * n and \
-                time.monotonic() < deadline:
+        stale = trial = 0
+        while k > 1 and current < d_target and stale < 40 * n:
+            trial += 1
+            if not trial & 63 and time.monotonic() >= deadline:
+                break
             i = getrandbits(k_bits)
             while i >= k:
                 i = getrandbits(k_bits)

@@ -14,13 +14,18 @@ The enumerator owns the distance test.  Its callers give it a floor
 (the current best distance for d_lcd, d_min - 1 for the corpus) and,
 for the corpus, membership of the all-one vector; it yields only the
 matrices that pass, each with its code's exact minimum distance, so a
-caller keeps only its LCD test.  On the [I_k | B] side the weights of
-all messages on the placed columns are lanes of one ``WeightTable``:
-a subtree is cut as soon as some nonzero message could not beat the
-floor even with every remaining column set, and the leaf's distance is
-read off the lanes.  On the [B^T | I_k] side light generator rows and
-pair sums are skipped and the leaf is measured with ``min_weight``.
-Either way the yields are, in the same order, exactly the matrices of
+caller keeps only its LCD test.  Both sides keep one int of lanes,
+one lane per r-bit vector, and cut a subtree as soon as a lane shows
+that no completion can beat the floor.  On the [I_k | B] side lane x
+is the weight of message x on the placed columns (a ``WeightTable``),
+and a subtree is cut when some nonzero message could not beat the
+floor even with every remaining column set.  On the [B^T | I_k] side
+each placed column is a whole generator row, so every message on the
+placed rows is final; lane s is the least weight of a word of the
+placed rows plus (s | 0), a column v is cut when the messages it makes
+final, the lightest weighing 1 + lane v, do not beat the floor, and
+no codeword is walked.  Either way the leaf's distance is read off the
+lanes, and the yields are, in the same order, exactly the matrices of
 the unpruned sequence whose code passes, so every result is unchanged.
 
 Also exposes the exhaustive corpus of odd-like LCD codes containing
@@ -35,7 +40,7 @@ from operator import xor
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from . import gf2
-from .codes import EngineBudgetError, LinearCode, WeightTable, min_weight
+from .codes import EngineBudgetError, LinearCode, WeightTable
 
 # Exhaustive table search budget.
 N_MAX = 12
@@ -75,9 +80,13 @@ def canonical_b_matrices(
       the weights of all 2^r messages on the placed columns are lanes
       of one ``WeightTable``; a column is cut when some nonzero message
       could not exceed the floor even with every remaining column set,
-      and d is read off the lanes.  Transposed, a column (one generator
-      row) is skipped when it or its sum with an earlier column is too
-      light, and d comes from ``min_weight``.
+      and d is read off the lanes.  Transposed, lane s holds the least
+      weight of x G + (s | 0) over the messages x on the placed
+      generator rows; placing column j with value v makes the messages
+      with bit j final, and the lightest of them weighs 1 + lane v, so
+      the column is cut when that is at most the floor, and the lanes
+      step to min(lane s, 1 + lane s ^ v).  d is the least of those
+      weights over the placed rows, so it is exact at the leaf.
     - ``all_one``: the all-one vector must lie in the code.  Its
       coefficients over the identity part are all ones, so every
       redundant coordinate of the sum of all generator rows must be
@@ -91,28 +100,41 @@ def canonical_b_matrices(
     values = [v for v in range((1 << r) - 1, -1, -1)
               if not odd_cols or v.bit_count() & 1]
     table = WeightTable([1 << i for i in range(r)] + [0] * m, r)
-    # the lanes a column value adds; its top bit is row 0's
-    pattern = [0] * (1 << r)
-    for v in range(1, 1 << r):
-        low = v & -v
-        pattern[v] = pattern[v ^ low] ^ table.units[r - low.bit_length()]
+    width = table.width
+    if transposed:
+        # lane s: the least weight of x G + (s | 0), s on B's coordinates
+        # read as a column value, over the messages x on the placed rows,
+        # x = 0 included; with no row placed it is |s|, table.weights
+        lane = (1 << width) - 1
+        top = width - 1
+        ones = table.nonzero | 1
+        guards = ones << top
+        # moves[v]: the lane swaps (shift, lanes whose index lacks the
+        # bit) that take lane s to lane s ^ v, one per bit of v
+        moves: List[List[Tuple[int, int]]] = [[]]
+        for v in range(1, 1 << r):
+            low = v & -v
+            if v == low:
+                has_bit = table.units[v.bit_length() - 1] * lane
+                moves.append([(width * v, ~has_bit)])
+            else:
+                moves.append(moves[v ^ low] + moves[low])
+    else:
+        # the lanes a column value adds; its top bit is row 0's
+        pattern = [0] * (1 << r)
+        for v in range(1, 1 << r):
+            low = v & -v
+            pattern[v] = pattern[v ^ low] ^ table.units[r - low.bit_length()]
     cols: List[int] = []  # placed column values (transposed: generator rows)
 
-    def column_heavy(v: int, f: int) -> bool:
-        # transposed: generator row v and its sums with earlier ones
-        return v.bit_count() + 1 > f and all(
-            (v ^ w).bit_count() + 2 > f for w in cols)
-
-    def rec(j: int, start: int, tied: int,
-            w: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    def rec(j: int, start: int, tied: int, w: int,
+            d: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
         # tied: bit r-1-i set while rows i-1 and i agree on every placed
-        # column; w: the message weights on the placed columns
+        # column; w: the lanes; d (transposed): the least weight of a
+        # nonzero message on the placed generator rows
         f = floor()
         if j == m:
-            if transposed:
-                d = min_weight(
-                    [c | 1 << (r + t) for t, c in enumerate(cols)], f)
-            else:
+            if not transposed:
                 d = table.minimum(w, f)
             if d > f:
                 # column values are read top row first: bit r-1 is row 0
@@ -129,19 +151,33 @@ def canonical_b_matrices(
             v = values[idx]
             if v & ~(v >> 1) & tied:
                 continue  # a row would rise above the tied row before it
-            nw = w + pattern[v]
             if transposed:
-                if not column_heavy(v, f):
+                # the messages with bit j, final now, weigh 1 + lane v
+                # at the least
+                e = w >> width * v & lane
+                if e < f:
                     continue
-            elif f > left and not table.at_least(nw, f + 1 - left):
-                continue
+                b = w
+                for shift, low in moves[v]:
+                    b = (b & low) << shift | (b >> shift) & low
+                b += ones  # lane s: 1 + lane s ^ v, through row j
+                ge = ((w | guards) - b) & guards  # guard set: lane >= b's
+                nw = w ^ ((w ^ b) & (ge - (ge >> top)))
+                nd = min(d, e + 1)
+            else:
+                nw = w + pattern[v]
+                if f > left and not table.at_least(nw, f + 1 - left):
+                    continue
+                nd = d
             cols.append(v)
-            yield from rec(j + 1, idx, tied & ~(v ^ v >> 1), nw)
+            yield from rec(j + 1, idx, tied & ~(v ^ v >> 1), nw, nd)
             cols.pop()
             f = floor()  # the caller may have raised it
+            if d <= f:
+                return  # a placed message no longer beats it
 
     try:
-        yield from rec(0, 0, (1 << r) - 1 >> 1, table.weights)
+        yield from rec(0, 0, (1 << r) - 1 >> 1, table.weights, r + m + 1)
     finally:
         del rec  # rec holds itself through its closure: no cycle left
 

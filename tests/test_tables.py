@@ -84,12 +84,17 @@ class TestPrunedEnumeration:
 
     def test_constrained_is_filtered_subsequence(self):
         # (5, 5) has transposed matrices whose rows and pair sums beat a
-        # floor that a sum of three rows does not
+        # floor that a sum of three rows does not; the wide shapes are
+        # the [B^T | I_m] side's, deep enough for its lane cuts to fire
+        # well below the root
         sizes = [(r, m) for r in range(1, 5) for m in range(r, 6)]
-        for r, m in sizes + [(5, 5)]:
+        shapes = [(r, m, transposed) for r, m in sizes + [(5, 5)]
+                  for transposed in (False, True)]
+        shapes += [(r, m, True) for r in range(1, 4) for m in range(6, 9)]
+        shapes.append((4, 6, True))
+        for r, m, transposed in shapes:
             full = [b for b, _ in tables.canonical_b_matrices(r, m)]
-            for transposed, all_one in itertools.product((False, True),
-                                                         repeat=2):
+            for all_one in (False, True):
                 measured = []
                 for b in full:
                     rows = _generator_rows(b, r, m, transposed)
@@ -101,6 +106,30 @@ class TestPrunedEnumeration:
                         transposed=transposed))
                     assert got == [(b, d) for b, d in measured if d > f], \
                         (r, m, transposed, all_one, f)
+                # a caller that raises the floor to each d it is given,
+                # as dlcd_value does: a whole subtree may go at once
+                got, best = [], 0
+                for b, d in tables.canonical_b_matrices(
+                        r, m, floor=lambda: best, all_one=all_one,
+                        transposed=transposed):
+                    got.append((b, d))
+                    best = d
+                want, best = [], 0
+                for b, d in measured:
+                    if d > best:
+                        want.append((b, d))
+                        best = d
+                assert got == want, (r, m, transposed, all_one)
+
+    def test_transposed_unbeatable_floor_ends_at_the_root(self):
+        # a generator row of [B^T | I_m] weighs at most r + 1, so each
+        # first column is cut before any node below the root reads it
+        for r, m in ((1, 6), (3, 5), (4, 7)):
+            reads = []
+            got = list(tables.canonical_b_matrices(
+                r, m, floor=lambda: reads.append(r) or r + 1,
+                transposed=True))
+            assert got == [] and len(reads) == 1, (r, m)
 
     def test_all_one_corpus_matches_reference(self):
         for length in range(4, 10):
@@ -142,6 +171,23 @@ class TestDlcdValues:
             for k in range(1, n + 1):
                 assert tables.dlcd_value(n, k) == \
                     dlcd_value_oracle(n, k), (n, k)
+
+    def test_transposed_cells_past_the_table_cap(self):
+        # the k > n - k cells of n = 13 and 14, called directly: dlcd_table
+        # stops at N_MAX, and no independent check covers these rows yet
+        assert [tables.dlcd_value(13, k) for k in range(7, 14)] == \
+            [4, 3, 2, 2, 2, 2, 1]
+        assert [tables.dlcd_value(14, k) for k in range(8, 15)] == \
+            [4, 3, 2, 2, 2, 1, 1]
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_closed_forms(self, n):
+        # k = n - 1: the dual is one vector, and the code is LCD exactly
+        # when that vector has odd weight, so d is 2 for odd n, 1 for even
+        assert tables.dlcd_value(n, n - 1) == 1 + n % 2
+        # k = 2: floor(2n/3), less 1 when n = 0 or 5 (mod 6)
+        # (Galvez, Kim, Lee, Roe and Won, 2018)
+        assert tables.dlcd_value(n, 2) == 2 * n // 3 - (n % 6 in (0, 5))
 
     def test_oracle_budget(self):
         with pytest.raises(EngineBudgetError):
