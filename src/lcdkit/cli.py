@@ -9,7 +9,8 @@ not UTF-8, included).
 
 No flag restates the input: ``analyze`` reads a 3-field header as
 EXTGEN1 and any other as GEN1, the code's dimension picks its distance
-engine, and a ledger row decides its own replay.
+engine, and a ledger row and the chain of rows it refers to decide
+its replay.
 """
 
 from __future__ import annotations
@@ -114,6 +115,12 @@ def _cmd_analyze(args) -> int:
     return EXIT_PASS
 
 
+def _row_tag(rec: ledger.ConstructionRecord) -> str:
+    """``op -> [n,k,d]``, or ``[n,k]`` for a row that expects no d."""
+    n, k, d = rec.expect
+    return f"{rec.op} -> [{n},{k}" + (f",{d}]" if d is not None else "]")
+
+
 def _cmd_construct(args) -> int:
     records = ledger.parse_records(Path(args.path).read_text())
     out_dir = None if args.out_dir is None else Path(args.out_dir)
@@ -122,11 +129,8 @@ def _cmd_construct(args) -> int:
     results = ledger.replay_ledger(records, seed_dir=args.seed_dir,
                                    budget_ms=args.budget_ms)
     for i, res in enumerate(results):
-        n, k, d = res.record.expect
-        tag = f"{res.record.op} -> [{n},{k}" + \
-            (f",{d}]" if d is not None else "]")
         note = f" ({res.message})" if res.message else ""
-        print(f"{res.status} {tag}{note}")
+        print(f"{res.status} {_row_tag(res.record)}{note}")
         if out_dir is not None and res.output is not None:
             (out_dir / f"row{i:03d}.gen1").write_text(
                 format_gen1(res.output))
@@ -196,8 +200,7 @@ def _cmd_verify_ledger(args) -> int:
     skipped = len(results) - counts[ledger.PASS] - counts[ledger.FAIL]
     for res in results:
         if res.status == ledger.FAIL:
-            n, k, d = res.record.expect
-            print(f"FAIL {res.record.op} -> [{n},{k},{d}]: {res.message}")
+            print(f"FAIL {_row_tag(res.record)}: {res.message}")
     bounds = ledger.BoundsLedger.load_builtin()
     violations = bounds.check_consistency()
     for msg in violations:

@@ -3,15 +3,20 @@
 A construction ledger is a JSON-lines file whose records name a
 registered construction operation, its input code, auxiliary data
 (coordinates, appended vectors), and the expected output parameters.
-Records with inline or searchable inputs replay deterministically;
-records whose input is an externally distributed seed file are skipped
-— never failed — when the seed is absent.  The data picks the reader:
-an inline record that gives a field degree ``m`` is EXTGEN1 and any
-other is GEN1, and an external file is read by its header.  A record
-whose expected distance, or the input distance its operation needs,
-``min_distance`` cannot compute within its budget is skipped too
-(``UNVERIFIED``), never passed.  A record alone decides its replay: a
-search input runs with the seed it records, ``DEFAULT_SEED`` if none.
+An input is inline, a seeded search, an externally distributed seed
+file, or the output of row i (``{"source": "row", "ref": i}``, 0-based,
+earlier or later in the file).  ``replay_ledger`` replays each row
+once, after the row it refers to; a ref that is no row index, names
+its own row or lies on a cycle fails.  A row whose external seed is
+absent is skipped — never failed — and so is a row whose producer did
+not pass, with a message naming the producer.  The data picks the
+reader: an inline record that gives a field degree ``m`` is EXTGEN1
+and any other is GEN1, and an external file is read by its header.  A
+record whose expected distance, or the input distance its operation
+needs, ``min_distance`` cannot compute within its budget is skipped
+too (``UNVERIFIED``), never passed.  A row and the chain of
+rows it refers to decide its replay: a search input runs with the
+seed it records, ``DEFAULT_SEED`` if none.
 
 A bounds ledger holds published lower/upper bounds on the best LCD
 minimum distance d_lcd(n, k) at lengths beyond exhaustive reach; its
@@ -46,6 +51,10 @@ class _ReplayFailure(Exception):
     """Internal: the replayed construction contradicts the record."""
 
 
+class _ReplaySkip(Exception):
+    """Internal: the record's input is not available."""
+
+
 @dataclass(frozen=True)
 class ConstructionRecord:
     """One ledger row: an operation, its inputs, and the expected result.
@@ -54,8 +63,8 @@ class ConstructionRecord:
     exactly and d as a lower bound on the replayed minimum distance;
     every output must also be LCD unless its op's ``lcd`` is False.
     status records the verdict of the run that produced the file (for
-    shipped rows: PASS for replayable rows, SKIPPED-MISSING-SEED for
-    external-seed rows).
+    shipped rows: PASS for replayable rows, SKIPPED-MISSING-SEED for a
+    row whose chain of row refs ends at an external seed).
     """
 
     op: str
@@ -120,8 +129,11 @@ def load_builtin_records() -> List[ConstructionRecord]:
 
 
 def _resolve_input(rec: ConstructionRecord, seed_dir: Optional[Path],
-                   budget_ms: int):
-    """Returns (object, None) or (None, skip_message)."""
+                   budget_ms: int,
+                   produced: Optional[Dict[int, ReplayResult]]):
+    """The input code; raises _ReplaySkip when it is not available.
+    produced holds the results so far of ``replay_ledger``, which has
+    checked a row input's ref; None for a record replayed alone."""
     inputs = rec.inputs
     source = inputs.get("source", "inline")
     if source == "inline":
@@ -129,8 +141,8 @@ def _resolve_input(rec: ConstructionRecord, seed_dir: Optional[Path],
         # header field does for an external file
         if "m" in inputs:
             field_ = xp.ExtField.of_degree(inputs["m"])
-            return xp.ExtFieldCode(field_, inputs["rows"], inputs["n"]), None
-        return LinearCode.from_strings(inputs["rows"]), None
+            return xp.ExtFieldCode(field_, inputs["rows"], inputs["n"])
+        return LinearCode.from_strings(inputs["rows"])
     if source == "search":
         n, k, d = (inputs.get(key) for key in ("n", "k", "d"))
         seed = inputs.get("seed", DEFAULT_SEED)
@@ -146,14 +158,41 @@ def _resolve_input(rec: ConstructionRecord, seed_dir: Optional[Path],
         if code is None:
             raise _ReplayFailure(
                 f"search found no [{n},{k},{d}] LCD code within budget")
-        return code, None
+        return code
     if source == "external":
         name = inputs.get("file", "")
         path = None if seed_dir is None else Path(seed_dir) / name
         if path is None or not path.is_file():
-            return None, f"external seed {name!r} not available"
-        return xp.read_code(path.read_text()), None
+            raise _ReplaySkip(f"external seed {name!r} not available")
+        return xp.read_code(path.read_text())
+    if source == "row":
+        if produced is None:
+            raise _ReplayFailure(
+                "a row input needs its ledger: replay it with replay_ledger")
+        ref = inputs["ref"]
+        producer = produced[ref]
+        if producer.status != PASS:
+            raise _ReplaySkip(f"producer row {ref} is {producer.status}")
+        return producer.output
     raise _ReplayFailure(f"unknown input source {source!r}")
+
+
+def _ref(records: Sequence[ConstructionRecord], i: int) -> Optional[int]:
+    """The index of the row that row i's input refers to, None for an
+    input of another source; raises _ReplayFailure for a ref that names
+    no other row."""
+    inputs = records[i].inputs
+    if inputs.get("source") != "row":
+        return None
+    ref = inputs.get("ref")
+    # type(): a JSON true is an int to isinstance
+    if type(ref) is not int or not 0 <= ref < len(records):
+        raise _ReplayFailure(
+            f"bad row ref {ref!r}: need a row index in "
+            f"0..{len(records) - 1}")
+    if ref == i:
+        raise _ReplayFailure(f"row ref {ref} is the row itself")
+    return ref
 
 
 # ----------------------------------------------------------------------
@@ -276,16 +315,13 @@ def _verify(code: LinearCode,
     return True
 
 
-def replay_record(rec: ConstructionRecord,
-                  seed_dir: Optional[Union[str, Path]] = None,
-                  budget_ms: int = 2000) -> ReplayResult:
-    """Replays one record and verifies the output against expectations;
-    distances come from ``min_distance``, the one answer per code."""
+def _replay(rec: ConstructionRecord, seed_dir: Optional[Union[str, Path]],
+            budget_ms: int,
+            produced: Optional[Dict[int, ReplayResult]]) -> ReplayResult:
     try:
-        seed_code, skip = _resolve_input(
-            rec, None if seed_dir is None else Path(seed_dir), budget_ms)
-        if skip is not None:
-            return ReplayResult(rec, SKIPPED, skip)
+        seed_code = _resolve_input(
+            rec, None if seed_dir is None else Path(seed_dir), budget_ms,
+            produced)
         try:
             outputs = _apply_op(rec, seed_code)
         except EngineBudgetError:
@@ -299,6 +335,8 @@ def replay_record(rec: ConstructionRecord,
         # an expected distance that was never checked is no PASS
         return ReplayResult(rec, UNVERIFIED,
                             "distance unverifiable at budget", outputs[0])
+    except _ReplaySkip as e:
+        return ReplayResult(rec, SKIPPED, str(e))
     except _ReplayFailure as e:
         return ReplayResult(rec, FAIL, str(e))
     # a malformed record field surfaces from the code that reads it: a
@@ -308,10 +346,47 @@ def replay_record(rec: ConstructionRecord,
         return ReplayResult(rec, FAIL, f"{type(e).__name__}: {e}")
 
 
+def replay_record(rec: ConstructionRecord,
+                  seed_dir: Optional[Union[str, Path]] = None,
+                  budget_ms: int = 2000) -> ReplayResult:
+    """Replays one record and verifies the output against expectations;
+    distances come from ``min_distance``, the one answer per code.  A
+    row input fails here: its producer replays in ``replay_ledger``."""
+    return _replay(rec, seed_dir, budget_ms, None)
+
+
 def replay_ledger(records: Sequence[ConstructionRecord],
                   seed_dir: Optional[Union[str, Path]] = None,
                   budget_ms: int = 2000) -> List[ReplayResult]:
-    return [replay_record(r, seed_dir, budget_ms) for r in records]
+    """One result per record, in file order; each row replays once,
+    after the row it refers to.  A chain is walked by a loop, so no
+    chain is too long."""
+    results: Dict[int, ReplayResult] = {}
+    for start in range(len(records)):
+        # walk down the refs to a row replayed already or one whose
+        # input needs no other row
+        chain, on_chain, i = [], set(), start
+        while i is not None and i not in results:
+            if i in on_chain:
+                cycle = chain[chain.index(i):]
+                for j in cycle:
+                    results[j] = ReplayResult(
+                        records[j], FAIL,
+                        f"row ref lies on the cycle of rows {cycle}")
+                break
+            chain.append(i)
+            on_chain.add(i)
+            try:
+                i = _ref(records, i)
+            except _ReplayFailure as e:
+                results[i] = ReplayResult(records[i], FAIL, str(e))
+                break
+        # then back up it, each row after the one it refers to
+        for j in reversed(chain):
+            if j not in results:
+                results[j] = _replay(records[j], seed_dir, budget_ms,
+                                     results)
+    return [results[i] for i in range(len(records))]
 
 
 def summary_exit_code(results: Sequence[ReplayResult]) -> int:

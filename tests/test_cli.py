@@ -294,7 +294,8 @@ class TestConstruct:
     def test_out_dir_is_checked_before_any_row(self, tmp_path, capsys,
                                                monkeypatch):
         replayed = []
-        monkeypatch.setattr(ledger, "replay_record",
+        # the function replay_ledger replays each row with
+        monkeypatch.setattr(ledger, "_replay",
                             lambda *args, **kwargs: replayed.append(args))
         path = write(tmp_path, "ledger.jsonl", self.LEDGER * 3)
         taken = write(tmp_path, "taken", "")
@@ -414,6 +415,20 @@ class TestVerifyLedger:
         assert code == 1
         assert "FAIL extend_even -> [7,2,4]: TypeError" in out
         assert err == ""
+
+    def test_fail_line_of_row_without_distance(self, tmp_path, capsys):
+        # the row tag is construct's: an [n, k] row prints no None
+        bad = ('{"op": "extend_even", "inputs": {"source": "inline", '
+               '"rows": ["1100", "0110"]}, "expect": [5, 2]}\n')
+        path = write(tmp_path, "ledger.jsonl", bad)
+        code, out, _ = run(capsys, "verify-ledger", "--path", path)
+        assert code == 1
+        assert out.splitlines()[0] == ("FAIL extend_even -> [5,2]: "
+                                       "ValueError: minimum distance must "
+                                       "be odd")
+        _, out, _ = run(capsys, "construct", path)
+        assert out == ("FAIL extend_even -> [5,2] (ValueError: minimum "
+                       "distance must be odd)\n")
 
     def test_non_string_aux_fails(self, tmp_path, capsys):
         bad = ('{"op": "extend_row_dual", "inputs": {"source": "inline", '

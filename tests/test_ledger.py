@@ -304,6 +304,92 @@ class TestReplaySearchAndExternal:
             FAIL, "expand needs an input of type ExtFieldCode")
 
 
+def row(ref):
+    return {"source": "row", "ref": ref}
+
+
+# shorten_odd_lcd makes the [5, 1, 3] code that extend_odd_two takes
+SHORTEN = ConstructionRecord("shorten_odd_lcd", WORKED, {}, (5, 1, 3))
+
+
+def extend_odd_two_of(ref):
+    return ConstructionRecord("extend_odd_two", row(ref), {}, (7, 1, 5))
+
+
+class TestRowRefs:
+    def test_forward_ref_replays_producer_once(self, monkeypatch):
+        op = ledger.REGISTERED_OPS["shorten_odd_lcd"]
+        calls = []
+
+        def counted(code, aux):
+            calls.append(code)
+            return op.replay(code, aux)
+        monkeypatch.setitem(ledger.REGISTERED_OPS, "shorten_odd_lcd",
+                            op._replace(replay=counted))
+        # rows 0 and 2 both read row 1's output
+        records = [extend_odd_two_of(1), SHORTEN, extend_odd_two_of(1)]
+        results = replay_ledger(records)
+        assert [(r.status, r.message) for r in results] == [(PASS, "")] * 3
+        assert len(calls) == 1
+        assert str(results[0].output.gen) == "1100111"
+        assert results[2].output == results[0].output
+
+    @pytest.mark.parametrize("ref, message", [
+        (True, "bad row ref True: need a row index in 0..1"),
+        ("1", "bad row ref '1': need a row index in 0..1"),
+        (-1, "bad row ref -1: need a row index in 0..1"),
+        (2, "bad row ref 2: need a row index in 0..1"),
+        (None, "bad row ref None: need a row index in 0..1"),
+        (0, "row ref 0 is the row itself"),
+    ], ids=["json-true", "string", "negative", "out-of-range", "missing",
+            "own-index"])
+    def test_bad_ref_fails(self, ref, message):
+        records = [extend_odd_two_of(ref), SHORTEN]
+        first, second = replay_ledger(records)
+        assert (first.status, first.message) == (FAIL, message)
+        assert second.status == PASS
+
+    def test_cycle_fails_every_row_on_it(self):
+        # row 2 waits on the cycle of rows 0 and 1 but lies outside it
+        records = [extend_odd_two_of(1), extend_odd_two_of(0),
+                   extend_odd_two_of(1)]
+        results = replay_ledger(records)
+        assert [(r.status, r.message) for r in results[:2]] == [
+            (FAIL, "row ref lies on the cycle of rows [0, 1]")] * 2
+        assert (results[2].status, results[2].message) == (
+            SKIPPED, "producer row 1 is FAIL")
+
+    def test_skipped_producer_is_named(self):
+        missing = ConstructionRecord(
+            "shorten_odd_lcd", {"source": "external", "params": [6, 2, 3],
+                                "file": "seeds/C_6_2_3.gen1"}, {}, (5, 1, 3))
+        first, second = replay_ledger([extend_odd_two_of(1), missing])
+        assert (first.status, first.message) == (
+            SKIPPED, "producer row 1 is SKIPPED-MISSING-SEED")
+        assert (second.status, second.message) == (
+            SKIPPED, "external seed 'seeds/C_6_2_3.gen1' not available")
+
+    def test_row_input_needs_its_ledger(self):
+        res = replay_record(extend_odd_two_of(1))
+        assert (res.status, res.message) == (
+            FAIL, "a row input needs its ledger: replay it with "
+                  "replay_ledger")
+
+    def test_long_chain_is_walked_without_recursion(self, monkeypatch):
+        # every row refers to the next, the last to a missing seed, so
+        # the walk from row 0 is 2,000 rows deep and no op runs
+        monkeypatch.setattr(ledger, "_apply_op", None)
+        rows = 2000
+        records = [ConstructionRecord("extend_even", row(i + 1), {},
+                                      (7, 2, 4)) for i in range(rows - 1)]
+        records.append(ConstructionRecord(
+            "extend_even", {"source": "external", "file": "none.gen1"},
+            {}, (7, 2, 4)))
+        results = replay_ledger(records)
+        assert [r.status for r in results] == [SKIPPED] * rows
+        assert results[0].message == "producer row 1 is SKIPPED-MISSING-SEED"
+
+
 class TestBuiltinLedger:
     def test_replays_as_recorded(self):
         records = ledger.load_builtin_records()
@@ -316,6 +402,30 @@ class TestBuiltinLedger:
         assert statuses.count(PASS) == 14
         assert statuses.count(FAIL) == 0
         assert statuses.count(SKIPPED) == len(records) - 14
+
+    def test_chains_are_explicit(self):
+        # a seed file another row makes is a ref to that row; row 58's
+        # [42, 30, 5] input has two producers (rows 14 and 112)
+        records = ledger.load_builtin_records()
+        expects = [list(r.expect) for r in records]
+        sources = [r.inputs["source"] for r in records]
+        assert (sources.count("row"), sources.count("external")) == (90, 42)
+        files = {r.inputs["file"] for r in records
+                 if r.inputs["source"] == "external"}
+        assert len(files) == 41
+        assert not any("format" in r.inputs for r in records)
+        for i, rec in enumerate(records):
+            if rec.inputs["source"] == "external" and i != 58:
+                assert expects.count(rec.inputs["params"]) == 0, i
+        assert expects.count(records[58].inputs["params"]) == 2
+        # every ref is in range, and every chain ends at another source
+        for start in range(len(records)):
+            seen, i = set(), start
+            while records[i].inputs["source"] == "row":
+                seen.add(i)
+                i = records[i].inputs["ref"]
+                assert type(i) is int and 0 <= i < len(records), start
+                assert i not in seen, start
 
     def test_every_registered_op_is_exercised(self):
         ops = {r.op for r in ledger.load_builtin_records()}
