@@ -114,33 +114,38 @@ class ParityClass:
 class LinearCode:
     """An [n,k] binary code held by a fixed generator matrix.
 
-    The (pivot, row) pairs from the constructor's rank check back
-    ``contains`` and ``contains_all_one``; the RREF, which is those
-    pairs from ``BZ_MIN_K`` rows on and one ``gf2.rref`` call below,
-    backs ``rref``, ``dual`` and the low-weight engine's parity-check
-    columns.  The Gram matrix backs ``hull``, and ``hull_dimension`` and
-    ``is_lcd`` read the smaller of the two Gram matrices when those
-    columns are already cached.  Each result is cached on first use.
+    The (pivot, row) pairs of an elimination of the generator rows back
+    ``contains`` and ``contains_all_one``: the constructor's rank check,
+    or for a punctured code the elimination that picked its rows.  The
+    RREF backs ``rref``, ``dual`` and the low-weight engine's
+    parity-check columns; the constructor's rank check from
+    ``BZ_MIN_K`` rows on is a ``gf2.rref`` call that yields it, and
+    otherwise one such call builds it on first use.  The Gram matrix
+    backs ``hull``, and ``hull_dimension`` and ``is_lcd`` read the
+    smaller of the two Gram matrices when those columns are already
+    cached.  Each result is cached on first use.
     """
 
     __slots__ = ("gen", "n", "k", "_cache")
 
     def __init__(self, rows: Iterable[int], n: int):
         gen = BitMatrix(tuple(rows), n)
-        k = len(gen.rows)
         # k > n needs no check of its own: the rank is at most n < k
-        if k < BZ_MIN_K:
-            basis, _ = gf2.eliminate(gen.rows)
-            cache = {"basis": basis}
+        if len(gen.rows) < BZ_MIN_K:
+            cache = {"basis": gf2.eliminate(gen.rows)[0]}
         else:
             R, pivots = gf2.rref(gen.rows, n)
-            basis = list(zip(pivots, R))
-            cache = {"basis": basis, "rref": (R, pivots)}
-        if len(basis) != k:
+            cache = {"basis": list(zip(pivots, R)), "rref": (R, pivots)}
+        if len(cache["basis"]) != len(gen.rows):
             raise ValueError("generator matrix does not have full row rank")
+        self._fill(gen, cache)
+
+    def _fill(self, gen: BitMatrix, cache: dict) -> None:
+        """Set the fields of a code on the independent rows of gen,
+        whose (pivot, row) pairs are ``cache["basis"]``."""
         object.__setattr__(self, "gen", gen)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", gen.cols)
+        object.__setattr__(self, "k", len(gen.rows))
         object.__setattr__(self, "_cache", cache)
 
     def __setattr__(self, name, value):
@@ -282,9 +287,14 @@ class LinearCode:
         if len(idx) >= self.n:
             raise ValueError("cannot puncture every coordinate")
         rows = [_drop_bits(r, idx) for r in self.gen.rows]
-        # keep a maximal independent subset, earliest rows first
-        _, kept = gf2.eliminate(rows)
-        return LinearCode([rows[i] for i in kept], self.n - len(idx))
+        # keep a maximal independent subset, earliest rows first; the
+        # elimination that picks it is the kept rows' own, so the code
+        # takes its basis instead of running the constructor's
+        basis, kept = gf2.eliminate(rows)
+        code = LinearCode.__new__(LinearCode)
+        code._fill(BitMatrix(tuple([rows[i] for i in kept]),
+                             self.n - len(idx)), {"basis": basis})
+        return code
 
     def shorten(self, T: Iterable[int]) -> "LinearCode":
         """The subcode zero on T, less T: x·G for the x in the null

@@ -7,15 +7,17 @@ takes rows, and a width (the column count) only where the answer needs
 one; matrices come back as tuples.
 
 The library has two elimination kernels.  ``eliminate``, a forward
-elimination, serves rank, row selection for puncturing, ``solve``, the
-exhaustive tables' LCD test, basis extension in the normal forms
-(which only the benchmark's trace hooks and the tests reach) and the
-``LinearCode`` constructor's rank check on few rows.  ``rref``, a
+elimination, serves rank, row selection for puncturing (whose basis
+the punctured code keeps), ``solve``, basis extension in the normal
+forms (which only the benchmark's trace hooks and the tests reach) and
+the ``LinearCode`` constructor's rank check on few rows.  ``rref``, a
 Gauss-Jordan elimination on rows packed as lanes of one int, serves
 every reduced row form: ``inverse``, ``nullspace``, a code's RREF and
 dual, its information sets, and the constructor's rank check from
 ``codes.BZ_MIN_K`` rows on, which then yields the code's RREF in the
-same pass.
+same pass.  ``lanes_nonsingular`` runs the same lane step on a square
+matrix the caller already keeps packed, the exhaustive tables' LCD
+test, and stops at the first dependent row.
 
 ``BitVector`` and ``BitMatrix`` are records for the parse and print
 boundaries: a 0/1 string is read by ``parse_bits`` and written by
@@ -167,6 +169,27 @@ def rref(rows: Sequence[int], width: int) -> tuple:
         shift += stride
     pivots = sorted(lanes)
     return tuple([M >> lanes[p] & mask for p in pivots]), pivots
+
+
+def lanes_nonsingular(M: int, k: int) -> bool:
+    """Whether the k x k matrix held as k lanes of k bits in M, row i
+    from bit i k on (as ``pack_lanes(rows, k)`` places it), is
+    nonsingular.
+
+    ``rref``'s Gauss-Jordan step on those lanes, stopping at the first
+    row that reduces to zero: it lies in the span of the rows before it.
+    """
+    mask = (1 << k) - 1
+    rep = ((1 << k * k) - 1) // mask if k else 0
+    shift = 0
+    for _ in range(k):
+        row = M >> shift & mask
+        if not row:
+            return False
+        p = (row & -row).bit_length() - 1
+        M ^= ((M >> p & rep) ^ (1 << shift)) * row
+        shift += k
+    return True
 
 
 def gram(rows: Sequence[int]) -> tuple:

@@ -10,23 +10,32 @@ taken on the smaller side — [I_k | B] and [B^T | I_k] have Gram
 matrices I + BB^T and I + B^T B, which are singular together — so B
 never has more than min(k, n-k) rows.
 
-The enumerator owns the distance test.  Its callers give it a floor
-(the current best distance for d_lcd, d_min - 1 for the corpus) and,
-for the corpus, membership of the all-one vector; it yields only the
-matrices that pass, each with its code's exact minimum distance, so a
-caller keeps only its LCD test.  Both sides keep one int of lanes,
-one lane per r-bit vector, and cut a subtree as soon as a lane shows
-that no completion can beat the floor.  On the [I_k | B] side lane x
-is the weight of message x on the placed columns (a ``WeightTable``),
-and a subtree is cut when some nonzero message could not beat the
-floor even with every remaining column set.  On the [B^T | I_k] side
-each placed column is a whole generator row, so every message on the
-placed rows is final; lane s is the least weight of a word of the
-placed rows plus (s | 0), a column v is cut when the messages it makes
-final, the lightest weighing 1 + lane v, do not beat the floor, and
-no codeword is walked.  Either way the leaf's distance is read off the
-lanes, and the yields are, in the same order, exactly the matrices of
-the unpruned sequence whose code passes, so every result is unchanged.
+The enumerator owns the distance test and the LCD test.  Its callers
+give it a floor (the current best distance for d_lcd, d_min - 1 for
+the corpus), for the corpus membership of the all-one vector, and ask
+for LCD codes; it yields only the matrices that pass, each with its
+code's exact minimum distance, and a caller tests nothing itself.
+Both sides keep one int of lanes, one lane per r-bit vector, and cut a
+subtree as soon as a lane shows that no completion can beat the
+floor.  On the [I_k | B] side lane x is the weight of message x on the
+placed columns (a ``WeightTable``), and a subtree is cut when some
+nonzero message could not beat the floor even with every remaining
+column set.  On the [B^T | I_k] side each placed column is a whole
+generator row, so every message on the placed rows is final; lane s is
+the least weight of a word of the placed rows plus (s | 0), a column v
+is cut when the messages it makes final, the lightest weighing
+1 + lane v, do not beat the floor, and no codeword is walked.  Either
+way the leaf's distance is read off the lanes, and the yields are, in
+the same order, exactly the matrices of the unpruned sequence whose
+code passes, so every result is unchanged.
+
+A code is LCD exactly when its Gram matrix is nonsingular (Massey),
+and I + BB^T is singular exactly when I + B^T B is, so both sides test
+the r x r matrix S = I_r + BB^T, the sum of I_r and the outer products
+v v^T of B's column values v.  The enumerator carries S as one int of
+r lanes, XORs in a precomputed v v^T as it places each column, and
+tests S's rank only at a leaf that beats the floor, before the leaf is
+transposed into rows.
 
 Also exposes the exhaustive corpus of odd-like LCD codes containing
 the all-one vector (one representative set covering every such code up
@@ -35,7 +44,7 @@ to column permutation), used to exercise the step-down engine.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import xor
 from typing import Callable, Dict, Iterator, List, Tuple
 
@@ -54,9 +63,23 @@ class TableLawError(AssertionError):
     """
 
 
+@lru_cache(maxsize=None)
+def _outer_products(r: int) -> Tuple[Tuple[int, ...], int]:
+    """(outer, identity) as r lanes of r bits, lane p for bit p of a
+    column value: outer[v] = v v^T holds v in the lanes of v's bits, and
+    identity is I_r.  Built once per r, which takes few values, and
+    never changed."""
+    spread = [0] * (1 << r)  # bit 0 of the lanes of v's bits
+    for v in range(1, 1 << r):
+        low = v & -v
+        spread[v] = spread[v ^ low] | 1 << r * (low.bit_length() - 1)
+    return (tuple([v * lanes for v, lanes in enumerate(spread)]),
+            sum(1 << (r + 1) * p for p in range(r)))
+
+
 def canonical_b_matrices(
         r: int, m: int, *, floor: Callable[[], int] = lambda: 0,
-        all_one: bool = False, transposed: bool = False
+        all_one: bool = False, lcd: bool = False, transposed: bool = False
 ) -> Iterator[Tuple[Tuple[int, ...], int]]:
     """All r x m binary matrices in doubly lexical form, with distances.
 
@@ -72,8 +95,8 @@ def canonical_b_matrices(
     [I_r | B], whose generator rows are e_i | row i, or with
     ``transposed`` [B^T | I_m], whose generator rows are column j | e_j.
     Each B is yielded as (B, d) with d its code's exact minimum
-    distance, and only when it passes both constraints; subtrees that
-    no completion could pass are cut:
+    distance, and only when it passes every constraint; the floor and
+    ``all_one`` also cut the subtrees that no completion could pass:
 
     - ``floor``: d must exceed ``floor()``.  It is read afresh at each
       node, so a caller may raise it while iterating.  Untransposed,
@@ -92,8 +115,14 @@ def canonical_b_matrices(
       redundant coordinate of the sum of all generator rows must be
       1: untransposed only odd-weight columns are tried, transposed
       the last column is forced to make every row's weight odd.
+    - ``lcd``: the code must be LCD, that is I_r + BB^T nonsingular.
+      That matrix, the sum of I_r and v v^T over the placed column
+      values v (transposed: the placed generator rows), rides the
+      recursion as r lanes of r bits, and a leaf that beats the floor
+      is yielded only when ``gf2.lanes_nonsingular`` passes it.
 
-    The default floor of 0 yields the full sequence.
+    The default floor of 0 with no constraint set yields the full
+    sequence.
     """
     odd_cols = all_one and not transposed
     # allowed column values, in the order they are tried
@@ -125,18 +154,21 @@ def canonical_b_matrices(
         for v in range(1, 1 << r):
             low = v & -v
             pattern[v] = pattern[v ^ low] ^ table.units[r - low.bit_length()]
+    outer, identity = _outer_products(r)
     cols: List[int] = []  # placed column values (transposed: generator rows)
 
-    def rec(j: int, start: int, tied: int, w: int,
-            d: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    def rec(j: int, start: int, tied: int, w: int, d: int,
+            s: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
         # tied: bit r-1-i set while rows i-1 and i agree on every placed
         # column; w: the lanes; d (transposed): the least weight of a
-        # nonzero message on the placed generator rows
+        # nonzero message on the placed generator rows; s: I_r plus the
+        # outer products of the placed column values
         f = floor()
         if j == m:
             if not transposed:
                 d = table.minimum(w, f)
-            if d > f:
+            # the rank test runs last: most leaves fail the floor first
+            if d > f and (not lcd or gf2.lanes_nonsingular(s, r)):
                 # column values are read top row first: bit r-1 is row 0
                 yield gf2.transpose(cols, r)[::-1], d
             return
@@ -170,14 +202,16 @@ def canonical_b_matrices(
                     continue
                 nd = d
             cols.append(v)
-            yield from rec(j + 1, idx, tied & ~(v ^ v >> 1), nw, nd)
+            yield from rec(j + 1, idx, tied & ~(v ^ v >> 1), nw, nd,
+                           s ^ outer[v])
             cols.pop()
             f = floor()  # the caller may have raised it
             if d <= f:
                 return  # a placed message no longer beats it
 
     try:
-        yield from rec(0, 0, (1 << r) - 1 >> 1, table.weights, r + m + 1)
+        yield from rec(0, 0, (1 << r) - 1 >> 1, table.weights, r + m + 1,
+                       identity)
     finally:
         del rec  # rec holds itself through its closure: no cycle left
 
@@ -193,12 +227,6 @@ def _systematic_rows(n: int, k: int, b_rows: Tuple[int, ...]) -> List[int]:
             for i, col in enumerate(gf2.transpose(b_rows, k))]
 
 
-def _gram_nonsingular(b_rows: Tuple[int, ...]) -> bool:
-    """Whether I + B B^T is nonsingular (LCD test on the small side)."""
-    g = [row ^ 1 << i for i, row in enumerate(gf2.gram(b_rows))]
-    return gf2.rank(g) == len(b_rows)
-
-
 def dlcd_value(n: int, k: int) -> int:
     """Exact d_lcd(n, k) by canonical exhaustive search."""
     if not 1 <= k <= n:
@@ -207,10 +235,9 @@ def dlcd_value(n: int, k: int) -> int:
         return 1  # the full space is LCD with distance 1
     r, m = min(k, n - k), max(k, n - k)
     best = 0
-    for b, d in canonical_b_matrices(r, m, floor=lambda: best,
+    for _, d in canonical_b_matrices(r, m, floor=lambda: best, lcd=True,
                                      transposed=k > n - k):
-        if _gram_nonsingular(b):
-            best = d
+        best = d  # the walk's floor from here on
     if best < 1:
         raise TableLawError(f"no LCD code found for (n={n}, k={k})")
     return best
@@ -274,9 +301,8 @@ def all_one_lcd_codes(length: int) -> Iterator[LinearCode]:
     for k in range(2, n):  # k = n is the full space, d = 1
         c = n - k
         r, m = min(k, c), max(k, c)
-        for b, d in canonical_b_matrices(r, m, floor=lambda: 2,
-                                         all_one=True, transposed=k > c):
-            if _gram_nonsingular(b):
-                code = LinearCode(_systematic_rows(n, k, b), n)
-                code._cache["dmin_value"] = d
-                yield code
+        for b, d in canonical_b_matrices(r, m, floor=lambda: 2, all_one=True,
+                                         lcd=True, transposed=k > c):
+            code = LinearCode(_systematic_rows(n, k, b), n)
+            code._cache["dmin_value"] = d
+            yield code

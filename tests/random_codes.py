@@ -8,14 +8,16 @@ nonsingular, so each LCD generator matrix is equally likely;
 parity class, the step-down's and the symplectic paths' inputs.  Their
 ranks come from ``gf2_oracle``, not from lcdkit.
 ``dlcd_value_oracle`` is the unpruned reference that
-``tables.dlcd_value``'s canonical pruning is checked against.
+``tables.dlcd_value``'s canonical pruning is checked against, and
+``systematic_lcd`` the LCD test the table references share; both take
+their Gram matrices and ranks from ``gf2_oracle`` too.
 """
 
 import itertools
 
 import gf2_oracle as oracle
 from lcdkit.codes import EngineBudgetError, LinearCode, min_weight
-from lcdkit.tables import _gram_nonsingular, _systematic_rows
+from lcdkit.tables import _systematic_rows
 
 
 def random_code(rng, n, k):
@@ -84,6 +86,14 @@ def random_lcd_eo_code(rng, n, k, max_tries=40000):
     raise RuntimeError(f"no LCD_eo [{n},{k}] code found in {max_tries} tries")
 
 
+def systematic_lcd(b):
+    """Whether the systematic code with redundant part B (r rows) is
+    LCD, that is whether I_r + B B^T is nonsingular."""
+    r = len(b)
+    return oracle.rank([row ^ 1 << i for i, row in
+                        enumerate(oracle.gram(b))], r) == r
+
+
 def dlcd_value_oracle(n, k):
     """d_lcd(n, k) over every systematic generator, n <= 7."""
     if n > 7:
@@ -93,6 +103,6 @@ def dlcd_value_oracle(n, k):
     r, m = min(k, n - k), max(k, n - k)
     best = 0
     for b in itertools.product(range(1 << m), repeat=r):
-        if _gram_nonsingular(b):
+        if systematic_lcd(b):
             best = max(best, min_weight(_systematic_rows(n, k, b), best))
     return best

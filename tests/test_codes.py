@@ -788,6 +788,34 @@ class TestPuncture:
         with pytest.raises(ValueError):
             C("111").puncture([4])
 
+    def test_one_elimination(self, monkeypatch):
+        # the elimination that picks the kept rows is their own, so the
+        # punctured code keeps its basis and runs no rank check of its
+        # own; it answers as the constructor's code on the same rows
+        eliminate = gf2.eliminate
+        calls = []
+        monkeypatch.setattr(gf2, "eliminate", lambda rows: (
+            calls.append(1), eliminate(rows))[1])
+        rng = random.Random(33)
+        for case in range(200):
+            k = (1, 3, BZ_MIN_K - 1, BZ_MIN_K, BZ_MIN_K + 2)[case % 5]
+            n = k + rng.randrange(1, 6)
+            code = random_code(rng, n, k)
+            T = rng.sample(range(1, n + 1), rng.randrange(1, n))
+            calls.clear()
+            p = code.puncture(T)
+            assert len(calls) == 1
+            rows = [codes._drop_bits(r, tuple(sorted(T)))
+                    for r in code.gen.rows]
+            assert p.k == oracle.rank(rows, p.n)
+            ref = LinearCode(p.gen.rows, p.n)
+            if p.k < BZ_MIN_K:
+                assert p._cache["basis"] == ref._cache["basis"]
+            assert p.rref() == ref.rref()
+            for v in [rng.getrandbits(p.n) for _ in range(4)] + [
+                    (1 << p.n) - 1] + list(p.gen.rows):
+                assert p.contains(v) == ref.contains(v), (case, v)
+
     def test_accepts_one_shot_iterable(self):
         assert C("111").puncture(iter([1])) == C("11")
         assert C("110", "011").shorten(iter([1])) == C("11")

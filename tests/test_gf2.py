@@ -2,6 +2,8 @@
 invariants and the textbook reference in gf2_oracle."""
 
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 
@@ -279,6 +281,31 @@ class TestInverse:
     def test_empty(self):
         assert gf2.inverse(()) == ()
         assert gf2.is_nonsingular(())
+
+
+class TestLanesNonsingular:
+    """gf2.lanes_nonsingular on k lanes of k bits against the oracle's
+    rank of the same rows."""
+
+    def test_against_oracle(self):
+        rng = random.Random(32)
+        for k in range(9):
+            for case in range(60):
+                A = list(random_rows(rng, k, k))
+                if case % 3 == 0 and k > 1:
+                    # one row the sum of some of the others
+                    i = rng.randrange(k)
+                    A[i] = reduce(xor, (r for j, r in enumerate(A)
+                                        if j != i and rng.random() < 0.5), 0)
+                M, _ = gf2.pack_lanes(A, k) if k else (0, 0)
+                assert gf2.lanes_nonsingular(M, k) == \
+                    (oracle.rank(A, k) == k), (k, A)
+
+    def test_identity_and_empty(self):
+        assert gf2.lanes_nonsingular(0, 0)
+        for k in range(1, 7):
+            assert gf2.lanes_nonsingular(gf2.pack_lanes(identity(k), k)[0], k)
+            assert not gf2.lanes_nonsingular(0, k)
 
 
 class TestSolve:

@@ -6,7 +6,7 @@ import os
 import random
 import subprocess
 import sys
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import xor
 from pathlib import Path
 
@@ -15,7 +15,7 @@ import pytest
 from lcdkit import tables
 from lcdkit.codes import EngineBudgetError, LinearCode, min_weight
 from lcdkit.ledger import BoundsEntry, BoundsLedger
-from random_codes import dlcd_value_oracle
+from random_codes import dlcd_value_oracle, systematic_lcd
 
 
 class TestCanonicalMatrices:
@@ -106,20 +106,33 @@ class TestPrunedEnumeration:
                         transposed=transposed))
                     assert got == [(b, d) for b, d in measured if d > f], \
                         (r, m, transposed, all_one, f)
-                # a caller that raises the floor to each d it is given,
-                # as dlcd_value does: a whole subtree may go at once
-                got, best = [], 0
-                for b, d in tables.canonical_b_matrices(
-                        r, m, floor=lambda: best, all_one=all_one,
-                        transposed=transposed):
-                    got.append((b, d))
-                    best = d
-                want, best = [], 0
-                for b, d in measured:
-                    if d > best:
-                        want.append((b, d))
-                        best = d
-                assert got == want, (r, m, transposed, all_one)
+                assert _raised_floor_walk(
+                    r, m, all_one=all_one, transposed=transposed) == \
+                    _record_breakers(measured), (r, m, transposed, all_one)
+
+    def test_lcd_is_gram_filtered_subsequence(self):
+        # every shape with r <= 4 and r <= m <= 8, on both sides, with and
+        # without all_one, at every floor from 0 past the largest
+        # distance: lcd=True yields the unfloored lcd=False sequence cut
+        # to d above the floor and to the B whose I + B B^T the oracle
+        # finds nonsingular.  The verdict depends on B alone, so each B
+        # is judged once.
+        verdict = lru_cache(maxsize=None)(systematic_lcd)
+        for r in range(5):
+            for m in range(r, 9):
+                for transposed, all_one in itertools.product((False, True),
+                                                             repeat=2):
+                    case = dict(all_one=all_one, transposed=transposed)
+                    full = [(b, d) for b, d in
+                            tables.canonical_b_matrices(r, m, **case)
+                            if verdict(b)]
+                    for f in range(r + m + 2):
+                        got = list(tables.canonical_b_matrices(
+                            r, m, floor=lambda: f, lcd=True, **case))
+                        assert got == [(b, d) for b, d in full if d > f], \
+                            (r, m, case, f)
+                    assert _raised_floor_walk(r, m, lcd=True, **case) == \
+                        _record_breakers(full), (r, m, case)
 
     def test_transposed_unbeatable_floor_ends_at_the_root(self):
         # a generator row of [B^T | I_m] weighs at most r + 1, so each
@@ -149,13 +162,15 @@ class TestPrunedEnumeration:
 
         def counting(r, m, **constraints):
             calls.append(sorted(constraints))
+            assert constraints["lcd"] is True
             return enumerate_b(r, m, **constraints)
 
         monkeypatch.setattr(tables, "canonical_b_matrices", counting)
         tables.dlcd_value(6, 2)
-        assert calls == [["floor", "transposed"]]
+        assert calls == [["floor", "lcd", "transposed"]]
         list(tables.all_one_lcd_codes(6))
-        assert calls[1:] == [["all_one", "floor", "transposed"]] * 4  # k 2-5
+        assert calls[1:] == \
+            [["all_one", "floor", "lcd", "transposed"]] * 4  # k 2-5
 
 
 class TestDlcdValues:
@@ -294,6 +309,27 @@ class TestAllOneCorpus:
         assert found == brute
 
 
+def _raised_floor_walk(r, m, **constraints):
+    """The yields of a walk whose caller raises the floor to each d it
+    is given, as dlcd_value does: a whole subtree may go at once."""
+    got, best = [], 0
+    for b, d in tables.canonical_b_matrices(r, m, floor=lambda: best,
+                                            **constraints):
+        got.append((b, d))
+        best = d
+    return got
+
+
+def _record_breakers(seq):
+    """The (b, d) of seq whose d beats every d before it."""
+    out, best = [], 0
+    for b, d in seq:
+        if d > best:
+            out.append((b, d))
+            best = d
+    return out
+
+
 def _generator_rows(b, r, m, transposed):
     """The generator rows the enumerator reads the r x m matrix b as."""
     if transposed:  # [B^T | I_m]: generator row j is column j of B
@@ -318,7 +354,7 @@ def _reference_all_one(n, d_min=3, k_min=2):
                 continue
             rows = tables._systematic_rows(n, k, b)
             d = min_weight(rows)
-            if d >= d_min and tables._gram_nonsingular(b):
+            if d >= d_min and systematic_lcd(b):
                 yield rows, d
 
 
@@ -329,7 +365,7 @@ def _reference_dlcd(n, k):
     r, m = min(k, n - k), max(k, n - k)
     best = 0
     for b, _ in tables.canonical_b_matrices(r, m):
-        if tables._gram_nonsingular(b):
+        if systematic_lcd(b):
             rows = tables._systematic_rows(n, k, b)
             best = max(best, min_weight(rows, best))
     return best
@@ -364,7 +400,7 @@ def _qualifying_codes_bruteforce(n, k):
     r, m = min(k, c), max(k, c)
     for b in itertools.product(range(1 << m), repeat=r):
         rows = tables._systematic_rows(n, k, b)
-        if min_weight(rows, 2) <= 2 or not tables._gram_nonsingular(b):
+        if min_weight(rows, 2) <= 2 or not systematic_lcd(b):
             continue
         code = LinearCode(rows, n)
         if code.contains_all_one():
