@@ -73,16 +73,27 @@ def extend_odd_two(C: LinearCode) -> LinearCode:
     return out
 
 
-def puncture_even_lcd(C: LinearCode, i: int) -> LinearCode:
-    """Even-like [n,k,d] LCD punctured on coordinate i -> [n-1,k,>=d-1] LCD."""
+def puncture_even_lcd(C: LinearCode, *T: int) -> LinearCode:
+    """Even-like [n,k,d] LCD punctured on the coordinates T ->
+    [n-|T|,k,>=d-|T|] LCD.
+
+    Every coordinate refers to C: the set goes in one puncture, since
+    after one coordinate of the support some row is odd.  diag Π = 0 on
+    an even-like code (``LinearCode.projector``), so one coordinate
+    always keeps the code LCD and of dimension k; a set T does exactly
+    when I + Π[T,T] is nonsingular (for a pair u, v, when Π_uv = 0),
+    and ValueError tells when it is not.
+    """
     _require_lcd(C)
     if not C.is_even_like():
         raise ValueError("input code is not even-like")
-    check_coords([i], C.n)
-    out = C.puncture([i])
-    if not out.is_lcd():
-        raise ConstructionError("output is not LCD")
-    return out
+    out = C.puncture(T)
+    if out.k == C.k and out.is_lcd():
+        return out
+    if len(T) > 1:
+        raise ValueError(f"I + Π[T,T] is singular for T = {sorted(T)}: "
+                         f"the punctured code is no LCD [{out.n},{C.k}] code")
+    raise ConstructionError("output is not LCD")
 
 
 def shorten_odd_lcd(C: LinearCode,

@@ -17,7 +17,8 @@ dual, its information sets, and the constructor's rank check from
 ``codes.BZ_MIN_K`` rows on, which then yields the code's RREF in the
 same pass.  ``lanes_nonsingular`` runs the same lane step on a square
 matrix the caller already keeps packed, the exhaustive tables' LCD
-test, and stops at the first dependent row.
+test, and stops at the first dependent row; ``is_nonsingular``, which
+no library code calls, stays for the benchmark's trace hooks.
 
 ``BitVector`` and ``BitMatrix`` are records for the parse and print
 boundaries: a 0/1 string is read by ``parse_bits`` and written by
@@ -233,7 +234,8 @@ def mul(a: Sequence[int], b: Sequence[int]) -> tuple:
 
 def is_nonsingular(rows: Sequence[int]) -> bool:
     """Whether rows form a nonsingular square matrix: k rows of rank k,
-    each within k bits."""
+    each within k bits.  No library code calls it; the benchmark's
+    trace hooks name it."""
     k = len(rows)
     return max(rows, default=0) >> k == 0 and rank(rows) == k
 

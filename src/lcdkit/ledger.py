@@ -35,7 +35,7 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 
 from . import constructions as cons
 from . import expansion as xp
-from .codes import EngineBudgetError, LinearCode, check_coords
+from .codes import EngineBudgetError, LinearCode
 from .gf2 import BitVector
 from .search import DEFAULT_SEED, lcd_search
 from .tables import law_violations
@@ -219,14 +219,6 @@ def _expand(seed_code: xp.ExtFieldCode, aux: Dict) -> List[LinearCode]:
     return [seed_code.image]
 
 
-def _puncture_even_lcd(code: LinearCode, aux: Dict) -> List[LinearCode]:
-    # puncture highest coordinates first so the recorded positions keep
-    # referring to the original code
-    for i in reversed(check_coords(aux["coordinates"], code.n)):
-        code = cons.puncture_even_lcd(code, i)
-    return [code]
-
-
 def _extend_two_multi(code: LinearCode, aux: Dict) -> List[LinearCode]:
     outputs = cons.extend_two_multi(code)
     want = 1 << (code.k - 1)
@@ -262,7 +254,8 @@ class _Op(NamedTuple):
 REGISTERED_OPS: Dict[str, _Op] = {
     "extend_even": _Op(_one(cons.extend_even)),
     "extend_odd_two": _Op(_one(cons.extend_odd_two)),
-    "puncture_even_lcd": _Op(_puncture_even_lcd, ("coordinates",)),
+    "puncture_even_lcd": _Op(lambda code, aux: [
+        cons.puncture_even_lcd(code, *aux["coordinates"])], ("coordinates",)),
     "shorten_odd_lcd": _Op(lambda code, aux: [
         cons.shorten_odd_lcd(code, aux.get("coordinate"))]),
     "hull_shorten": _Op(_one(cons.hull_shorten)),

@@ -1,41 +1,31 @@
 """Exhaustive small-length tables of the best LCD minimum distance.
 
 d_lcd(n, k) is the largest minimum distance of any binary [n, k] LCD
-code.  The search runs over systematic generator matrices [I_k | B]
-modulo column permutations: every code is column-equivalent to a
-systematic one, and row/column permutations of B realize the remaining
+code.  The search runs over systematic generator matrices modulo column
+permutations: every code is column-equivalent to a systematic one, and
+row/column permutations of the redundant part B realize the remaining
 symmetry, so it suffices to enumerate matrices B in doubly lexical
-form (rows and columns both sorted).  The redundant part is always
-taken on the smaller side — [I_k | B] and [B^T | I_k] have Gram
-matrices I + BB^T and I + B^T B, which are singular together — so B
-never has more than min(k, n-k) rows.
+form (rows and columns both sorted).  B is always taken on the smaller
+side — [I_k | B] when k <= n - k, else [B^T | I_k]; their Gram
+matrices I + BB^T and I + B^T B are singular together — so B never has
+more than min(k, n-k) rows.  ``canonical_b_matrices(n, k)`` is the one
+place that knows this layout: it takes the cell and yields its codes'
+generator rows.
 
 The enumerator owns the distance test and the LCD test.  Its callers
 give it a floor (the current best distance for d_lcd, d_min - 1 for
-the corpus), for the corpus membership of the all-one vector, and ask
-for LCD codes; it yields only the matrices that pass, each with its
-code's exact minimum distance, and a caller tests nothing itself.
-Both sides keep one int of lanes, one lane per r-bit vector, and cut a
-subtree as soon as a lane shows that no completion can beat the
-floor.  On the [I_k | B] side lane x is the weight of message x on the
-placed columns (a ``WeightTable``), and a subtree is cut when some
-nonzero message could not beat the floor even with every remaining
-column set.  On the [B^T | I_k] side each placed column is a whole
-generator row, so every message on the placed rows is final; lane s is
-the least weight of a word of the placed rows plus (s | 0), a column v
-is cut when the messages it makes final, the lightest weighing
-1 + lane v, do not beat the floor, and no codeword is walked.  Either
-way the leaf's distance is read off the lanes, and the yields are, in
-the same order, exactly the matrices of the unpruned sequence whose
-code passes, so every result is unchanged.
-
+the corpus) and, for the corpus, the membership of the all-one vector;
+it yields only the LCD codes that pass, each with its exact minimum
+distance, and a caller tests nothing itself.  On both sides one int of
+lanes, one lane per r-bit vector, cuts a subtree as soon as a lane
+shows that no completion can beat the floor, and the leaf's distance
+is read off the lanes, so no codeword is walked; the yields are, in
+the same order, exactly the codes of the unpruned sequence that pass.
 A code is LCD exactly when its Gram matrix is nonsingular (Massey),
 and I + BB^T is singular exactly when I + B^T B is, so both sides test
-the r x r matrix S = I_r + BB^T, the sum of I_r and the outer products
-v v^T of B's column values v.  The enumerator carries S as one int of
-r lanes, XORs in a precomputed v v^T as it places each column, and
-tests S's rank only at a leaf that beats the floor, before the leaf is
-transposed into rows.
+the r x r matrix I_r + BB^T, carried through the recursion as r lanes
+of r bits and tested only at a leaf that beats the floor, before the
+leaf's generator rows are built.
 
 Also exposes the exhaustive corpus of odd-like LCD codes containing
 the all-one vector (one representative set covering every such code up
@@ -77,53 +67,68 @@ def _outer_products(r: int) -> Tuple[Tuple[int, ...], int]:
             sum(1 << (r + 1) * p for p in range(r)))
 
 
+@lru_cache(maxsize=None)
+def _bottom_first(r: int) -> Tuple[int, ...]:
+    """flip[v]: the r-bit column value v, read top row first, as a
+    column of B with bit i from row i.  Built once per r."""
+    return tuple(int(f"{v:0{r}b}"[::-1], 2) for v in range(1 << r))
+
+
 def canonical_b_matrices(
-        r: int, m: int, *, floor: Callable[[], int] = lambda: 0,
-        all_one: bool = False, lcd: bool = False, transposed: bool = False
-) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    """All r x m binary matrices in doubly lexical form, with distances.
+        n: int, k: int, *, floor: Callable[[], int], all_one: bool = False
+) -> Iterator[Tuple[List[int], int]]:
+    """The [n, k] LCD codes of the doubly lexical matrices B, with distances.
 
-    Rows are emitted as ints with bit j = column j.  Column values
-    (read top row first) are non-increasing left to right, and row
-    values (read leftmost column first) are non-increasing top to
-    bottom.  Every matrix can be brought to such a form by row and
-    column permutations, so the iterator covers every equivalence
-    class at least once.  Matrices come in decreasing order of their
-    column sequence.
+    B is r x m with r = min(k, n - k) and m = max(k, n - k): the
+    generator matrix is [I_k | B] when k <= n - k, whose row i is
+    e_i | row i of B, and else [B^T | I_k], whose row j is column j of
+    B | e_j.  B's column values (read top row first) are non-increasing
+    left to right, and its row values (read leftmost column first) are
+    non-increasing top to bottom.  Every matrix can be brought to such a
+    form by row and column permutations, so the codes cover every LCD
+    code up to column permutation at least once.  They come in
+    decreasing order of B's column sequence.
 
-    B is read as the redundant part of a systematic generator matrix:
-    [I_r | B], whose generator rows are e_i | row i, or with
-    ``transposed`` [B^T | I_m], whose generator rows are column j | e_j.
-    Each B is yielded as (B, d) with d its code's exact minimum
-    distance, and only when it passes every constraint; the floor and
-    ``all_one`` also cut the subtrees that no completion could pass:
+    Each code is yielded as (rows, d), its generator rows and exact
+    minimum distance, and only when it is LCD (I_r + BB^T nonsingular)
+    and passes both constraints; the constraints also cut the subtrees
+    that no completion could pass:
 
     - ``floor``: d must exceed ``floor()``.  It is read afresh at each
-      node, so a caller may raise it while iterating.  Untransposed,
-      the weights of all 2^r messages on the placed columns are lanes
-      of one ``WeightTable``; a column is cut when some nonzero message
-      could not exceed the floor even with every remaining column set,
-      and d is read off the lanes.  Transposed, lane s holds the least
-      weight of x G + (s | 0) over the messages x on the placed
-      generator rows; placing column j with value v makes the messages
-      with bit j final, and the lightest of them weighs 1 + lane v, so
-      the column is cut when that is at most the floor, and the lanes
-      step to min(lane s, 1 + lane s ^ v).  d is the least of those
-      weights over the placed rows, so it is exact at the leaf.
+      node, so a caller may raise it while iterating.  On the [I_k | B]
+      side the weights of all 2^r messages on the placed columns are
+      lanes of one ``WeightTable``; a column is cut when some nonzero
+      message could not exceed the floor even with every remaining
+      column set, and d is read off the lanes.  On the [B^T | I_k]
+      side lane s holds the least weight of x G + (s | 0) over the
+      messages x on the placed generator rows; placing column j with
+      value v makes the messages with bit j final, and the lightest of
+      them weighs 1 + lane v, so the column is cut when that is at most
+      the floor, and the lanes step to min(lane s, 1 + lane s ^ v).  d
+      is the least of those weights over the placed rows, so it is
+      exact at the leaf.
     - ``all_one``: the all-one vector must lie in the code.  Its
       coefficients over the identity part are all ones, so every
       redundant coordinate of the sum of all generator rows must be
-      1: untransposed only odd-weight columns are tried, transposed
-      the last column is forced to make every row's weight odd.
-    - ``lcd``: the code must be LCD, that is I_r + BB^T nonsingular.
-      That matrix, the sum of I_r and v v^T over the placed column
-      values v (transposed: the placed generator rows), rides the
-      recursion as r lanes of r bits, and a leaf that beats the floor
-      is yielded only when ``gf2.lanes_nonsingular`` passes it.
+      1: on the [I_k | B] side only odd-weight columns are tried, on
+      the other the last column is forced to make every row's weight
+      odd.
 
-    The default floor of 0 with no constraint set yields the full
-    sequence.
+    I_r + BB^T, the sum of I_r and v v^T over the placed column values
+    v, rides the recursion as r lanes of r bits, and a leaf that beats
+    the floor is yielded only when ``gf2.lanes_nonsingular`` passes it.
+    ValueError unless 1 <= k <= n.
     """
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    transposed = k > n - k  # B on the smaller side
+    r, m = min(k, n - k), max(k, n - k)
+    if r == 0:
+        # k = n: the full space, with d = 1.  The walk below finds it
+        # too, but through m nested generators at every call
+        if floor() < 1:
+            yield [1 << j for j in range(n)], 1
+        return
     odd_cols = all_one and not transposed
     # allowed column values, in the order they are tried
     values = [v for v in range((1 << r) - 1, -1, -1)
@@ -155,10 +160,11 @@ def canonical_b_matrices(
             low = v & -v
             pattern[v] = pattern[v ^ low] ^ table.units[r - low.bit_length()]
     outer, identity = _outer_products(r)
+    flip = _bottom_first(r)
     cols: List[int] = []  # placed column values (transposed: generator rows)
 
     def rec(j: int, start: int, tied: int, w: int, d: int,
-            s: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
+            s: int) -> Iterator[Tuple[List[int], int]]:
         # tied: bit r-1-i set while rows i-1 and i agree on every placed
         # column; w: the lanes; d (transposed): the least weight of a
         # nonzero message on the placed generator rows; s: I_r plus the
@@ -168,9 +174,13 @@ def canonical_b_matrices(
             if not transposed:
                 d = table.minimum(w, f)
             # the rank test runs last: most leaves fail the floor first
-            if d > f and (not lcd or gf2.lanes_nonsingular(s, r)):
-                # column values are read top row first: bit r-1 is row 0
-                yield gf2.transpose(cols, r)[::-1], d
+            if d > f and gf2.lanes_nonsingular(s, r):
+                if transposed:  # row i is column i of B | e_i
+                    rows = [flip[v] | 1 << r + i for i, v in enumerate(cols)]
+                else:  # row i is e_i | row i of B; bit r-1 of v is row 0
+                    rows = [1 << i | row << r for i, row in
+                            enumerate(reversed(gf2.transpose(cols, r)))]
+                yield rows, d
             return
         left = m - j - 1  # columns still to place after this one
         candidates = range(start, len(values))
@@ -216,27 +226,10 @@ def canonical_b_matrices(
         del rec  # rec holds itself through its closure: no cycle left
 
 
-def _systematic_rows(n: int, k: int, b_rows: Tuple[int, ...]) -> List[int]:
-    """Generator rows of the [n, k] code determined by the small-side B."""
-    c = n - k
-    if k <= c:
-        # [I_k | B], B is k x c
-        return [(1 << i) | (b_rows[i] << k) for i in range(k)]
-    # [B^T | I_k], B is c x k
-    return [col | (1 << (c + i))
-            for i, col in enumerate(gf2.transpose(b_rows, k))]
-
-
 def dlcd_value(n: int, k: int) -> int:
     """Exact d_lcd(n, k) by canonical exhaustive search."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    if k == n:
-        return 1  # the full space is LCD with distance 1
-    r, m = min(k, n - k), max(k, n - k)
     best = 0
-    for _, d in canonical_b_matrices(r, m, floor=lambda: best, lcd=True,
-                                     transposed=k > n - k):
+    for _, d in canonical_b_matrices(n, k, floor=lambda: best):
         best = d  # the walk's floor from here on
     if best < 1:
         raise TableLawError(f"no LCD code found for (n={n}, k={k})")
@@ -297,12 +290,9 @@ def all_one_lcd_codes(length: int) -> Iterator[LinearCode]:
     preconditions.  Any LCD code containing the all-one vector is
     automatically odd-like.
     """
-    n = length
-    for k in range(2, n):  # k = n is the full space, d = 1
-        c = n - k
-        r, m = min(k, c), max(k, c)
-        for b, d in canonical_b_matrices(r, m, floor=lambda: 2, all_one=True,
-                                         lcd=True, transposed=k > c):
-            code = LinearCode(_systematic_rows(n, k, b), n)
+    for k in range(2, length):  # k = n is the full space, d = 1
+        for rows, d in canonical_b_matrices(length, k, floor=lambda: 2,
+                                            all_one=True):
+            code = LinearCode(rows, length)
             code._cache["dmin_value"] = d
             yield code

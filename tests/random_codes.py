@@ -16,8 +16,8 @@ their Gram matrices and ranks from ``gf2_oracle`` too.
 import itertools
 
 import gf2_oracle as oracle
+from canonical_oracle import systematic_rows
 from lcdkit.codes import EngineBudgetError, LinearCode, min_weight
-from lcdkit.tables import _systematic_rows
 
 
 def random_code(rng, n, k):
@@ -104,5 +104,5 @@ def dlcd_value_oracle(n, k):
     best = 0
     for b in itertools.product(range(1 << m), repeat=r):
         if systematic_lcd(b):
-            best = max(best, min_weight(_systematic_rows(n, k, b), best))
+            best = max(best, min_weight(systematic_rows(n, k, b), best))
     return best

@@ -229,6 +229,22 @@ class TestPunctureEvenLcd:
         with pytest.raises(ValueError):
             cx.puncture_even_lcd(C("111"), 1)
 
+    def test_coordinate_set(self):
+        code = C("1111000", "1000111")
+        projector = code.projector()
+        singular = set()
+        for u, v in itertools.combinations(range(1, 8), 2):
+            # diag Π = 0, so I + Π[T,T] is singular exactly when Π_uv = 1
+            if projector[u - 1] >> (v - 1) & 1:
+                singular.add((u, v))
+                with pytest.raises(ValueError, match=r"I \+ Π\[T,T\]"):
+                    cx.puncture_even_lcd(code, u, v)
+            else:
+                out = cx.puncture_even_lcd(code, u, v)
+                assert out == code.puncture([u, v]) and out.is_lcd()
+                assert out.k == 2
+        assert (2, 5) in singular and (2, 3) not in singular
+
     def test_every_coordinate_random(self):
         rng = random.Random(43)
         done = 0

@@ -100,14 +100,35 @@ class TestReplayInline:
         assert res.status == PASS
 
     def test_puncture_sequence(self):
-        # two recorded coordinates are removed highest-first so both
-        # keep referring to the original code
+        # both recorded coordinates refer to the original code
         rec = ConstructionRecord(
             "puncture_even_lcd", inline(["11000", "01100"]),
             {"coordinates": [1, 5]}, (3, 2, 1))
         res = replay_record(rec)
         assert res.status == PASS, res.message
         assert res.output.n == 3
+
+    @pytest.mark.parametrize("coordinates", [[2, 3], [3, 2]])
+    def test_puncture_set_in_the_support(self, coordinates):
+        # after coordinate 2 alone some row is odd; the set goes at once,
+        # and Π_23 = 0 keeps the [5,2,2] code LCD
+        rec = ConstructionRecord(
+            "puncture_even_lcd", inline(["1111000", "1000111"]),
+            {"coordinates": coordinates}, (5, 2, 2))
+        res = replay_record(rec)
+        assert res.status == PASS, res.message
+        assert res.output == LinearCode([0b00011, 0b11101], 5)
+
+    def test_puncture_set_with_singular_block_fails(self):
+        # Π_25 = 1, so I + Π[T,T] is singular on T = {2, 5}
+        rec = ConstructionRecord(
+            "puncture_even_lcd", inline(["1111000", "1000111"]),
+            {"coordinates": [2, 5]}, (5, 2, 2))
+        res = replay_record(rec)
+        assert res.status == FAIL
+        assert res.message == ("ValueError: I + Π[T,T] is singular for "
+                               "T = [2, 5]: the punctured code is no LCD "
+                               "[5,2] code")
 
     @pytest.mark.parametrize("rows, coordinates, message", [
         # a JSON true is no coordinate, though Python counts it as 1

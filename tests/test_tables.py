@@ -1,6 +1,7 @@
 """Exhaustive d_lcd tables, canonical enumeration, and the code corpus."""
 
 import gc
+import hashlib
 import itertools
 import os
 import random
@@ -15,51 +16,76 @@ import pytest
 from lcdkit import tables
 from lcdkit.codes import EngineBudgetError, LinearCode, min_weight
 from lcdkit.ledger import BoundsEntry, BoundsLedger
+import gf2_oracle as oracle
+from canonical_oracle import canonical_matrices, systematic_rows
 from random_codes import dlcd_value_oracle, systematic_lcd
 
 
 class TestCanonicalMatrices:
     def test_small_counts(self):
         # 1 x m: one matrix per weight (sorted columns)
-        assert sum(1 for _ in tables.canonical_b_matrices(1, 4)) == 5
+        assert sum(1 for _ in canonical_matrices(1, 4)) == 5
         # all 2 x 2 doubly lexical matrices
-        mats = [b for b, _ in tables.canonical_b_matrices(2, 2)]
-        assert len(set(mats)) == len(mats)
+        mats = list(canonical_matrices(2, 2))
+        assert len(mats) == 7 and len(set(mats)) == len(mats)
+        # [1 | b] is LCD exactly when b has even weight: 1111, 1100, 0000
+        assert [d for _, d in tables.canonical_b_matrices(
+            5, 1, floor=lambda: 0)] == [5, 3, 1]
+        # all of them but diag(1, 0) and I_2 give LCD [4, 2] codes
+        codes = [tuple(rows) for rows, _ in
+                 tables.canonical_b_matrices(4, 2, floor=lambda: 0)]
+        assert len(set(codes)) == len(codes) == 5
 
     def test_rows_and_columns_sorted(self):
-        for b, _ in tables.canonical_b_matrices(3, 4):
-            # row values, leftmost column most significant
-            vals = [int(format(r, "04b")[::-1], 2) for r in b]
-            assert vals == sorted(vals, reverse=True)
-            cols = []
-            for j in range(4):
-                cols.append(sum(((b[i] >> j) & 1) << (2 - i)
-                                for i in range(3)))
-            assert cols == sorted(cols, reverse=True)
+        # every yield's B has sorted rows and columns, and the yields of
+        # a cell come in strictly decreasing order of B's column sequence
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                seq = []
+                for rows, _ in tables.canonical_b_matrices(
+                        n, k, floor=lambda: 0):
+                    b = _b_of(rows, n, k)
+                    assert systematic_rows(n, k, b) == rows, (n, k, rows)
+                    r, m = len(b), max(k, n - k)
+                    vals = [int(format(row, f"0{m}b")[::-1], 2)
+                            for row in b]
+                    assert vals == sorted(vals, reverse=True)
+                    cols = [sum((b[i] >> j & 1) << r - 1 - i
+                                for i in range(r)) for j in range(m)]
+                    assert cols == sorted(cols, reverse=True)
+                    seq.append(cols)
+                assert all(a > b for a, b in zip(seq, seq[1:])), (n, k)
 
     def test_covers_all_classes(self):
-        # every matrix must be row/column-permutable to some canonical
-        # representative
+        # every LCD matrix must be row/column-permutable to the B of some
+        # yield, on both sides: I + B B^T is invariant under both
         for r, m in ((2, 3), (3, 3), (2, 4), (3, 4)):
-            canon = {b for b, _ in tables.canonical_b_matrices(r, m)}
-
-            def variants(rows):
-                out = set()
-                for pr in itertools.permutations(rows):
-                    for pc in itertools.permutations(range(m)):
-                        out.add(tuple(
-                            sum(((row >> c) & 1) << j
-                                for j, c in enumerate(pc))
-                            for row in pr))
-                return out
-
-            for rows in itertools.product(range(1 << m), repeat=r):
-                assert variants(rows) & canon, (r, m, rows)
+            for k in {r, m}:
+                n = r + m
+                variants = set()
+                for rows, _ in tables.canonical_b_matrices(
+                        n, k, floor=lambda: 0):
+                    b = _b_of(rows, n, k)
+                    for pr in itertools.permutations(b):
+                        for pc in itertools.permutations(range(m)):
+                            variants.add(tuple(
+                                sum(((row >> c) & 1) << j
+                                    for j, c in enumerate(pc))
+                                for row in pr))
+                for b in itertools.product(range(1 << m), repeat=r):
+                    assert b in variants or not systematic_lcd(b), \
+                        (n, k, b)
 
     def test_degenerate_sizes(self):
         for r, m, want in ((0, 0, ()), (2, 0, (0, 0)), (0, 3, ())):
-            assert [b for b, _ in tables.canonical_b_matrices(r, m)] == \
-                [want]
+            assert list(canonical_matrices(r, m)) == [want]
+        # k = n: B has no row, and the full space has distance 1
+        for n in range(1, 5):
+            assert list(tables.canonical_b_matrices(n, n, floor=lambda: 0)) \
+                == [([1 << j for j in range(n)], 1)]
+        for n, k in ((3, 4), (3, 0), (0, 0)):
+            with pytest.raises(ValueError, match="1 <= k <= n"):
+                next(tables.canonical_b_matrices(n, k, floor=lambda: 0))
 
     def test_leaves_no_cyclic_garbage(self):
         """A finished or closed walk frees everything by reference count."""
@@ -70,7 +96,7 @@ class TestCanonicalMatrices:
                 for k in range(1, n + 1):
                     tables.dlcd_value(n, k)
             assert gc.collect() == 0
-            walk = tables.canonical_b_matrices(3, 4)
+            walk = tables.canonical_b_matrices(7, 3, floor=lambda: 0)
             next(walk)
             walk.close()
             assert gc.collect() == 0
@@ -79,70 +105,57 @@ class TestCanonicalMatrices:
 
 
 class TestPrunedEnumeration:
-    """The constrained enumerator against the unconstrained one filtered
-    by the constraints, with distances measured here by min_weight."""
+    """The enumerator against the reference sequence of
+    ``canonical_oracle`` filtered by each constraint, with distances
+    measured here by min_weight and LCD decided by the oracle."""
 
     def test_constrained_is_filtered_subsequence(self):
-        # (5, 5) has transposed matrices whose rows and pair sums beat a
-        # floor that a sum of three rows does not; the wide shapes are
-        # the [B^T | I_m] side's, deep enough for its lane cuts to fire
-        # well below the root
-        sizes = [(r, m) for r in range(1, 5) for m in range(r, 6)]
-        shapes = [(r, m, transposed) for r, m in sizes + [(5, 5)]
-                  for transposed in (False, True)]
-        shapes += [(r, m, True) for r in range(1, 4) for m in range(6, 9)]
-        shapes.append((4, 6, True))
-        for r, m, transposed in shapes:
-            full = [b for b, _ in tables.canonical_b_matrices(r, m)]
-            for all_one in (False, True):
-                measured = []
-                for b in full:
-                    rows = _generator_rows(b, r, m, transposed)
-                    if not all_one or reduce(xor, rows) == (1 << r + m) - 1:
-                        measured.append((b, min_weight(rows)))
-                for f in range(m + 3):
-                    got = list(tables.canonical_b_matrices(
-                        r, m, floor=lambda: f, all_one=all_one,
-                        transposed=transposed))
-                    assert got == [(b, d) for b, d in measured if d > f], \
-                        (r, m, transposed, all_one, f)
-                assert _raised_floor_walk(
-                    r, m, all_one=all_one, transposed=transposed) == \
-                    _record_breakers(measured), (r, m, transposed, all_one)
+        # every cell up to n = 10 on both sides, and the n = 11 cells of
+        # the [B^T | I_k] side with r <= 3, deep enough for its lane cuts
+        # to fire well below the root, with and without all_one, at every
+        # floor from 0 past the largest distance: the yields are the
+        # reference cut to the LCD codes, by I + B B^T, with d above the
+        # floor
+        cells = [(n, k) for n in range(1, 11) for k in range(1, n + 1)]
+        cells += [(11, k) for k in range(8, 12)]
+        for (n, k), all_one in itertools.product(cells, (False, True)):
+            want = [(rows, d) for b, rows, d, ones in _reference(n, k)
+                    if systematic_lcd(b) and (ones or not all_one)]
+            for f in range(n + 2):
+                got = list(tables.canonical_b_matrices(
+                    n, k, floor=lambda: f, all_one=all_one))
+                assert got == [(rows, d) for rows, d in want if d > f], \
+                    (n, k, all_one, f)
+            assert _raised_floor_walk(n, k, all_one=all_one) == \
+                _record_breakers(want), (n, k, all_one)
 
     def test_lcd_is_gram_filtered_subsequence(self):
-        # every shape with r <= 4 and r <= m <= 8, on both sides, with and
-        # without all_one, at every floor from 0 past the largest
-        # distance: lcd=True yields the unfloored lcd=False sequence cut
-        # to d above the floor and to the B whose I + B B^T the oracle
-        # finds nonsingular.  The verdict depends on B alone, so each B
-        # is judged once.
-        verdict = lru_cache(maxsize=None)(systematic_lcd)
-        for r in range(5):
-            for m in range(r, 9):
-                for transposed, all_one in itertools.product((False, True),
-                                                             repeat=2):
-                    case = dict(all_one=all_one, transposed=transposed)
-                    full = [(b, d) for b, d in
-                            tables.canonical_b_matrices(r, m, **case)
-                            if verdict(b)]
-                    for f in range(r + m + 2):
-                        got = list(tables.canonical_b_matrices(
-                            r, m, floor=lambda: f, lcd=True, **case))
-                        assert got == [(b, d) for b, d in full if d > f], \
-                            (r, m, case, f)
-                    assert _raised_floor_walk(r, m, lcd=True, **case) == \
-                        _record_breakers(full), (r, m, case)
+        # the LCD test sees only the r x r matrix I + B B^T; on every cell
+        # up to n = 10, and on the n = 12 cells with r <= 3, its yields
+        # are the reference cut to the codes whose own k x k Gram matrix
+        # G G^T the oracle finds nonsingular (Massey), unfloored and on
+        # the raised-floor walk
+        cells = [(n, k) for n in range(1, 11) for k in range(1, n + 1)]
+        cells += [(12, k) for k in (1, 2, 3, 9, 10, 11, 12)]
+        for (n, k), all_one in itertools.product(cells, (False, True)):
+            want = [(rows, d) for _, rows, d, ones in _reference(n, k)
+                    if (ones or not all_one)
+                    and oracle.rank(oracle.gram(rows), k) == k]
+            got = list(tables.canonical_b_matrices(
+                n, k, floor=lambda: 0, all_one=all_one))
+            assert got == want, (n, k, all_one)
+            assert _raised_floor_walk(n, k, all_one=all_one) == \
+                _record_breakers(want), (n, k, all_one)
 
     def test_transposed_unbeatable_floor_ends_at_the_root(self):
-        # a generator row of [B^T | I_m] weighs at most r + 1, so each
+        # a generator row of [B^T | I_k] weighs at most r + 1, so each
         # first column is cut before any node below the root reads it
-        for r, m in ((1, 6), (3, 5), (4, 7)):
+        for n, k in ((7, 6), (8, 5), (11, 7)):
+            r = n - k
             reads = []
             got = list(tables.canonical_b_matrices(
-                r, m, floor=lambda: reads.append(r) or r + 1,
-                transposed=True))
-            assert got == [] and len(reads) == 1, (r, m)
+                n, k, floor=lambda: reads.append(r) or r + 1))
+            assert got == [] and len(reads) == 1, (n, k)
 
     def test_all_one_corpus_matches_reference(self):
         for length in range(4, 10):
@@ -160,17 +173,15 @@ class TestPrunedEnumeration:
         calls = []
         enumerate_b = tables.canonical_b_matrices
 
-        def counting(r, m, **constraints):
+        def counting(n, k, **constraints):
             calls.append(sorted(constraints))
-            assert constraints["lcd"] is True
-            return enumerate_b(r, m, **constraints)
+            return enumerate_b(n, k, **constraints)
 
         monkeypatch.setattr(tables, "canonical_b_matrices", counting)
         tables.dlcd_value(6, 2)
-        assert calls == [["floor", "lcd", "transposed"]]
+        assert calls == [["floor"]]
         list(tables.all_one_lcd_codes(6))
-        assert calls[1:] == \
-            [["all_one", "floor", "lcd", "transposed"]] * 4  # k 2-5
+        assert calls[1:] == [["all_one", "floor"]] * 4  # k 2-5
 
 
 class TestDlcdValues:
@@ -284,6 +295,21 @@ class TestAllOneCorpus:
                   for length in range(4, 12)]
         assert counts == [0, 0, 1, 0, 2, 15, 69, 702]
 
+    def test_same_codes_in_the_same_order(self):
+        # the (n, rows, d) of all 7,902 codes of lengths 4-12, digested:
+        # a change that reorders, adds or drops a code, or changes its
+        # rows or distance, changes the digest
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(4, 13):
+            for code in tables.all_one_lcd_codes(n):
+                rows = " ".join(map(str, code.gen.rows))
+                digest.update(f"{n} {rows} {code.min_distance()}\n".encode())
+                count += 1
+        assert count == 7902
+        assert digest.hexdigest() == ("291e59dd51332fde29922e7d104244be"
+                                      "ca717b6810b20eca30f6b9dfd353e694")
+
     def test_corpus_facts(self):
         for length in range(4, 11):
             for code in tables.all_one_lcd_codes(length):
@@ -309,66 +335,60 @@ class TestAllOneCorpus:
         assert found == brute
 
 
-def _raised_floor_walk(r, m, **constraints):
+def _raised_floor_walk(n, k, **constraints):
     """The yields of a walk whose caller raises the floor to each d it
     is given, as dlcd_value does: a whole subtree may go at once."""
     got, best = [], 0
-    for b, d in tables.canonical_b_matrices(r, m, floor=lambda: best,
-                                            **constraints):
-        got.append((b, d))
+    for rows, d in tables.canonical_b_matrices(n, k, floor=lambda: best,
+                                               **constraints):
+        got.append((rows, d))
         best = d
     return got
 
 
 def _record_breakers(seq):
-    """The (b, d) of seq whose d beats every d before it."""
+    """The (rows, d) of seq whose d beats every d before it."""
     out, best = [], 0
-    for b, d in seq:
+    for rows, d in seq:
         if d > best:
-            out.append((b, d))
+            out.append((rows, d))
             best = d
     return out
 
 
-def _generator_rows(b, r, m, transposed):
-    """The generator rows the enumerator reads the r x m matrix b as."""
-    if transposed:  # [B^T | I_m]: generator row j is column j of B
-        return [sum(((b[i] >> j) & 1) << i for i in range(r))
-                | 1 << (r + j) for j in range(m)]
-    return [(1 << i) | (b[i] << r) for i in range(r)]  # [I_r | B]
+def _b_of(rows, n, k):
+    """The redundant part B (bit j = column j) of the systematic rows
+    of an [n, k] code, as ``systematic_rows`` lays it out."""
+    c = n - k
+    if k <= c:
+        return tuple(row >> k for row in rows)
+    return tuple(sum((row >> i & 1) << j for j, row in enumerate(rows))
+                 for i in range(c))
+
+
+@lru_cache(maxsize=None)
+def _reference(n, k):
+    """(B, rows, d, whether 1_n is a codeword) over the unfiltered
+    reference sequence of the cell (n, k)."""
+    ones = (1 << n) - 1
+    out = []
+    for b in canonical_matrices(min(k, n - k), max(k, n - k)):
+        rows = systematic_rows(n, k, b)
+        out.append((b, rows, min_weight(rows), reduce(xor, rows) == ones))
+    return tuple(out)
 
 
 def _reference_all_one(n, d_min=3, k_min=2):
     """(rows, d) of the all-one corpus by unconstrained enumeration."""
     for k in range(k_min, n):
-        c = n - k
-        r, m = min(k, c), max(k, c)
-        for b, _ in tables.canonical_b_matrices(r, m):
-            if k <= c:
-                cols_odd = all(
-                    sum((b[i] >> j) & 1 for i in range(r)) & 1
-                    for j in range(m))
-            else:
-                cols_odd = all(row.bit_count() & 1 for row in b)
-            if not cols_odd:
-                continue
-            rows = tables._systematic_rows(n, k, b)
-            d = min_weight(rows)
-            if d >= d_min and systematic_lcd(b):
+        for b, rows, d, ones in _reference(n, k):
+            if ones and d >= d_min and systematic_lcd(b):
                 yield rows, d
 
 
 def _reference_dlcd(n, k):
     """d_lcd(n, k) by unconstrained enumeration and post-hoc filters."""
-    if k == n:
-        return 1
-    r, m = min(k, n - k), max(k, n - k)
-    best = 0
-    for b, _ in tables.canonical_b_matrices(r, m):
-        if systematic_lcd(b):
-            rows = tables._systematic_rows(n, k, b)
-            best = max(best, min_weight(rows, best))
-    return best
+    return max(d for b, _, d, _ in _reference(n, k) if systematic_lcd(b))
 
 
 def _perm_class_key(code, orbits):
@@ -399,7 +419,7 @@ def _qualifying_codes_bruteforce(n, k):
     c = n - k
     r, m = min(k, c), max(k, c)
     for b in itertools.product(range(1 << m), repeat=r):
-        rows = tables._systematic_rows(n, k, b)
+        rows = systematic_rows(n, k, b)
         if min_weight(rows, 2) <= 2 or not systematic_lcd(b):
             continue
         code = LinearCode(rows, n)
