@@ -20,15 +20,17 @@ Coordinates are 1-indexed at the API surface and 0-indexed internally.
 ``min_distance`` takes no option: the dimension picks its kernel,
 ``min_weight`` up to ``K_FULL`` rows and the low-weight engine past
 them.  The codeword-weight kernels live here: ``min_weight``, the
-minimum weight behind ``min_distance``, the exhaustive tables and the
-search; ``WeightTable``, the weights of all 2^k messages packed as
-lanes of one int, which a column change updates in one subtraction and
-one addition (``lcd_search`` keeps one per restart below ``BZ_MIN_K``
-rows); and ``_subset_sums``, the XORs of every t-subset of some
-columns.  The low-weight engine reads d off collisions among sums of
-parity-check columns: once no codeword is lighter than w, equal sums of
-two distinct subsets of sizes floor(w/2) and ceil(w/2) come from
-disjoint subsets, so it keeps sums only, no support masks;
+minimum weight behind ``min_distance``, the search, the step-down
+certificate and the GF(2^m) symbol distance; ``WeightTable``, the
+weights of all 2^k messages packed as lanes of one int, which a column
+change updates in one subtraction and one addition (the tables'
+enumerator cuts on its lanes, and ``lcd_search`` keeps one per restart
+below ``BZ_MIN_K`` rows); and ``_subset_sums``, the XORs of every
+t-subset of some columns.  The low-weight engine reads d off
+collisions among sums of parity-check columns: once no codeword is
+lighter than w, equal sums of two distinct subsets of sizes floor(w/2)
+and ceil(w/2) come from disjoint subsets, so it keeps sums only, no
+support masks;
 ``_zero_sum_supports`` adds each subset's mask (``_subset_sums`` over
 the unit vectors) to list the words themselves.  ``min_weight``
 walks all 2^k - 1 nonzero codewords in Gray-code order below

@@ -10,6 +10,11 @@ generator: the hull's greedy information set, diag Π
 (``LinearCode.projector``), each row's weight parity, or the null
 vector of the Gram matrix.
 
+The extensions build through two row maps: the row (1, x) over
+[0 | G] (``_row_over``) and the column <x, r> prepended to each stored
+row r (``_columns_before``).  ``_checked`` is the one check that a
+built code is LCD of the promised dimension.
+
 Every operator returns the LinearCode it builds, so its output can be
 the next construction's input.  extend_systematic returns None when its
 verdict is "not LCD", and extend_two_multi returns a list of codes.
@@ -17,7 +22,7 @@ verdict is "not LCD", and extend_two_multi returns a list of codes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import gf2
 from .gf2 import BitVector
@@ -37,20 +42,45 @@ def _require_lcd(C: LinearCode) -> None:
         raise ValueError("input code is not LCD")
 
 
+def _require_odd_distance(C: LinearCode, k_odd: bool) -> None:
+    """C is LCD, k has the given parity, and d is odd, checked in that
+    order, so a wrong k costs no distance."""
+    _require_lcd(C)
+    if C.k % 2 != k_odd:
+        raise ValueError(f"dimension must be {'odd' if k_odd else 'even'}")
+    if C.min_distance() % 2 == 0:
+        raise ValueError("minimum distance must be odd")
+
+
+def _checked(out: LinearCode, k: int) -> LinearCode:
+    """out, the built code, unless it is no LCD code of dimension k."""
+    if out.k != k or not out.is_lcd():
+        raise ConstructionError(f"output is not LCD of dimension {k}")
+    return out
+
+
+def _row_over(C: LinearCode, x: int) -> LinearCode:
+    """The [n+1,k+1] code of the row (1, x) over [0 | G]."""
+    return LinearCode([x << 1 | 1] + [r << 1 for r in C.gen.rows], C.n + 1)
+
+
+def _columns_before(C: LinearCode, x: int, times: int = 1) -> LinearCode:
+    """The [n+times,k] code whose stored row r gets the column <x, r>
+    prepended times over."""
+    ones = (1 << times) - 1
+    return LinearCode([r << times | ones * ((x & r).bit_count() & 1)
+                       for r in C.gen.rows], C.n + times)
+
+
 def extend_even(C: LinearCode) -> LinearCode:
     """[n,k,d] LCD with d odd, k even -> even-like [n+1,k,d+1] LCD.
 
     Rows (|r| mod 2, r) for the stored rows r: the span of (1, c_i) over
     an orthonormal basis, as Σ c_i = diag Π and c . diag Π = |c| mod 2.
     """
-    _require_lcd(C)
-    if C.min_distance() % 2 == 0:
-        raise ValueError("minimum distance must be odd")
-    if C.k % 2:
-        raise ValueError("dimension must be even")
-    rows = [r << 1 | (r.bit_count() & 1) for r in C.gen.rows]
-    out = LinearCode(rows, C.n + 1)
-    if not (out.is_lcd() and out.is_even_like()):
+    _require_odd_distance(C, k_odd=False)
+    out = _checked(_columns_before(C, (1 << C.n) - 1), C.k)
+    if not out.is_even_like():
         raise ConstructionError("extension must be even-like LCD")
     return out
 
@@ -61,14 +91,9 @@ def extend_odd_two(C: LinearCode) -> LinearCode:
     Rows (p, p, r), p = |r| mod 2: the span of (1, 1, c_i) over an
     orthonormal basis {c_i}, as in extend_even.
     """
-    _require_lcd(C)
-    if C.min_distance() % 2 == 0:
-        raise ValueError("minimum distance must be odd")
-    if C.k % 2 == 0:
-        raise ValueError("dimension must be odd")
-    rows = [r << 2 | 0b11 * (r.bit_count() & 1) for r in C.gen.rows]
-    out = LinearCode(rows, C.n + 2)
-    if not out.is_lcd() or out.is_even_like():
+    _require_odd_distance(C, k_odd=True)
+    out = _checked(_columns_before(C, (1 << C.n) - 1, times=2), C.k)
+    if out.is_even_like():
         raise ConstructionError("extension must be odd-like LCD")
     return out
 
@@ -101,8 +126,9 @@ def shorten_odd_lcd(C: LinearCode,
     """Odd-like [n,k,d] LCD shortened on one coordinate -> LCD
     [n-1,k-1 or k,>=d].
 
-    When the all-one vector lies in C any coordinate works (default: 1).
-    Otherwise i is ignored and the code is shortened at the first
+    i is validated whenever it is given, and picks the coordinate only
+    when the all-one vector lies in C: then any coordinate works
+    (default: 1).  Otherwise the code is shortened at the first
     coordinate j whose shortening is LCD: a zero column or Π_jj = 1
     (``LinearCode.projector``).  One exists: diag Π is the codeword s
     with s . c = |c| mod 2 on C, nonzero on an odd-like code.
@@ -110,16 +136,16 @@ def shorten_odd_lcd(C: LinearCode,
     _require_lcd(C)
     if C.is_even_like():
         raise ValueError("input code is not odd-like")
+    if i is not None:
+        check_coords([i], C.n)
     if C.contains_all_one():
         coord = 1 if i is None else i
-        check_coords([coord], C.n)
     else:
         coord = next(j + 1 for j, row in enumerate(C.projector())
                      if not row or (row >> j) & 1)
-    out = C.shorten([coord])
-    if not out.is_lcd():
-        raise ConstructionError("output is not LCD")
-    return out
+    # shortening drops a dimension unless the column is zero
+    return _checked(C.shorten([coord]),
+                    C.k - any(r >> (coord - 1) & 1 for r in C.gen.rows))
 
 
 def _hull_information_set(C: LinearCode) -> Tuple[int, ...]:
@@ -139,12 +165,6 @@ def _hull_information_set(C: LinearCode) -> Tuple[int, ...]:
     return tuple(sorted(order[i] + 1 for i in kept))
 
 
-def _checked_lcd(out: LinearCode, k: int) -> LinearCode:
-    if out.k != k or not out.is_lcd():
-        raise ConstructionError(f"output is not an LCD code of dimension {k}")
-    return out
-
-
 def hull_shorten(C: LinearCode) -> LinearCode:
     """Shorten away the hull: [n,k,d] with hull dim l -> [n-l,k-l,>=d] LCD."""
     l = C.hull_dimension()
@@ -152,7 +172,7 @@ def hull_shorten(C: LinearCode) -> LinearCode:
         raise ValueError("hull is already trivial")
     if l == C.k:
         raise ValueError("hull equals the code; shortening would be empty")
-    return _checked_lcd(C.shorten(_hull_information_set(C)), C.k - l)
+    return _checked(C.shorten(_hull_information_set(C)), C.k - l)
 
 
 def hull_puncture(C: LinearCode) -> LinearCode:
@@ -162,7 +182,7 @@ def hull_puncture(C: LinearCode) -> LinearCode:
         raise ValueError("hull is already trivial")
     if l >= C.min_distance():
         raise ValueError("hull dimension must be below the distance")
-    return _checked_lcd(C.puncture(_hull_information_set(C)), C.k)
+    return _checked(C.puncture(_hull_information_set(C)), C.k)
 
 
 def extend_row_dual(C: LinearCode, x: BitVector) -> LinearCode:
@@ -174,11 +194,7 @@ def extend_row_dual(C: LinearCode, x: BitVector) -> LinearCode:
         raise ValueError("x is not in the dual code")
     if x.bits.bit_count() % 2:
         raise ValueError("x must have even weight")
-    rows = [(x.bits << 1) | 1] + [r << 1 for r in C.gen.rows]
-    out = LinearCode(rows, C.n + 1)
-    if not out.is_lcd():
-        raise ConstructionError("output is not LCD")
-    return out
+    return _checked(_row_over(C, x.bits), C.k + 1)
 
 
 def extend_systematic(C: LinearCode, x: BitVector) -> Optional[LinearCode]:
@@ -199,17 +215,13 @@ def extend_systematic(C: LinearCode, x: BitVector) -> Optional[LinearCode]:
     xt = x.bits << C.k
     if (xt & ~s).bit_count() % 2:
         return None
-    rows = [(xt << 1) | 1] + [r << 1 for r in C.gen.rows]
-    out = LinearCode(rows, C.n + 1)
-    if not out.is_lcd():
-        raise ConstructionError("output is not LCD")
-    return out
+    return _checked(_row_over(C, xt), C.k + 1)
 
 
 def _hull_drop(C: LinearCode, x: BitVector,
-               rows: List[int]) -> LinearCode:
-    """The [n+1] code with these rows, checked to drop C's hull by one
-    (x must meet the hull)."""
+               build: Callable[[LinearCode, int], LinearCode]) -> LinearCode:
+    """build(C, x), checked to drop C's hull by one (x must meet the
+    hull)."""
     s = C.hull_dimension()
     if s < 1:
         raise ValueError("hull is already trivial")
@@ -218,7 +230,7 @@ def _hull_drop(C: LinearCode, x: BitVector,
     hull = C.hull()
     if all((x.bits & r).bit_count() % 2 == 0 for r in hull.gen.rows):
         raise ValueError("x is orthogonal to the whole hull")
-    out = LinearCode(rows, C.n + 1)
+    out = build(C, x.bits)
     if out.hull_dimension() != s - 1:
         raise ConstructionError("hull dimension did not drop by one")
     return out
@@ -227,8 +239,7 @@ def _hull_drop(C: LinearCode, x: BitVector,
 def extend_hull_drop(C: LinearCode, x: BitVector) -> LinearCode:
     """Adjoin row (1,x) meeting the hull -> [n+1,k+1], hull dimension
     one smaller."""
-    rows = [(x.bits << 1) | 1] + [r << 1 for r in C.gen.rows]
-    return _hull_drop(C, x, rows)
+    return _hull_drop(C, x, _row_over)
 
 
 def extend_column_hull_drop(C: LinearCode, x: BitVector) -> LinearCode:
@@ -239,8 +250,7 @@ def extend_column_hull_drop(C: LinearCode, x: BitVector) -> LinearCode:
     pair nontrivially with the (shared) hull.  Note that no x orthogonal
     to the hull can work — in particular no codeword of C can.
     """
-    rows = [r << 1 | ((x.bits & r).bit_count() & 1) for r in C.gen.rows]
-    return _hull_drop(C, x, rows)
+    return _hull_drop(C, x, _columns_before)
 
 
 def parity_extend(C: LinearCode) -> LinearCode:
@@ -261,11 +271,7 @@ def extend_two_multi(C: LinearCode) -> List[LinearCode]:
     ordered by the integer value of a and are pairwise distinct as
     codeword sets.
     """
-    _require_lcd(C)
-    if C.k % 2 == 0:
-        raise ValueError("dimension must be odd")
-    if C.min_distance() % 2 == 0:
-        raise ValueError("minimum distance must be odd")
+    _require_odd_distance(C, k_odd=True)
     k, n = C.k, C.n
     Cp = parity_extend(C)
     if Cp.hull_dimension() != 1:
@@ -276,11 +282,9 @@ def extend_two_multi(C: LinearCode) -> List[LinearCode]:
     for a in range(1 << k):
         if not (a & x).bit_count() & 1:
             continue
-        rows = [r | (a >> j & 1) << (n + 1)
-                for j, r in enumerate(Cp.gen.rows)]
-        out = LinearCode(rows, n + 2)
-        if not out.is_lcd():
-            raise ConstructionError("output is not LCD")
+        out = _checked(LinearCode([r | (a >> j & 1) << (n + 1)
+                                   for j, r in enumerate(Cp.gen.rows)],
+                                  n + 2), k)
         key = out.rref()
         if key in seen:
             raise ConstructionError("duplicate codeword set")

@@ -1,9 +1,10 @@
 """Binary expansion of codes over GF(2^m) through a self-dual basis.
 
 Provides GF(2^m) arithmetic with fixed moduli, the absolute trace,
-self-dual basis discovery, codes held by generator matrices of field
-elements, and the expansion map that turns an [n, k] code over GF(2^m)
-into a binary [mn, mk] code.  Expansion through a self-dual basis
+self-dual basis discovery (once per field; the basis keeps one table of
+every element's trace coordinates), codes held by generator matrices
+of field elements, and the expansion map that turns an [n, k] code over
+GF(2^m) into a binary [mn, mk] code.  Expansion through a self-dual basis
 preserves the inner product up to trace, so hulls commute with the map
 and LCD status transfers in both directions.
 
@@ -20,6 +21,8 @@ EXTGEN1 files are read by ``codes.read_framed``, as GEN1 files are;
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import List, Sequence, Tuple
@@ -60,7 +63,7 @@ class ExtField:
     @classmethod
     def of_degree(cls, m: int) -> "ExtField":
         if m not in FIXED_MODULI:
-            raise ValueError(f"no fixed modulus for degree {m}")
+            raise ValueError(f"unsupported degree m={m}")
         return cls(m, FIXED_MODULI[m])
 
     @property
@@ -117,63 +120,56 @@ class SelfDualBasis:
         if rank(self.alphas) != m:
             raise ExpansionError("basis elements are dependent")
 
+    @functools.cached_property
+    def _coordinates(self) -> Tuple[int, ...]:
+        """Each element's m trace coordinates, coordinate j as bit j."""
+        F = self.field
+        return tuple(sum(F.trace(F.mul(v, a)) << j
+                         for j, a in enumerate(self.alphas))
+                     for v in range(F.order))
 
+
+@functools.lru_cache(maxsize=None)
 def find_self_dual_basis(field: ExtField) -> SelfDualBasis:
-    """Lexicographically least self-dual basis, by pruned exhaustive search."""
+    """The lexicographically least self-dual basis, once per field: the
+    first m-subset, in increasing order, of the elements with
+    Tr(a^2) = 1 that is pairwise trace-orthogonal and of rank m."""
     m = field.m
     if m > M_MAX:
         raise EngineBudgetError(
             f"self-dual basis search capped at degree {M_MAX}")
-    chosen: List[int] = []
-
-    def search() -> bool:
-        if len(chosen) == m:
-            return rank(chosen) == m
-        for a in range(1, field.order):
-            if field.trace(field.mul(a, a)) != 1:
-                continue
-            if any(field.trace(field.mul(a, b)) for b in chosen):
-                continue
-            chosen.append(a)
-            if search():
-                return True
-            chosen.pop()
-        return False
-
-    if not search():
-        raise ExpansionError(
-            "self-dual basis must exist in characteristic two")
-    basis = SelfDualBasis(field, tuple(chosen))
-    basis.verify()
-    return basis
+    units = [a for a in range(1, field.order)
+             if field.trace(field.mul(a, a)) == 1]
+    for alphas in itertools.combinations(units, m):
+        if rank(alphas) == m and not any(
+                field.trace(field.mul(a, b))
+                for a, b in itertools.combinations(alphas, 2)):
+            basis = SelfDualBasis(field, alphas)
+            basis.verify()
+            return basis
+    raise ExpansionError("self-dual basis must exist in characteristic two")
 
 
 def expand_vector(basis: SelfDualBasis, x: Sequence[int]) -> int:
     """Replace each field entry by its m trace coordinates: entry i's
     coordinate j is bit i m + j of the int returned."""
     F = basis.field
-    m = F.m
+    coordinates = basis._coordinates
     bits = 0
     for i, xi in enumerate(x):
-        F.check(xi)
-        for j, a in enumerate(basis.alphas):
-            if F.trace(F.mul(xi, a)):
-                bits |= 1 << (i * m + j)
+        bits |= coordinates[F.check(xi)] << (i * F.m)
     return bits
 
 
 def expand_code(C: "ExtFieldCode", basis: SelfDualBasis) -> LinearCode:
-    """Binary [mn, mk] code generated by expansions of alpha_j * row_i."""
+    """Binary [mn, mk] code generated by expansions of alpha_j * row_i.
+    Each entry is checked before it is multiplied: ``mul`` would reduce
+    one past the field silently and loop forever on a negative one."""
     if basis.field != C.field:
         raise ValueError("basis and code fields differ")
     F = C.field
-    m = F.m
-    rows = []
-    for g in C.gen:
-        for a in basis.alphas:
-            scaled = [F.mul(a, x) for x in g]
-            rows.append(expand_vector(basis, scaled))
-    return LinearCode(rows, m * C.n)
+    return LinearCode([expand_vector(basis, [F.mul(a, F.check(x)) for x in g])
+                       for g in C.gen for a in basis.alphas], F.m * C.n)
 
 
 @dataclass(frozen=True)
@@ -204,8 +200,6 @@ class ExtFieldCode:
         for row in self.gen:
             if len(row) != self.n:
                 raise ValueError("ragged generator matrix")
-            for v in row:
-                self.field.check(v)
         object.__setattr__(self, "image", expand_code(
             self, find_self_dual_basis(self.field)))
 
@@ -258,11 +252,6 @@ def expansion_indices(n: int, k: int, m: int) -> Tuple[int, int]:
 # EXTGEN1 text format: "n k m" header, then k lines of n integers.
 
 
-def _check_degree(header: tuple) -> None:
-    if header[2] not in FIXED_MODULI:
-        raise ValueError(f"unsupported degree m={header[2]}")
-
-
 def _extgen1_row(line: str, header: tuple) -> List[int]:
     n, _, m = header
     parts = line.split()
@@ -279,7 +268,8 @@ def _extgen1_row(line: str, header: tuple) -> List[int]:
 
 
 def parse_extgen1(text: str) -> ExtFieldCode:
-    (n, _, m), rows = read_framed(text, "n k m", _extgen1_row, _check_degree)
+    (n, _, m), rows = read_framed(text, "n k m", _extgen1_row,
+                                  lambda header: ExtField.of_degree(header[2]))
     return ExtFieldCode(ExtField.of_degree(m), rows, n)
 
 

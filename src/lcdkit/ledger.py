@@ -219,16 +219,6 @@ def _expand(seed_code: xp.ExtFieldCode, aux: Dict) -> List[LinearCode]:
     return [seed_code.image]
 
 
-def _extend_two_multi(code: LinearCode, aux: Dict) -> List[LinearCode]:
-    outputs = cons.extend_two_multi(code)
-    want = 1 << (code.k - 1)
-    if len(outputs) != want:
-        raise _ReplayFailure(f"expected {want} outputs, got {len(outputs)}")
-    if len(set(outputs)) != len(outputs):
-        raise _ReplayFailure("outputs are not pairwise distinct")
-    return outputs
-
-
 def _one(construct: Callable) -> Callable:
     """Handler for a construction with a single output."""
     return lambda code, aux: [construct(code)]
@@ -250,7 +240,8 @@ class _Op(NamedTuple):
 # Operations a ledger record may name.  The hull-guided ops pick their
 # coordinates from the hull, so any coordinates in their aux are
 # provenance only.  The hull-drop ops promise only a hull one smaller
-# than the input's, and check that themselves.
+# than the input's, and check that themselves.  extend_two_multi
+# checks its own outputs are distinct; there are 2^(k-1) by construction.
 REGISTERED_OPS: Dict[str, _Op] = {
     "extend_even": _Op(_one(cons.extend_even)),
     "extend_odd_two": _Op(_one(cons.extend_odd_two)),
@@ -266,7 +257,7 @@ REGISTERED_OPS: Dict[str, _Op] = {
                             lcd=False),
     "extend_column_hull_drop": _Op(
         _with_vector(cons.extend_column_hull_drop), ("x",), lcd=False),
-    "extend_two_multi": _Op(_extend_two_multi),
+    "extend_two_multi": _Op(lambda code, aux: cons.extend_two_multi(code)),
     "expand": _Op(_expand, input=xp.ExtFieldCode),
 }
 

@@ -272,6 +272,12 @@ class TestShortenOddLcd:
         out = cx.shorten_odd_lcd(C("10", "01"), 2)
         assert out == C("1")
 
+    def test_coordinate_checked_without_all_one(self):
+        # i picks no coordinate here, but it is validated all the same
+        with pytest.raises(ValueError,
+                           match=r"coordinate 999 out of range 1\.\.3"):
+            cx.shorten_odd_lcd(C("100", "010"), 999)
+
     def test_without_all_one(self):
         code = C("100", "010")  # LCD_oo, no all-one vector
         assert not code.contains_all_one()
@@ -465,19 +471,19 @@ class TestExtendSystematic:
             done += 1
 
     def test_random_basis_matches_hull_normal_basis(self):
-        # the verdict and the code are those of the normalised basis
-        # the operator once required, on the same coordinates
-        from lcdkit import normal_form as nf
+        # the verdict and the code are the same from any stored basis of
+        # the code, on the same coordinates
         rng = random.Random(55)
+        basis_rng = random.Random(155)
         for code in _lcd_corpus(rng, 60, (2, 12)):
             n, k = code.n, code.k
             if n - k > 6:
                 continue
-            normal = LinearCode(nf.hull_normal_basis(code).basis, n)
+            other = _rebased(basis_rng, code)
             for xv in range(1 << (n - k)):
                 x = BitVector(n - k, xv)
                 out = cx.extend_systematic(code, x)
-                ref = cx.extend_systematic(normal, x)
+                ref = cx.extend_systematic(other, x)
                 assert (out is None) == (ref is None)
                 if out is not None:
                     assert out == ref
@@ -598,6 +604,33 @@ class TestExtendTwoMulti:
             done += 1
 
 
+class TestOddDistancePrecondition:
+    """LCD, then the parity of k, then odd d: a wrong k is named before
+    the distance, which is never computed."""
+
+    @pytest.mark.parametrize("construct, rows, message", [
+        (cx.extend_even, ("11000", "10100", "10011"),
+         "dimension must be even"),
+        (cx.extend_odd_two, ("1100", "0110"), "dimension must be odd"),
+        (cx.extend_two_multi, ("1100", "0110"), "dimension must be odd"),
+    ], ids=["extend_even", "extend_odd_two", "extend_two_multi"])
+    def test_wrong_k_and_even_d(self, monkeypatch, construct, rows,
+                                message):
+        code = C(*rows)
+        assert code.is_lcd() and code.min_distance() % 2 == 0
+        fresh = LinearCode(code.gen.rows, code.n)  # no distance cached
+        monkeypatch.setattr(LinearCode, "min_distance", None)
+        with pytest.raises(ValueError, match=message):
+            construct(fresh)
+
+    @pytest.mark.parametrize("construct", [
+        cx.extend_even, cx.extend_odd_two, cx.extend_two_multi])
+    def test_not_lcd_first(self, construct):
+        # span{11} is self-orthogonal; its k and d are beside the point
+        with pytest.raises(ValueError, match="input code is not LCD"):
+            construct(C("11"))
+
+
 class TestConstructionError:
     """Broken guarantees raise ConstructionError, an AssertionError, also
     under python -O."""
@@ -610,3 +643,22 @@ class TestConstructionError:
         monkeypatch.setattr(LinearCode, "puncture", lambda self, T: C("110"))
         with pytest.raises(cx.ConstructionError, match="not LCD"):
             cx.puncture_even_lcd(C("1100", "0110"), 1)
+
+    @pytest.mark.parametrize("construct, rows, args", [
+        (cx.extend_even, ("10", "01"), ()),
+        (cx.extend_odd_two, ("1",), ()),
+        (cx.extend_two_multi, ("1",), ()),
+        (cx.extend_row_dual, ("1",), (V("0"),)),
+        (cx.extend_systematic, ("10",), (V("0"),)),
+        (cx.hull_shorten, ("1100", "0011", "1000"), ()),
+        (cx.shorten_odd_lcd, ("100", "010"), ()),
+    ], ids=["extend_even", "extend_odd_two", "extend_two_multi",
+            "extend_row_dual", "extend_systematic", "hull_shorten",
+            "shorten_odd_lcd"])
+    def test_built_code_not_lcd(self, monkeypatch, construct, rows, args):
+        # every built output goes through the one check: here only the
+        # input counts as LCD
+        code = C(*rows)
+        monkeypatch.setattr(LinearCode, "is_lcd", lambda self: self is code)
+        with pytest.raises(cx.ConstructionError, match="not LCD"):
+            construct(code, *args)

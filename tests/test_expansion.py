@@ -1,5 +1,6 @@
 """GF(2^m) arithmetic, self-dual bases, and binary expansion of codes."""
 
+import hashlib
 import random
 
 import pytest
@@ -124,6 +125,11 @@ class TestSelfDualBasis:
     def test_deterministic(self):
         assert xp.find_self_dual_basis(F4) == xp.find_self_dual_basis(F4)
 
+    def test_lexicographically_least(self):
+        assert [xp.find_self_dual_basis(xp.ExtField.of_degree(m)).alphas
+                for m in (1, 2, 3, 4)] == [
+                    (1,), (2, 3), (3, 5, 7), (8, 11, 13, 15)]
+
 
 class TestExpandVector:
     def setup_method(self):
@@ -213,6 +219,24 @@ class TestExpandCode:
             xp.expand_code(C, self.basis)
 
 
+def _pinned_digest():
+    rng = random.Random(64)
+    digest = hashlib.sha256()
+    for m in (1, 2, 3, 4):
+        F = xp.ExtField.of_degree(m)
+        for _ in range(30):
+            n = rng.randrange(1, 9)
+            k = rng.randrange(1, min(n, 12 // m) + 1)
+            rows = random_rows(rng, F, n, k)
+            try:
+                C = xp.ExtFieldCode(F, rows, n)
+            except ValueError:
+                continue
+            digest.update(repr((C.image.gen.rows, C.hull_dimension(),
+                                C.min_distance())).encode())
+    return digest.hexdigest()
+
+
 class TestExpansionBound:
     """The extension-field parameters an expansion bound is read from."""
 
@@ -273,6 +297,17 @@ class TestExtFieldCode:
                 with pytest.raises(ValueError, match="full row rank"):
                     xp.ExtFieldCode(F, rows, n)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("entry", [4, -1])
+    def test_entry_out_of_range(self, entry):
+        with pytest.raises(ValueError, match=f"element {entry} out of range"):
+            xp.ExtFieldCode(F4, [[1, entry]], 2)
+
+    def test_outputs_pinned(self):
+        # images, hull dimensions and distances of a seeded set of codes
+        # for m = 1..4, as the trace-by-trace expansion gave them
+        assert _pinned_digest() == (
+            "f37f1d669854b27f7a48b9a32719297f181432b6b6f2e138eaec92a8d372315e")
 
     def test_gram_symmetric(self):
         rng = random.Random(55)

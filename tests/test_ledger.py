@@ -99,6 +99,36 @@ class TestReplayInline:
         res = replay_record(rec)
         assert res.status == PASS
 
+    def test_multi_output_row_replays_the_construction(self):
+        # the [7,3,3] LCD code has 2^(k-1) = 4 two-column extensions,
+        # and every one is checked against the record
+        rows = ["1110000", "1001100", "0100011"]
+        code = LinearCode.from_strings(rows)
+        assert (code.k, code.min_distance(), code.is_lcd()) == (3, 3, True)
+        outputs = ledger.REGISTERED_OPS["extend_two_multi"].replay(code, {})
+        assert len(outputs) == 4
+        res = replay_record(ConstructionRecord(
+            "extend_two_multi", inline(rows), {}, (9, 3, 4)))
+        assert (res.status, res.message) == (PASS, "")
+        res = replay_record(ConstructionRecord(
+            "extend_two_multi", inline(rows), {}, (9, 3, 5)))
+        assert (res.status, res.message) == (
+            FAIL, "minimum distance 4 below expected 5")
+
+    @pytest.mark.parametrize("coordinate, message", [
+        (999, "coordinate 999 out of range 1..3"),
+        (True, "coordinate True out of range 1..3"),
+    ], ids=["out-of-range", "json-true"])
+    def test_shorten_coordinate_checked_without_all_one(self, coordinate,
+                                                        message):
+        # the all-one vector is not in span{100, 010}, so the coordinate
+        # picks nothing, but it is validated all the same
+        (rec,) = parse_records(json.dumps({
+            "op": "shorten_odd_lcd", "inputs": inline(["100", "010"]),
+            "aux": {"coordinate": coordinate}, "expect": [2, 1]}))
+        res = replay_record(rec)
+        assert (res.status, res.message) == (FAIL, f"ValueError: {message}")
+
     def test_puncture_sequence(self):
         # both recorded coordinates refer to the original code
         rec = ConstructionRecord(
