@@ -13,14 +13,13 @@ from .codes import (EngineBudgetError, LinearCode, ParityClass, ParseError,
 from .conjecture import ConjectureCertificate, certify_step_down
 from .expansion import (ExtField, ExtFieldCode, SelfDualBasis, expand_code,
                         find_self_dual_basis, format_extgen1, parse_extgen1)
-from .ledger import BoundsLedger, ConstructionRecord, replay_record
+from .ledger import ConstructionRecord, replay_ledger
 from .search import lcd_search
 from .tables import all_one_lcd_codes, dlcd_table, dlcd_value
 
 __all__ = [
     "BitMatrix",
     "BitVector",
-    "BoundsLedger",
     "ConjectureCertificate",
     "ConstructionRecord",
     "EngineBudgetError",
@@ -41,7 +40,7 @@ __all__ = [
     "lcd_search",
     "parse_extgen1",
     "parse_gen1",
-    "replay_record",
+    "replay_ledger",
 ]
 
 __version__ = "0.1.0"

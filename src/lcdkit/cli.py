@@ -201,13 +201,13 @@ def _cmd_verify_ledger(args) -> int:
     for res in results:
         if res.status == ledger.FAIL:
             print(f"FAIL {_row_tag(res.record)}: {res.message}")
-    bounds = ledger.BoundsLedger.load_builtin()
-    violations = bounds.check_consistency()
+    bounds = ledger.load_builtin_bounds()
+    violations = tables.law_violations(bounds)
     for msg in violations:
         print(f"BOUNDS {msg}")
     print(f"pass={counts[ledger.PASS]} fail={counts[ledger.FAIL]} "
           f"skipped={skipped} "
-          f"bounds_entries={len(bounds.entries)} "
+          f"bounds_entries={len(bounds)} "
           f"bounds_violations={len(violations)}")
     if violations:
         return EXIT_FAIL

@@ -76,6 +76,8 @@ class ExtField:
         return x
 
     def mul(self, a: int, b: int) -> int:
+        self.check(a)
+        self.check(b)
         p = 0
         while b:
             if b & 1:
@@ -162,13 +164,11 @@ def expand_vector(basis: SelfDualBasis, x: Sequence[int]) -> int:
 
 
 def expand_code(C: "ExtFieldCode", basis: SelfDualBasis) -> LinearCode:
-    """Binary [mn, mk] code generated by expansions of alpha_j * row_i.
-    Each entry is checked before it is multiplied: ``mul`` would reduce
-    one past the field silently and loop forever on a negative one."""
+    """Binary [mn, mk] code generated by expansions of alpha_j * row_i."""
     if basis.field != C.field:
         raise ValueError("basis and code fields differ")
     F = C.field
-    return LinearCode([expand_vector(basis, [F.mul(a, F.check(x)) for x in g])
+    return LinearCode([expand_vector(basis, [F.mul(a, x) for x in g])
                        for g in C.gen for a in basis.alphas], F.m * C.n)
 
 

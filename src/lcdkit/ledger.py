@@ -18,10 +18,10 @@ too (``UNVERIFIED``), never passed.  A row and the chain of
 rows it refers to decide its replay: a search input runs with the
 seed it records, ``DEFAULT_SEED`` if none.
 
-A bounds ledger holds published lower/upper bounds on the best LCD
-minimum distance d_lcd(n, k) at lengths beyond exhaustive reach; its
-entries are sane intervals, and ``check_consistency`` reads them
-against the d_lcd laws of ``tables.law_violations``.
+The bounds table holds published (lower, upper) bounds on the best LCD
+minimum distance d_lcd(n, k) at lengths beyond exhaustive reach, read
+as ``{(n, k): (lower, upper)}``, the data ``tables.law_violations``
+checks against the d_lcd laws.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from . import expansion as xp
 from .codes import EngineBudgetError, LinearCode
 from .gf2 import BitVector
 from .search import DEFAULT_SEED, lcd_search
-from .tables import law_violations
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -59,9 +58,10 @@ class _ReplaySkip(Exception):
 class ConstructionRecord:
     """One ledger row: an operation, its inputs, and the expected result.
 
-    expect is (n, k, d) where d may be None; n and k are verified
-    exactly and d as a lower bound on the replayed minimum distance;
-    every output must also be LCD unless its op's ``lcd`` is False.
+    expect is (n, k, d), integers with 0 <= k <= n and n, d >= 1, where
+    d may be None; n and k are verified exactly and d as a lower bound
+    on the replayed minimum distance; every output must also be LCD
+    unless its op's ``lcd`` is False.
     status records the verdict of the run that produced the file (for
     shipped rows: PASS for replayable rows, SKIPPED-MISSING-SEED for a
     row whose chain of row refs ends at an external seed).
@@ -77,7 +77,10 @@ class ConstructionRecord:
         if self.op not in REGISTERED_OPS:
             raise ValueError(f"unknown operation {self.op!r}")
         n, k, d = self.expect
-        if n < 1 or not 0 <= k <= n:
+        # type(): a JSON true is an int to isinstance
+        given = (n, k) if d is None else (n, k, d)
+        if not all(type(v) is int for v in given) or n < 1 \
+                or not 0 <= k <= n or d is not None and d < 1:
             raise ValueError(f"bad expected parameters {self.expect}")
         for key in REGISTERED_OPS[self.op].aux:
             if self.aux.get(key) in (None, []):
@@ -129,11 +132,10 @@ def load_builtin_records() -> List[ConstructionRecord]:
 
 
 def _resolve_input(rec: ConstructionRecord, seed_dir: Optional[Path],
-                   budget_ms: int,
-                   produced: Optional[Dict[int, ReplayResult]]):
+                   budget_ms: int, produced: Dict[int, ReplayResult]):
     """The input code; raises _ReplaySkip when it is not available.
     produced holds the results so far of ``replay_ledger``, which has
-    checked a row input's ref; None for a record replayed alone."""
+    checked a row input's ref."""
     inputs = rec.inputs
     source = inputs.get("source", "inline")
     if source == "inline":
@@ -166,9 +168,6 @@ def _resolve_input(rec: ConstructionRecord, seed_dir: Optional[Path],
             raise _ReplaySkip(f"external seed {name!r} not available")
         return xp.read_code(path.read_text())
     if source == "row":
-        if produced is None:
-            raise _ReplayFailure(
-                "a row input needs its ledger: replay it with replay_ledger")
         ref = inputs["ref"]
         producer = produced[ref]
         if producer.status != PASS:
@@ -301,7 +300,7 @@ def _verify(code: LinearCode,
 
 def _replay(rec: ConstructionRecord, seed_dir: Optional[Union[str, Path]],
             budget_ms: int,
-            produced: Optional[Dict[int, ReplayResult]]) -> ReplayResult:
+            produced: Dict[int, ReplayResult]) -> ReplayResult:
     try:
         seed_code = _resolve_input(
             rec, None if seed_dir is None else Path(seed_dir), budget_ms,
@@ -330,21 +329,13 @@ def _replay(rec: ConstructionRecord, seed_dir: Optional[Union[str, Path]],
         return ReplayResult(rec, FAIL, f"{type(e).__name__}: {e}")
 
 
-def replay_record(rec: ConstructionRecord,
-                  seed_dir: Optional[Union[str, Path]] = None,
-                  budget_ms: int = 2000) -> ReplayResult:
-    """Replays one record and verifies the output against expectations;
-    distances come from ``min_distance``, the one answer per code.  A
-    row input fails here: its producer replays in ``replay_ledger``."""
-    return _replay(rec, seed_dir, budget_ms, None)
-
-
 def replay_ledger(records: Sequence[ConstructionRecord],
                   seed_dir: Optional[Union[str, Path]] = None,
                   budget_ms: int = 2000) -> List[ReplayResult]:
     """One result per record, in file order; each row replays once,
-    after the row it refers to.  A chain is walked by a loop, so no
-    chain is too long."""
+    after the row it refers to, and its outputs are verified against the
+    record, every distance by ``min_distance``.  A chain is walked by a
+    loop, so no chain is too long."""
     results: Dict[int, ReplayResult] = {}
     for start in range(len(records)):
         # walk down the refs to a row replayed already or one whose
@@ -388,45 +379,21 @@ def summary_exit_code(results: Sequence[ReplayResult]) -> int:
 # published bounds tables
 
 
-@dataclass(frozen=True)
-class BoundsEntry:
-    lower: int
-    upper: int
-    status: str  # "exact" | "interval"
+def parse_bounds(obj: Dict) -> Dict[Tuple[int, int], Tuple[int, int]]:
+    """The entries of a bounds file as ``{(n, k): (lower, upper)}``;
+    refuses a repeated cell and a lower bound above its upper one."""
+    bounds = {}
+    for e in obj["entries"]:
+        key = (e["n"], e["k"])
+        if key in bounds:
+            raise ValueError(f"duplicate entry for {key}")
+        if e["lower"] > e["upper"]:
+            raise ValueError(f"lower bound exceeds upper bound at {key}")
+        bounds[key] = (e["lower"], e["upper"])
+    return bounds
 
-    def __post_init__(self):
-        if self.status not in ("exact", "interval"):
-            raise ValueError(f"bad status {self.status!r}")
-        if self.lower > self.upper:
-            raise ValueError("lower bound exceeds upper bound")
-        if self.status == "exact" and self.lower != self.upper:
-            raise ValueError("exact entry with lower != upper")
 
-
-@dataclass(frozen=True)
-class BoundsLedger:
-    """Published lower/upper bounds on d_lcd(n, k), keyed by (n, k)."""
-
-    entries: Dict[Tuple[int, int], BoundsEntry]
-
-    @classmethod
-    def from_json_obj(cls, obj: Dict) -> "BoundsLedger":
-        entries = {}
-        for e in obj["entries"]:
-            key = (e["n"], e["k"])
-            if key in entries:
-                raise ValueError(f"duplicate entry for {key}")
-            entries[key] = BoundsEntry(e["lower"], e["upper"], e["status"])
-        return cls(entries)
-
-    @classmethod
-    def load_builtin(cls) -> "BoundsLedger":
-        text = resources.files("lcdkit").joinpath(
-            "data/bounds_tables.json").read_text()
-        return cls.from_json_obj(json.loads(text))
-
-    def check_consistency(self) -> List[str]:
-        """Violation messages of ``tables.law_violations``; an empty
-        list means the table is sane."""
-        return law_violations({key: (e.lower, e.upper)
-                               for key, e in self.entries.items()})
+def load_builtin_bounds() -> Dict[Tuple[int, int], Tuple[int, int]]:
+    text = resources.files("lcdkit").joinpath(
+        "data/bounds_tables.json").read_text()
+    return parse_bounds(json.loads(text))

@@ -82,6 +82,15 @@ class TestExtField:
         with pytest.raises(ZeroDivisionError):
             fo.inv(F4, 0)
 
+    def test_mul_operands_checked(self):
+        # 7 is past GF(4) and would be reduced; -1 would never shift
+        # down to 0.  The out-of-range case runs first, so a missing
+        # check fails here before the negative one could hang
+        with pytest.raises(ValueError, match="element 7 out of range"):
+            F4.mul(7, 1)
+        with pytest.raises(ValueError, match="element -1 out of range"):
+            F4.mul(1, -1)
+
     def test_trace_values_f4(self):
         assert F4.trace(0) == 0
         assert F4.trace(1) == 0

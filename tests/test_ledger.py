@@ -1,14 +1,23 @@
 """Construction-ledger replay and the published bounds tables."""
 
+import hashlib
 import json
+from importlib import resources
 
 import pytest
 
 from lcdkit import ledger
 from lcdkit.codes import EngineBudgetError, LinearCode
-from lcdkit.ledger import (FAIL, PASS, SKIPPED, UNVERIFIED, BoundsEntry,
-                           BoundsLedger, ConstructionRecord, parse_records,
-                           replay_record, replay_ledger, summary_exit_code)
+from lcdkit.ledger import (FAIL, PASS, SKIPPED, UNVERIFIED, ConstructionRecord,
+                           load_builtin_bounds, parse_bounds, parse_records,
+                           replay_ledger, summary_exit_code)
+from lcdkit.tables import law_violations
+
+
+def replay_one(rec, **kwargs):
+    """The result of a ledger of the one record."""
+    (res,) = replay_ledger([rec], **kwargs)
+    return res
 
 
 def inline(rows):
@@ -61,42 +70,53 @@ class TestParseFormat:
             parse_records('# ok\n{"op": "nope", "inputs": {}, '
                           '"expect": [1, 1]}\n')
 
+    @pytest.mark.parametrize("d", ["0", "-5", "true"])
+    def test_expected_distance_must_be_positive_integer(self, d):
+        # the inline [7,2,3] code: each row would pass on its [8, 2]
+        # output if the distance were not refused first
+        text = ('# [7,2,3]\n{"op": "extend_even", "inputs": '
+                + json.dumps(inline(["1110000", "0001110"]))
+                + f', "expect": [8, 2, {d}]}}\n')
+        with pytest.raises(ValueError, match=(
+                r"ledger line 2: bad expected parameters \(8, 2, ")):
+            parse_records(text)
+
 
 class TestReplayInline:
     def test_extend_even_passes(self):
         rec = ConstructionRecord("extend_even", WORKED, {}, (7, 2, 4))
-        res = replay_record(rec)
+        res = replay_one(rec)
         assert res.status == PASS
         assert (res.output.n, res.output.k) == (7, 2)
         assert res.output.min_distance() == 4
 
     def test_wrong_parameters_fail(self):
         rec = ConstructionRecord("extend_even", WORKED, {}, (8, 2, 4))
-        res = replay_record(rec)
+        res = replay_one(rec)
         assert res.status == FAIL
         assert "differ from expected" in res.message
 
     def test_distance_below_expected_fails(self):
         rec = ConstructionRecord("extend_even", WORKED, {}, (7, 2, 5))
-        res = replay_record(rec)
+        res = replay_one(rec)
         assert res.status == FAIL
         assert "below expected" in res.message
 
     def test_distance_is_lower_bound(self):
         # the replayed code may beat the recorded distance
         rec = ConstructionRecord("extend_even", WORKED, {}, (7, 2, 3))
-        assert replay_record(rec).status == PASS
+        assert replay_one(rec).status == PASS
 
     def test_precondition_violation_fails(self):
         # extend_even needs an LCD input; span{11} is not LCD
         rec = ConstructionRecord("extend_even", inline(["11"]),
                                  {}, (3, 1, 2))
-        assert replay_record(rec).status == FAIL
+        assert replay_one(rec).status == FAIL
 
     def test_multi_output_op(self):
         rec = ConstructionRecord("extend_two_multi", inline(["111"]),
                                  {}, (5, 1, 4))
-        res = replay_record(rec)
+        res = replay_one(rec)
         assert res.status == PASS
 
     def test_multi_output_row_replays_the_construction(self):
@@ -107,10 +127,10 @@ class TestReplayInline:
         assert (code.k, code.min_distance(), code.is_lcd()) == (3, 3, True)
         outputs = ledger.REGISTERED_OPS["extend_two_multi"].replay(code, {})
         assert len(outputs) == 4
-        res = replay_record(ConstructionRecord(
+        res = replay_one(ConstructionRecord(
             "extend_two_multi", inline(rows), {}, (9, 3, 4)))
         assert (res.status, res.message) == (PASS, "")
-        res = replay_record(ConstructionRecord(
+        res = replay_one(ConstructionRecord(
             "extend_two_multi", inline(rows), {}, (9, 3, 5)))
         assert (res.status, res.message) == (
             FAIL, "minimum distance 4 below expected 5")
@@ -126,7 +146,7 @@ class TestReplayInline:
         (rec,) = parse_records(json.dumps({
             "op": "shorten_odd_lcd", "inputs": inline(["100", "010"]),
             "aux": {"coordinate": coordinate}, "expect": [2, 1]}))
-        res = replay_record(rec)
+        res = replay_one(rec)
         assert (res.status, res.message) == (FAIL, f"ValueError: {message}")
 
     def test_puncture_sequence(self):
@@ -134,7 +154,7 @@ class TestReplayInline:
         rec = ConstructionRecord(
             "puncture_even_lcd", inline(["11000", "01100"]),
             {"coordinates": [1, 5]}, (3, 2, 1))
-        res = replay_record(rec)
+        res = replay_one(rec)
         assert res.status == PASS, res.message
         assert res.output.n == 3
 
@@ -145,7 +165,7 @@ class TestReplayInline:
         rec = ConstructionRecord(
             "puncture_even_lcd", inline(["1111000", "1000111"]),
             {"coordinates": coordinates}, (5, 2, 2))
-        res = replay_record(rec)
+        res = replay_one(rec)
         assert res.status == PASS, res.message
         assert res.output == LinearCode([0b00011, 0b11101], 5)
 
@@ -154,7 +174,7 @@ class TestReplayInline:
         rec = ConstructionRecord(
             "puncture_even_lcd", inline(["1111000", "1000111"]),
             {"coordinates": [2, 5]}, (5, 2, 2))
-        res = replay_record(rec)
+        res = replay_one(rec)
         assert res.status == FAIL
         assert res.message == ("ValueError: I + Π[T,T] is singular for "
                                "T = [2, 5]: the punctured code is no LCD "
@@ -173,7 +193,7 @@ class TestReplayInline:
             "op": "puncture_even_lcd", "inputs": inline(rows),
             "aux": {"coordinates": coordinates},
             "expect": [n - len(coordinates), 2]}))
-        res = replay_record(rec)
+        res = replay_one(rec)
         assert res.status == FAIL
         assert message in res.message
 
@@ -183,7 +203,7 @@ class TestReplayInline:
             {"source": "inline", "format": "extgen1", "m": 2, "n": 2,
              "rows": [[1, 2]]},
             {"transformation": "id"}, (4, 2, 2))
-        assert replay_record(rec).status == PASS
+        assert replay_one(rec).status == PASS
 
     @pytest.mark.parametrize("fmt", ["extgen", None])
     def test_inline_degree_picks_reader(self, fmt):
@@ -194,14 +214,14 @@ class TestReplayInline:
             inputs["format"] = fmt
         rec = ConstructionRecord(
             "expand", inputs, {"transformation": "id"}, (4, 2, 2))
-        res = replay_record(rec)
+        res = replay_one(rec)
         assert (res.status, res.message) == (PASS, "")
 
     def test_inline_rows_without_degree_are_gen1(self):
         rec = ConstructionRecord(
             "extend_even", {"source": "inline", "format": "GEN1",
                             "rows": ["111000", "000111"]}, {}, (7, 2, 4))
-        res = replay_record(rec)
+        res = replay_one(rec)
         assert (res.status, res.message) == (PASS, "")
 
     def test_expand_of_self_orthogonal_code_fails(self):
@@ -212,7 +232,7 @@ class TestReplayInline:
             {"source": "inline", "format": "extgen1", "m": 2, "n": 2,
              "rows": [[1, 1]]},
             {"transformation": "id"}, (4, 2, 2))
-        res = replay_record(rec)
+        res = replay_one(rec)
         assert res.status == FAIL
         assert res.message == "output is not LCD"
 
@@ -222,9 +242,9 @@ class TestReplayInline:
         # the same (n, k, d) as the identity row
         base = {"source": "inline", "format": "extgen1", "m": 2, "n": 3,
                 "rows": [[1, 2, 0], [0, 1, 3]]}
-        plain = replay_record(ConstructionRecord(
+        plain = replay_one(ConstructionRecord(
             "expand", base, {"transformation": "id"}, (6, 4, None)))
-        scaled = replay_record(ConstructionRecord(
+        scaled = replay_one(ConstructionRecord(
             "expand", base, {"transformation": [2, 1, 1]}, (6, 4, None)))
         assert plain.status == scaled.status == PASS
         assert plain.output.min_distance() == scaled.output.min_distance()
@@ -236,7 +256,7 @@ class TestReplayInline:
         # column, and 5 or 4 would act as 2 or 3 after reduction
         base = {"source": "inline", "format": "extgen1", "m": 2, "n": 3,
                 "rows": [[1, 2, 0], [0, 1, 3]]}
-        res = replay_record(ConstructionRecord(
+        res = replay_one(ConstructionRecord(
             "expand", base, {"transformation": [entry, 1, 1]},
             (6, 4, None)))
         assert res.status == FAIL
@@ -258,7 +278,7 @@ class TestDistanceOverBudget:
 
     def test_expected_distance_is_not_passed(self):
         rec = ConstructionRecord("extend_even", WORKED, {}, (7, 2, 4))
-        res = replay_record(rec)
+        res = replay_one(rec)
         assert res.status == UNVERIFIED
         assert res.message == "distance unverifiable at budget"
         assert res.output.n == 7
@@ -270,7 +290,7 @@ class TestDistanceOverBudget:
     def test_parameters_only_pass(self):
         # no expected d: the output's distance is never computed
         rec = ConstructionRecord("extend_even", WORKED, {}, (7, 2, None))
-        res = replay_record(rec)
+        res = replay_one(rec)
         assert res.status == PASS
         assert res.message == ""
 
@@ -280,14 +300,14 @@ class TestReplaySearchAndExternal:
         rec = ConstructionRecord(
             "extend_even", {"source": "search", "n": 6, "k": 2, "d": 3},
             {}, (7, 2, 4))
-        assert replay_record(rec).status == PASS
+        assert replay_one(rec).status == PASS
 
     def test_search_miss_fails(self):
         # no [4,2,3] binary code exists at all
         rec = ConstructionRecord(
             "extend_even", {"source": "search", "n": 4, "k": 2, "d": 3},
             {}, (5, 2, 4))
-        res = replay_record(rec, budget_ms=200)
+        res = replay_one(rec, budget_ms=200)
         assert res.status == FAIL
 
     @pytest.mark.parametrize("target, message", [
@@ -308,7 +328,7 @@ class TestReplaySearchAndExternal:
         # runs out, nor read as a nearby integer
         rec = ConstructionRecord(
             "extend_even", {"source": "search", **target}, {}, (7, 2, 4))
-        res = replay_record(rec)
+        res = replay_one(rec)
         assert (res.status, res.message) == (FAIL, message)
 
     def test_external_missing_seed_skips(self, tmp_path):
@@ -316,8 +336,8 @@ class TestReplaySearchAndExternal:
             "extend_even",
             {"source": "external", "format": "gen1", "params": [6, 2, 3],
              "file": "seeds/C_6_2_3.gen1"}, {}, (7, 2, 4))
-        assert replay_record(rec).status == SKIPPED
-        assert replay_record(rec, seed_dir=tmp_path).status == SKIPPED
+        assert replay_one(rec).status == SKIPPED
+        assert replay_one(rec, seed_dir=tmp_path).status == SKIPPED
 
     def test_external_with_seed_passes(self, tmp_path):
         (tmp_path / "seeds").mkdir()
@@ -327,7 +347,7 @@ class TestReplaySearchAndExternal:
             "extend_even",
             {"source": "external", "format": "gen1", "params": [6, 2, 3],
              "file": "seeds/C_6_2_3.gen1"}, {}, (7, 2, 4))
-        res = replay_record(rec, seed_dir=tmp_path)
+        res = replay_one(rec, seed_dir=tmp_path)
         assert res.status == PASS
 
     @pytest.mark.parametrize("fmt", ["extgen1", "extgen", None])
@@ -341,7 +361,7 @@ class TestReplaySearchAndExternal:
             inputs["format"] = fmt
         rec = ConstructionRecord(
             "expand", inputs, {"transformation": "id"}, (4, 2, 2))
-        res = replay_record(rec, seed_dir=tmp_path)
+        res = replay_one(rec, seed_dir=tmp_path)
         assert (res.status, res.message) == (PASS, "")
 
     def test_external_file_unfit_for_op_fails(self, tmp_path):
@@ -350,7 +370,7 @@ class TestReplaySearchAndExternal:
             "expand",
             {"source": "external", "format": "extgen1",
              "file": "C_6_2_3.gen1"}, {"transformation": "id"}, (12, 4, 2))
-        res = replay_record(rec, seed_dir=tmp_path)
+        res = replay_one(rec, seed_dir=tmp_path)
         assert (res.status, res.message) == (
             FAIL, "expand needs an input of type ExtFieldCode")
 
@@ -421,10 +441,10 @@ class TestRowRefs:
             SKIPPED, "external seed 'seeds/C_6_2_3.gen1' not available")
 
     def test_row_input_needs_its_ledger(self):
-        res = replay_record(extend_odd_two_of(1))
+        # alone, a row input's ref names no row of its ledger
+        res = replay_one(extend_odd_two_of(1))
         assert (res.status, res.message) == (
-            FAIL, "a row input needs its ledger: replay it with "
-                  "replay_ledger")
+            FAIL, "bad row ref 1: need a row index in 0..0")
 
     def test_long_chain_is_walked_without_recursion(self, monkeypatch):
         # every row refers to the next, the last to a missing seed, so
@@ -491,41 +511,49 @@ class TestBuiltinLedger:
         assert summary_exit_code([]) == 2
 
 
+def entry(n, k, lower, upper):
+    return {"n": n, "k": k, "lower": lower, "upper": upper}
+
+
 class TestBoundsLedger:
     def test_entry_validation(self):
-        with pytest.raises(ValueError):
-            BoundsEntry(5, 4, "interval")
-        with pytest.raises(ValueError):
-            BoundsEntry(4, 5, "exact")
-        with pytest.raises(ValueError):
-            BoundsEntry(4, 5, "maybe")
+        with pytest.raises(ValueError, match=r"upper bound at \(5, 2\)"):
+            parse_bounds({"entries": [entry(5, 2, 5, 4)]})
 
     def test_builtin_loads_and_is_consistent(self):
-        bl = BoundsLedger.load_builtin()
-        assert len(bl.entries) == 366
-        assert bl.check_consistency() == []
+        bounds = load_builtin_bounds()
+        assert len(bounds) == 366
+        assert law_violations(bounds) == []
         # spot checks on shipped values
-        assert bl.entries[(41, 6)] == BoundsEntry(19, 19, "exact")
-        assert bl.entries[(50, 6)] == BoundsEntry(24, 24, "exact")
-        assert bl.entries[(38, 9)] == BoundsEntry(14, 15, "interval")
+        assert bounds[(41, 6)] == (19, 19)
+        assert bounds[(50, 6)] == (24, 24)
+        assert bounds[(38, 9)] == (14, 15)
 
     def test_detects_monotonicity_violation(self):
-        bl = BoundsLedger({(5, 2): BoundsEntry(4, 4, "exact"),
-                           (6, 2): BoundsEntry(2, 3, "interval")})
-        assert any("upper 3 below" in m for m in bl.check_consistency())
+        bounds = {(5, 2): (4, 4), (6, 2): (2, 3)}
+        assert any("upper 3 below" in m for m in law_violations(bounds))
 
     def test_detects_step_violation(self):
-        bl = BoundsLedger({(5, 2): BoundsEntry(2, 2, "exact"),
-                           (6, 2): BoundsEntry(4, 4, "exact")})
-        assert any("exceeds" in m for m in bl.check_consistency())
+        bounds = {(5, 2): (2, 2), (6, 2): (4, 4)}
+        assert any("exceeds" in m for m in law_violations(bounds))
 
     def test_detects_antitone_violation(self):
-        bl = BoundsLedger({(6, 2): BoundsEntry(3, 3, "exact"),
-                           (6, 3): BoundsEntry(4, 4, "exact")})
-        assert bl.check_consistency() != []
+        bounds = {(6, 2): (3, 3), (6, 3): (4, 4)}
+        assert law_violations(bounds) != []
 
     def test_duplicate_entry_rejected(self):
-        with pytest.raises(ValueError):
-            BoundsLedger.from_json_obj({"entries": [
-                {"n": 5, "k": 2, "lower": 2, "upper": 2,
-                 "status": "exact"}] * 2})
+        with pytest.raises(ValueError, match=r"duplicate entry for \(5, 2\)"):
+            parse_bounds({"entries": [entry(5, 2, 2, 2)] * 2})
+
+    def test_shipped_data_pinned(self):
+        # the (n, k, lower, upper) cells as published, and no entry
+        # carries a field beside them
+        obj = json.loads(resources.files("lcdkit").joinpath(
+            "data/bounds_tables.json").read_text())
+        cells = sorted([e["n"], e["k"], e["lower"], e["upper"]]
+                       for e in obj["entries"])
+        assert len(cells) == 366
+        assert hashlib.sha256(json.dumps(cells).encode()).hexdigest() == (
+            "40ae94a362473e2f2e9faadf3728f0479cee884240b18c0a0c92afa63781f55e")
+        assert all(set(e) == {"n", "k", "lower", "upper"}
+                   for e in obj["entries"])

@@ -15,7 +15,6 @@ import pytest
 
 from lcdkit import tables
 from lcdkit.codes import EngineBudgetError, LinearCode, min_weight
-from lcdkit.ledger import BoundsEntry, BoundsLedger
 import gf2_oracle as oracle
 from canonical_oracle import canonical_matrices, systematic_rows
 from random_codes import dlcd_value_oracle, systematic_lcd
@@ -242,9 +241,9 @@ class TestStepProperty:
         tab = {(4, 2): 2, (5, 2): 4}
         with pytest.raises(AssertionError):
             tables.check_step_property(tab)
-        # it raises exactly when the bounds ledger of the same exact table
-        # reports a violation, on single-cell mutations at k >= 2 (k = 1
-        # has its closed form too)
+        # it raises exactly when law_violations reports a violation of
+        # the same exact table read as bounds, on single-cell mutations
+        # at k >= 2 (k = 1 has its closed form too)
         table = tables.dlcd_table(8)
         cells = sorted(key for key in table if key[1] >= 2)
         rng = random.Random(25)
@@ -258,9 +257,9 @@ class TestStepProperty:
                 raised = False
             except tables.TableLawError:
                 raised = True
-            bounds = BoundsLedger({cell: BoundsEntry(d, d, "exact")
-                                   for cell, d in mutant.items()})
-            assert raised == bool(bounds.check_consistency()), (key, mutant)
+            bounds = {cell: (d, d) for cell, d in mutant.items()}
+            assert raised == bool(tables.law_violations(bounds)), (key,
+                                                                   mutant)
             outcomes.add(raised)
         assert outcomes == {True, False}
 
